@@ -1,7 +1,9 @@
 // Microbenchmarks (google-benchmark): throughput of the substrates under the
 // synthesizer — simulator, group extraction, sketch search, greedy and MILP
-// sub-demand solvers, LP simplex, schedule merging.
+// sub-demand solvers, the sub-schedule checker, LP simplex, schedule merging.
 #include <benchmark/benchmark.h>
+
+#include <stdexcept>
 
 #include "coll/collective.h"
 #include "core/synthesizer.h"
@@ -77,29 +79,72 @@ void BM_AllToAllReplication(benchmark::State& state) {
 }
 BENCHMARK(BM_AllToAllReplication)->Arg(2)->Arg(8);
 
-void BM_GreedySubDemand(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto topo = topo::build_single_server(n);
-  const auto groups = topo::extract_groups(topo);
-  const auto& gt = groups.dims[0].groups[0];
+/// An AllGather-shaped sub-demand (every member sources one piece all others
+/// need) on one group. Arguments: group size and E × 10. Sizes up to 64 use a
+/// single server of that many GPUs and 1 MiB pieces; 512 is the shape that
+/// dominates the 512-GPU synthesis: build_h800_cluster(64)'s 512-member group
+/// with a 1 MiB AllGather's 2 KiB pieces (α-dominated, L in the thousands).
+struct GreedyShape {
+  topo::Topology topo;
+  topo::TopologyGroups groups;
   solver::SubDemand demand;
-  demand.group = &gt;
-  demand.piece_bytes = 1 << 20;
-  for (int r = 0; r < n; ++r) {
-    solver::DemandPiece p;
-    p.id = r;
-    p.srcs = {r};
-    for (int d = 0; d < n; ++d) {
-      if (d != r) p.dsts.push_back(d);
+  solver::EpochParams params;
+
+  explicit GreedyShape(const benchmark::State& state)
+      : topo(state.range(0) == 512 ? topo::build_h800_cluster(64)
+                                   : topo::build_single_server(static_cast<int>(state.range(0)))),
+        groups(topo::extract_groups(topo)) {
+    const int n = static_cast<int>(state.range(0));
+    for (const auto& dim : groups.dims) {
+      for (const auto& g : dim.groups) {
+        if (g.size() == n && demand.group == nullptr) demand.group = &g;
+      }
     }
-    demand.pieces.push_back(std::move(p));
+    if (demand.group == nullptr) throw std::invalid_argument("no group of the requested size");
+    demand.piece_bytes = n == 512 ? (1 << 20) / 512 : 1 << 20;
+    for (int r = 0; r < n; ++r) {
+      solver::DemandPiece p;
+      p.id = r;
+      p.srcs = {r};
+      for (int d = 0; d < n; ++d) {
+        if (d != r) p.dsts.push_back(d);
+      }
+      demand.pieces.push_back(std::move(p));
+    }
+    params = solver::derive_epoch_params(*demand.group, demand.piece_bytes,
+                                         static_cast<double>(state.range(1)) / 10.0);
   }
-  const auto ep = solver::derive_epoch_params(gt, demand.piece_bytes, 1.0);
+};
+
+void BM_GreedySubDemand(benchmark::State& state) {
+  const GreedyShape shape(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver::solve_greedy(demand, ep).num_epochs);
+    benchmark::DoNotOptimize(solver::solve_greedy(shape.demand, shape.params).num_epochs);
   }
+  state.counters["epochs"] = solver::solve_greedy(shape.demand, shape.params).num_epochs;
 }
-BENCHMARK(BM_GreedySubDemand)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
+BENCHMARK(BM_GreedySubDemand)
+    ->Args({4, 10})
+    ->Args({8, 10})
+    ->Args({16, 10})
+    ->Args({64, 10})
+    ->Args({512, 30})  // E₁
+    ->Args({512, 5})   // E₂
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_CheckSubSchedule(benchmark::State& state) {
+  const GreedyShape shape(state);
+  const solver::SubSchedule sched = solver::solve_greedy(shape.demand, shape.params);
+  for (auto _ : state) {
+    solver::check_sub_schedule(shape.demand, sched);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(sched.ops.size()));
+}
+BENCHMARK(BM_CheckSubSchedule)
+    ->Args({64, 10})
+    ->Args({512, 30})
+    ->Args({512, 5})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MilpSubDemandBroadcast(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

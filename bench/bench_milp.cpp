@@ -14,7 +14,8 @@
 // a full branch-and-bound run with use_warm_start on/off is also reported.
 //
 // A second section replays congested sub-demands derived from the pinned
-// fuzz corpus (tests/corpus/seeds.txt, path as argv[1]) through
+// fuzz corpus (argv[1], default tests/corpus/seeds.txt by the absolute path
+// fixed at configure time; a missing or empty corpus exits 2) through
 // solve_sub_demand with multi-commodity flow bounds on and off. The winning
 // schedules must be byte-identical either way; on the congested half of the
 // corpus (most nodes explored without flow bounds) the median
@@ -220,6 +221,10 @@ CaseResult run_case(const std::string& name, const solver::SubDemandEncoding& en
 
 std::vector<std::uint64_t> load_corpus(const std::string& path) {
   std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "bench_milp: cannot open corpus file %s\n", path.c_str());
+    std::exit(2);
+  }
   std::vector<std::uint64_t> seeds;
   std::string line;
   while (std::getline(in, line)) {
@@ -337,6 +342,15 @@ GapCase run_gap_case(const std::string& name, const topo::Topology& topo,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The corpus is read first so that a missing one fails before any work.
+  const std::string corpus_path = argc > 1 ? argv[1] : SYCCL_CORPUS_PATH;
+  std::vector<std::uint64_t> seeds = load_corpus(corpus_path);
+  if (seeds.empty()) {
+    std::fprintf(stderr, "bench_milp: empty corpus %s\n", corpus_path.c_str());
+    return 2;
+  }
+  if (seeds.size() > 16) seeds.resize(16);
+
   // Group sizes stay inside the production MILP gate (solve_sub_demand skips
   // encodings past max_binaries = 500), so these are the encodings the tree
   // search actually re-solves.
@@ -390,14 +404,6 @@ int main(int argc, char** argv) {
   json += tail;
 
   // Flow on/off corpus replay.
-  const std::string corpus_path = argc > 1 ? argv[1] : "tests/corpus/seeds.txt";
-  std::vector<std::uint64_t> seeds = load_corpus(corpus_path);
-  if (seeds.empty()) {
-    std::fprintf(stderr, "bench_milp: no corpus at %s, using fixed seeds\n", corpus_path.c_str());
-    for (std::uint64_t s = 1; s <= 12; ++s) seeds.push_back(s);
-  }
-  if (seeds.size() > 16) seeds.resize(16);
-
   std::vector<std::unique_ptr<FlowCase>> flow_cases;
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     auto fc = flow_case_of(seeds[i], i);

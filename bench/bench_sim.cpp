@@ -1,9 +1,10 @@
 // Perf-trajectory bench for the simulator core rewrite (flat state, indexed
 // link timelines, cached hop paths).
 //
-// Workload: the pinned differential-fuzz corpus (tests/corpus/seeds.txt,
-// path passed as argv[1]) expanded exactly like the fuzz harness — random
-// topology, random collective, random direct schedule plus validity-
+// Workload: the pinned differential-fuzz corpus (argv[1], default
+// tests/corpus/seeds.txt by the absolute path fixed at configure time; a
+// missing or empty corpus exits 2) expanded exactly like the fuzz harness —
+// random topology, random collective, random direct schedule plus validity-
 // preserving mutants per seed — so the gate measures the same schedule
 // population the correctness sweep runs.
 //
@@ -329,7 +330,7 @@ Case build_case(std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string corpus_path = argc > 1 ? argv[1] : "tests/corpus/seeds.txt";
+  const std::string corpus_path = argc > 1 ? argv[1] : SYCCL_CORPUS_PATH;
   const std::vector<std::uint64_t> seeds = load_corpus(corpus_path);
   if (seeds.empty()) {
     std::fprintf(stderr, "bench_sim: empty corpus %s\n", corpus_path.c_str());

@@ -295,9 +295,14 @@ std::shared_future<Broker::SynthOutcome> Broker::join_or_start(const ServeReques
     } catch (...) {
       outcome.error = "synthesis failed with a non-standard exception";
     }
+    // Retire the entry before publishing: a requester woken by the value
+    // (say, by a failure) may retry at once, and must start afresh rather
+    // than join this finished future.
+    {
+      std::lock_guard<std::mutex> inner(mutex_);
+      in_flight_.erase(key);
+    }
     promise->set_value(std::move(outcome));
-    std::lock_guard<std::mutex> inner(mutex_);
-    in_flight_.erase(key);
   });
   return future;
 }

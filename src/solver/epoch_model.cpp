@@ -1,9 +1,11 @@
 #include "solver/epoch_model.h"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "solver/port_window.h"
 
 namespace syccl::solver {
 
@@ -120,57 +122,85 @@ void check_sub_schedule(const SubDemand& demand, const SubSchedule& sched) {
   const int n = g.size();
   const EpochParams& ep = sched.params;
 
-  // arrival[piece][local] = epoch at which the piece becomes usable.
-  std::map<std::pair<int, int>, int> arrival;
+  // Pieces are addressed by id; pieces sharing an id share one slot (and so
+  // pool their sources).
+  std::vector<int> ids;
+  ids.reserve(demand.pieces.size());
+  for (const auto& p : demand.pieces) ids.push_back(p.id);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  const auto slot_of = [&](int id) {
+    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    return it != ids.end() && *it == id ? static_cast<std::size_t>(it - ids.begin()) : ids.size();
+  };
+
+  // arrival[slot · n + local] = epoch at which the piece becomes usable.
+  constexpr int kNever = std::numeric_limits<int>::max();
+  std::vector<int> arrival(ids.size() * static_cast<std::size_t>(n), kNever);
+  const auto at = [&](std::size_t slot, int local) -> int& {
+    return arrival[slot * static_cast<std::size_t>(n) + static_cast<std::size_t>(local)];
+  };
   for (const auto& p : demand.pieces) {
-    for (int s : p.srcs) arrival[{p.id, s}] = 0;
+    const std::size_t slot = slot_of(p.id);
+    for (int s : p.srcs) at(slot, s) = 0;
   }
 
-  // Port usage per (port id, direction, epoch).
-  std::map<std::tuple<int, int, int>, int> usage;
+  // Ops are replayed in start order; starts then never decrease, so the
+  // ring windows give exactly the per-epoch usage counts. A send overflows a
+  // port first at its own start epoch, if at all.
+  const DensePorts ports(g);
+  PortWindows up(ports.num_up, ep.capacity, ep.occupancy);
+  PortWindows down(ports.num_down, ep.capacity, ep.occupancy);
+  const auto by_start = [](const SubOp& a, const SubOp& b) { return a.start_epoch < b.start_epoch; };
+  std::vector<SubOp> sorted;
+  const std::vector<SubOp>* ops = &sched.ops;
+  if (!std::is_sorted(ops->begin(), ops->end(), by_start)) {
+    sorted = sched.ops;
+    std::stable_sort(sorted.begin(), sorted.end(), by_start);
+    ops = &sorted;
+  }
 
-  std::vector<SubOp> ops = sched.ops;
-  std::stable_sort(ops.begin(), ops.end(),
-                   [](const SubOp& a, const SubOp& b) { return a.start_epoch < b.start_epoch; });
-
-  for (const auto& op : ops) {
+  const auto over_capacity = [](int port, const char* dir, int epoch) {
+    std::ostringstream os;
+    os << "port " << port << dir << " over capacity at epoch " << epoch;
+    return std::logic_error(os.str());
+  };
+  for (const auto& op : *ops) {
     if (op.src < 0 || op.src >= n || op.dst < 0 || op.dst >= n) {
       throw std::logic_error("sub-op endpoint outside group");
     }
-    const auto it = arrival.find({op.piece, op.src});
-    if (it == arrival.end() || it->second > op.start_epoch) {
+    const std::size_t slot = slot_of(op.piece);
+    if (slot == ids.size() || at(slot, op.src) == kNever || at(slot, op.src) > op.start_epoch) {
       std::ostringstream os;
       os << "sub-op sends piece " << op.piece << " from " << op.src << " at epoch "
          << op.start_epoch << " before it is available";
       throw std::logic_error(os.str());
     }
-    const int up_port = g.up[static_cast<std::size_t>(op.src)].port_id;
-    const int down_port = g.down[static_cast<std::size_t>(op.dst)].port_id;
-    for (int o = 0; o < ep.occupancy; ++o) {
-      for (const auto& [port, dir] : {std::pair{up_port, 0}, std::pair{down_port, 1}}) {
-        int& u = usage[{port, dir, op.start_epoch + o}];
-        if (++u > ep.capacity) {
-          std::ostringstream os;
-          os << "port " << port << (dir == 0 ? " (up)" : " (down)") << " over capacity at epoch "
-             << op.start_epoch + o;
-          throw std::logic_error(os.str());
-        }
-      }
+    const int up_port = ports.up[static_cast<std::size_t>(op.src)];
+    if (!up.free(up_port, op.start_epoch)) {
+      throw over_capacity(g.up[static_cast<std::size_t>(op.src)].port_id, " (up)", op.start_epoch);
     }
-    auto [dit, inserted] = arrival.try_emplace({op.piece, op.dst}, op.start_epoch + ep.lat_epochs);
-    if (!inserted) dit->second = std::min(dit->second, op.start_epoch + ep.lat_epochs);
+    up.take(up_port, op.start_epoch);
+    const int down_port = ports.down[static_cast<std::size_t>(op.dst)];
+    if (!down.free(down_port, op.start_epoch)) {
+      throw over_capacity(g.down[static_cast<std::size_t>(op.dst)].port_id, " (down)",
+                          op.start_epoch);
+    }
+    down.take(down_port, op.start_epoch);
+    int& a = at(slot, op.dst);
+    a = std::min(a, op.start_epoch + ep.lat_epochs);
   }
 
   int completion = 0;
   for (const auto& p : demand.pieces) {
+    const std::size_t slot = slot_of(p.id);
     for (int d : p.dsts) {
-      const auto it = arrival.find({p.id, d});
-      if (it == arrival.end()) {
+      if (at(slot, d) == kNever) {
         std::ostringstream os;
         os << "demand unmet: piece " << p.id << " never reaches " << d;
         throw std::logic_error(os.str());
       }
-      completion = std::max(completion, it->second);
+      completion = std::max(completion, at(slot, d));
     }
   }
   if (completion > sched.num_epochs) {

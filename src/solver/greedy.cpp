@@ -1,60 +1,82 @@
 #include "solver/greedy.h"
 
 #include <algorithm>
-#include <map>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
+
+#include "solver/port_window.h"
 
 namespace syccl::solver {
 
 namespace {
 
-struct PieceState {
-  std::vector<int> holders;       ///< locals holding the piece (usable now)
-  std::vector<int> arriving_at;   ///< arrival epoch per local (-1 = never)
-  std::vector<bool> needed;       ///< still-unserved destinations
-  int remaining = 0;
-};
+using Bits = std::uint64_t;
+
+Bits bit_of(int member) { return Bits{1} << (member & 63); }
+
+/// Smallest member ≥ `from` set in both bitsets, or -1.
+int first_common(const Bits* a, const Bits* b, int words, int from) {
+  int w = from >> 6;
+  if (w >= words) return -1;
+  Bits x = a[w] & b[w] & (~Bits{0} << (from & 63));
+  while (x == 0) {
+    if (++w == words) return -1;
+    x = a[w] & b[w];
+  }
+  return (w << 6) + std::countr_zero(x);
+}
 
 }  // namespace
 
 SubSchedule solve_greedy(const SubDemand& demand, const EpochParams& params) {
   demand.validate();
+  if (params.lat_epochs < 1) throw std::invalid_argument("greedy scheduler needs lat_epochs >= 1");
   const topo::GroupTopology& g = *demand.group;
   const int n = g.size();
-  const int np = static_cast<int>(demand.pieces.size());
+  const std::size_t np = demand.pieces.size();
+  const int words = (n + 63) / 64;
 
-  std::vector<PieceState> state(static_cast<std::size_t>(np));
-  int total_remaining = 0;
-  for (int p = 0; p < np; ++p) {
-    PieceState& ps = state[static_cast<std::size_t>(p)];
-    ps.arriving_at.assign(static_cast<std::size_t>(n), -1);
-    ps.needed.assign(static_cast<std::size_t>(n), false);
-    const DemandPiece& dp = demand.pieces[static_cast<std::size_t>(p)];
-    for (int src : dp.srcs) ps.arriving_at[static_cast<std::size_t>(src)] = 0;
-    for (int d : dp.dsts) {
-      if (!ps.needed[static_cast<std::size_t>(d)]) {
-        ps.needed[static_cast<std::size_t>(d)] = true;
-        ++ps.remaining;
+  const DensePorts ports(g);
+  PortWindows up(ports.num_up, params.capacity, params.occupancy);
+  PortWindows down(ports.num_down, params.capacity, params.occupancy);
+  const auto up_port = [&](int member) { return ports.up[static_cast<std::size_t>(member)]; };
+  const auto down_port = [&](int member) { return ports.down[static_cast<std::size_t>(member)]; };
+
+  // Per piece: its holders in (arrival, index) order — the order in which
+  // the scheduler prefers sources — in a slice with room for every source
+  // and destination; the end of the prefix usable now; the pending
+  // destinations as a member bitset.
+  std::vector<std::size_t> first(np + 1, 0);
+  for (std::size_t p = 0; p < np; ++p) {
+    first[p + 1] = first[p] + demand.pieces[p].srcs.size() + demand.pieces[p].dsts.size();
+  }
+  std::vector<int> holder(first[np]);
+  std::vector<int> arrival(first[np]);
+  std::vector<std::size_t> holders_end(np);
+  std::vector<std::size_t> usable_end(first.begin(), first.end() - 1);
+  std::vector<Bits> pending(np * static_cast<std::size_t>(words), 0);
+  std::vector<int> remaining(np, 0);
+  long total_remaining = 0;
+  for (std::size_t p = 0; p < np; ++p) {
+    std::vector<int> srcs = demand.pieces[p].srcs;
+    std::sort(srcs.begin(), srcs.end());
+    srcs.erase(std::unique(srcs.begin(), srcs.end()), srcs.end());
+    holders_end[p] = first[p];
+    for (int s : srcs) {
+      holder[holders_end[p]] = s;
+      arrival[holders_end[p]++] = 0;
+    }
+    Bits* bits = &pending[p * static_cast<std::size_t>(words)];
+    for (int d : demand.pieces[p].dsts) {
+      if ((bits[d >> 6] & bit_of(d)) == 0) {
+        bits[d >> 6] |= bit_of(d);
+        ++remaining[p];
         ++total_remaining;
       }
     }
   }
-
-  // Port usage per (port, direction) per epoch, grown on demand.
-  std::map<std::pair<int, int>, std::vector<int>> usage;
-  auto port_free = [&](int port, int dir, int t, int occupancy, int capacity) {
-    auto& u = usage[{port, dir}];
-    if (static_cast<int>(u.size()) < t + occupancy) u.resize(static_cast<std::size_t>(t + occupancy), 0);
-    for (int o = 0; o < occupancy; ++o) {
-      if (u[static_cast<std::size_t>(t + o)] >= capacity) return false;
-    }
-    return true;
-  };
-  auto port_take = [&](int port, int dir, int t, int occupancy) {
-    auto& u = usage[{port, dir}];
-    for (int o = 0; o < occupancy; ++o) ++u[static_cast<std::size_t>(t + o)];
-  };
 
   SubSchedule out;
   out.params = params;
@@ -62,60 +84,84 @@ SubSchedule solve_greedy(const SubDemand& demand, const EpochParams& params) {
   const long safety_epochs =
       static_cast<long>(np) * n * std::max(params.occupancy, params.lat_epochs) + n + 16;
 
+  // Pieces still short of destinations, most unserved first, ties by index:
+  // the order of a stable sort of all pieces by remaining demand.
+  std::vector<std::size_t> order;
+  for (std::size_t p = 0; p < np; ++p) {
+    if (remaining[p] > 0) order.push_back(p);
+  }
+  bool reorder = true;
+  std::vector<Bits> down_free(static_cast<std::size_t>(words));
   int completion = 0;
-  for (int t = 0; total_remaining > 0; ++t) {
+
+  // One pass per epoch: ports only fill up within an epoch and a send lands
+  // L ≥ 1 epochs later, so a second pass could never send. After the pass
+  // nothing can send until a busy port frees up or a sent piece lands, so
+  // the loop jumps straight there.
+  for (long t = 0; total_remaining > 0;) {
     if (t > safety_epochs) {
       throw std::logic_error("greedy scheduler failed to converge (demand unreachable?)");
     }
-    // Candidate sends this epoch: (piece, src holder, unserved dst). Order by
-    // criticality: pieces with the most unserved destinations first, then
-    // destinations that are sources of nothing — plain index order suffices
-    // for uniform groups, so we sort pieces by remaining demand only.
-    std::vector<int> piece_order(static_cast<std::size_t>(np));
-    for (int p = 0; p < np; ++p) piece_order[static_cast<std::size_t>(p)] = p;
-    std::stable_sort(piece_order.begin(), piece_order.end(), [&](int a, int b) {
-      return state[static_cast<std::size_t>(a)].remaining > state[static_cast<std::size_t>(b)].remaining;
-    });
+    const int now = static_cast<int>(t);
+    if (reorder) {
+      std::erase_if(order, [&](std::size_t p) { return remaining[p] == 0; });
+      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return remaining[a] != remaining[b] ? remaining[a] > remaining[b] : a < b;
+      });
+      reorder = false;
+    }
+    // Members whose down port is free at the start of the epoch. A bit goes
+    // stale when its port fills (through it or a member sharing the port)
+    // and is dropped when next met.
+    std::fill(down_free.begin(), down_free.end(), 0);
+    for (int d = 0; d < n; ++d) {
+      if (down.free(down_port(d), now)) down_free[static_cast<std::size_t>(d >> 6)] |= bit_of(d);
+    }
+    const auto next_destination = [&](const Bits* bits, int from) {
+      for (int d = first_common(bits, down_free.data(), words, from); d >= 0;
+           d = first_common(bits, down_free.data(), words, d + 1)) {
+        if (down.free(down_port(d), now)) return d;
+        down_free[static_cast<std::size_t>(d >> 6)] &= ~bit_of(d);
+      }
+      return -1;
+    };
 
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (int p : piece_order) {
-        PieceState& ps = state[static_cast<std::size_t>(p)];
-        if (ps.remaining == 0) continue;
-        for (int d = 0; d < n && ps.remaining > 0; ++d) {
-          if (!ps.needed[static_cast<std::size_t>(d)]) continue;
-          const int down_port = g.down[static_cast<std::size_t>(d)].port_id;
-          if (!port_free(down_port, 1, t, params.occupancy, params.capacity)) continue;
-          // Pick a holder with free up-port; prefer the one that received
-          // the piece earliest (balances relay load deterministically).
-          int best_src = -1;
-          for (int s = 0; s < n; ++s) {
-            const int arr = ps.arriving_at[static_cast<std::size_t>(s)];
-            if (arr < 0 || arr > t || s == d) continue;
-            if (!port_free(g.up[static_cast<std::size_t>(s)].port_id, 0, t, params.occupancy,
-                           params.capacity)) {
-              continue;
-            }
-            if (best_src < 0 ||
-                arr < ps.arriving_at[static_cast<std::size_t>(best_src)]) {
-              best_src = s;
-            }
-          }
-          if (best_src < 0) continue;
-          port_take(g.up[static_cast<std::size_t>(best_src)].port_id, 0, t, params.occupancy);
-          port_take(down_port, 1, t, params.occupancy);
-          out.ops.push_back(SubOp{p, best_src, d, t});
-          ps.needed[static_cast<std::size_t>(d)] = false;
-          --ps.remaining;
-          --total_remaining;
-          const int arrival = t + params.lat_epochs;
-          ps.arriving_at[static_cast<std::size_t>(d)] = arrival;
-          completion = std::max(completion, arrival);
-          progress = true;
-        }
+    for (const std::size_t p : order) {
+      std::size_t& usable = usable_end[p];
+      while (usable < holders_end[p] && arrival[usable] <= now) ++usable;
+      Bits* bits = &pending[p * static_cast<std::size_t>(words)];
+      // The source is the first usable holder whose up port is free. Ports
+      // only fill up within the epoch, so the scan never moves backwards.
+      std::size_t h = first[p];
+      for (int d = next_destination(bits, 0); d >= 0; d = next_destination(bits, d + 1)) {
+        while (h < usable && !up.free(up_port(holder[h]), now)) ++h;
+        if (h == usable) break;
+        const int s = holder[h];
+        up.take(up_port(s), now);
+        down.take(down_port(d), now);
+        out.ops.push_back(SubOp{static_cast<int>(p), s, d, now});
+        bits[d >> 6] &= ~bit_of(d);
+        --remaining[p];
+        --total_remaining;
+        holder[holders_end[p]] = d;
+        arrival[holders_end[p]++] = now + params.lat_epochs;
+        completion = std::max(completion, now + params.lat_epochs);
+        reorder = true;
       }
     }
+    if (total_remaining == 0) break;
+
+    long next = PortWindows::kNever;
+    for (int q = 0; q < ports.num_up; ++q) {
+      if (up.release(q) > t) next = std::min(next, up.release(q));
+    }
+    for (int q = 0; q < ports.num_down; ++q) {
+      if (down.release(q) > t) next = std::min(next, down.release(q));
+    }
+    for (const std::size_t p : order) {
+      if (usable_end[p] < holders_end[p]) next = std::min<long>(next, arrival[usable_end[p]]);
+    }
+    t = next;
   }
 
   out.num_epochs = completion;

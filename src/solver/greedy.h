@@ -14,7 +14,14 @@ namespace syccl::solver {
 /// Schedules `demand` greedily under `params`. Always returns a feasible
 /// schedule (validated by check_sub_schedule) or throws std::logic_error if
 /// the demand cannot make progress (disconnected demand — impossible for
-/// well-formed groups).
+/// well-formed groups). Throws std::invalid_argument if params.lat_epochs
+/// < 1 (derive_epoch_params never produces that).
+///
+/// Each epoch visits the pieces with the most unserved destinations first
+/// (ties by index), serves each piece's destinations in index order, and
+/// takes as source the holder that received the piece earliest (ties by
+/// index) whose up port is free. DESIGN.md §4j explains the flat state and
+/// the skipping of idle epochs.
 SubSchedule solve_greedy(const SubDemand& demand, const EpochParams& params);
 
 }  // namespace syccl::solver

@@ -496,15 +496,22 @@ TEST(ServeDeadline, SynthesisFailureCleansUpInFlightState) {
   DiskLibrary library({scratch_dir("synth_fail")});
   Broker broker(library);
 
-  util::Failpoints::instance().enable("serve.broker.synthesize", "error");
-  // The pool-side failure arrives as this thread's own BrokerError (the
-  // broker never shares live exception objects across threads).
-  EXPECT_THROW(broker.handle(flat4_request()), BrokerError);
-  util::Failpoints::instance().clear();
-  // The failed synthesis must not leave a poisoned in-flight future behind.
-  const ServeResponse retry = broker.handle(flat4_request());
-  EXPECT_FALSE(retry.hit);
-  EXPECT_GT(retry.predicted_time, 0.0);
+  // Each cycle uses a fresh size bucket (a fresh key). The retry comes right
+  // after the failure is published; a broker that publishes before retiring
+  // the in-flight entry lets some retries join the failed future.
+  for (int cycle = 0; cycle < 24; ++cycle) {
+    SCOPED_TRACE("cycle " + std::to_string(cycle));
+    const ServeRequest request = flat4_request(std::uint64_t{1} << (10 + cycle));
+    util::Failpoints::instance().enable("serve.broker.synthesize", "error");
+    // The pool-side failure arrives as this thread's own BrokerError (the
+    // broker never shares live exception objects across threads).
+    EXPECT_THROW(broker.handle(request), BrokerError);
+    util::Failpoints::instance().clear();
+    // The failed synthesis must not leave a poisoned in-flight future behind.
+    const ServeResponse retry = broker.handle(request);
+    EXPECT_FALSE(retry.hit);
+    EXPECT_GT(retry.predicted_time, 0.0);
+  }
 }
 
 // ---------------------------------------------------- transport hardening
