@@ -71,9 +71,14 @@ BENCHMARK(BM_SketchSearch)->Arg(2)->Arg(8)->Arg(32);
 void BM_AllToAllReplication(benchmark::State& state) {
   const auto topo = topo::build_h800_cluster(static_cast<int>(state.range(0)));
   const auto groups = topo::extract_groups(topo);
+  const sketch::AllToAllConfig config;
   for (auto _ : state) {
+    const auto sketches =
+        sketch::search_sketches(groups, 0, sketch::RootedPattern::Broadcast, config.search);
     benchmark::DoNotOptimize(
-        sketch::generate_alltoall_combinations(groups, sketch::RootedPattern::Broadcast)
+        sketch::combine_prototypes(
+            sketch::select_prototypes(sketches, groups, config.max_prototypes), sketches, groups,
+            /*all_roots=*/true, config.combine)
             .size());
   }
 }
@@ -216,7 +221,7 @@ BENCHMARK(BM_SynthesizeAllGatherColdCache)->Unit(benchmark::kMillisecond);
 
 void BM_SynthesizeAllGatherWarmCache(benchmark::State& state) {
   // Same synthesis with a warm process-wide cache — the steady-state cost
-  // inside a size sweep or repeated ScheduleLibrary misses.
+  // inside a size sweep or repeated schedule-library misses.
   const auto topo = topo::build_h800_cluster(2);
   const auto coll = coll::make_allgather(16, 16 << 20);
   solver::SubScheduleCache::instance().clear();

@@ -1,23 +1,54 @@
 // Operating SyCCL like a production deployment: load the cluster from a
-// topology file, keep a persistent schedule library, and serve the traced
-// collectives of a training job from it — synthesizing only on cache misses.
+// topology file, put a persistent schedule library (serve::DiskLibrary)
+// behind an in-process serve::Broker, and serve the traced collectives of a
+// training job from it — synthesizing only on library misses.
+//
+// The job is served twice, reopening the library in between the way a
+// restarted service would; every request of the second pass must be a
+// library hit, or the example exits 1. All files live in a fresh directory
+// that is removed at exit, so runs never see each other's state.
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "core/asymmetric.h"
-#include "core/cache.h"
+#include "serve/broker.h"
 #include "sim/simulator.h"
 #include "topo/builders.h"
+#include "topo/groups.h"
 #include "topo/serialize.h"
 #include "training/trace.h"
 
+namespace {
+
+/// A fresh directory for this run, removed (with everything in it) on exit.
+struct RunDir {
+  std::filesystem::path path;
+  RunDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "syccl_example_XXXXXX").string();
+    if (::mkdtemp(pattern.data()) == nullptr) throw std::runtime_error("mkdtemp failed");
+    path = pattern;
+  }
+  ~RunDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  RunDir(const RunDir&) = delete;
+  RunDir& operator=(const RunDir&) = delete;
+};
+
+}  // namespace
+
 int main() {
   using namespace syccl;
+  const RunDir run;
 
   // A deployment would read this file from its inventory system; we write it
   // from a builder to keep the example self-contained.
-  const std::string topology_file =
-      (std::filesystem::temp_directory_path() / "syccl_example_cluster.topo").string();
+  const std::string topology_file = (run.path / "cluster.topo").string();
   {
     const topo::Topology cluster = topo::build_h800_cluster(2);
     std::FILE* f = std::fopen(topology_file.c_str(), "w");
@@ -38,37 +69,52 @@ int main() {
   const topo::Topology cluster = topo::from_text(text);
   std::printf("loaded %s\n", cluster.summary().c_str());
 
-  core::Synthesizer synth(cluster);
-  core::ScheduleLibrary library(synth);
-  const std::string library_dir =
-      (std::filesystem::temp_directory_path() / "syccl_example_library").string();
-  std::printf("library: loaded %d schedules from %s\n", library.load(library_dir),
-              library_dir.c_str());
-
-  // Serve a training job's collectives.
   training::TrainSetup setup;
   setup.model = training::gpt3_6p7b();
   setup.mode = training::Parallelism::TensorParallel;
   setup.num_gpus = 16;
   setup.batch_tokens = 8192;
-  for (const auto& call : training::trace_iteration(setup)) {
-    const coll::Collective c = call.materialise(16);
-    const bool hit = library.contains(c);
-    const auto& r = library.get(c);
-    std::printf("  %-14s %6.1f MB x%d: %.3f ms  [%s]\n", coll::kind_name(call.kind),
-                call.bytes / 1e6, call.count, r.predicted_time * 1e3,
-                hit ? "cache hit" : "synthesized");
+  // Serves the job's collectives; returns how many missed the library.
+  const auto serve_job = [&](serve::DiskLibrary& library) {
+    serve::Broker broker(library);
+    int misses = 0;
+    for (const auto& call : training::trace_iteration(setup)) {
+      serve::ServeRequest request;
+      request.topology = cluster;
+      request.kind = call.kind;
+      request.total_bytes = call.bytes;
+      const serve::ServeResponse r = broker.handle(request);
+      if (!r.hit) ++misses;
+      std::printf("  %-14s %6.1f MB x%d: %.3f ms  [%s]\n", coll::kind_name(call.kind),
+                  call.bytes / 1e6, call.count, r.predicted_time * 1e3,
+                  r.hit ? "library hit" : "synthesized");
+    }
+    return misses;
+  };
+
+  const std::string library_dir = (run.path / "library").string();
+  {
+    serve::DiskLibrary library({library_dir});
+    std::printf("first pass (empty library):\n");
+    serve_job(library);
   }
-  std::printf("library: saved %d schedules\n", library.save(library_dir));
+  serve::DiskLibrary library({library_dir});
+  std::printf("second pass (library reopened with %zu schedules):\n", library.stats().entries);
+  const int misses = serve_job(library);
+  if (misses != 0) {
+    std::fprintf(stderr, "FAIL: %d request(s) of the second pass missed the library\n", misses);
+    return 1;
+  }
 
   // MoE layers issue asymmetric Alltoallv — the §8 heuristic path.
+  const topo::TopologyGroups groups = topo::extract_groups(cluster);
   core::DemandMatrix moe(16, std::vector<std::uint64_t>(16, 64 << 10));
   for (int i = 0; i < 16; ++i) moe[i][i] = 0;
   for (int s = 0; s < 16; ++s) {
     if (s != 5) moe[s][5] = 4 << 20;  // one hot expert
   }
-  const auto a2av = core::synthesize_alltoallv(moe, synth.groups());
-  const sim::Simulator sim(synth.groups());
+  const auto a2av = core::synthesize_alltoallv(moe, groups);
+  const sim::Simulator sim(groups);
   std::printf("MoE Alltoallv (hot expert on rank 5): %.3f ms, valid=%s\n",
               sim.run(a2av).makespan * 1e3,
               core::verify_alltoallv(a2av, moe) ? "yes" : "NO");

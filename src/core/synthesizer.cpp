@@ -13,7 +13,7 @@
 #include "solver/solve_cache.h"
 #include "core/merge.h"
 #include "core/subdemand.h"
-#include "sketch/replicate.h"
+#include "sketch/alltoall.h"
 #include "sketch/search.h"
 #include "topo/groups.h"
 #include "util/log.h"
@@ -109,10 +109,14 @@ SynthesisResult Synthesizer::synthesize(const coll::Collective& coll) {
                                 sketch::RootedPattern::Scatter, false);
     case CollKind::Reduce: {
       // Reverse of Broadcast rooted at the reduce root: synthesize the
-      // forward twin, then flip (§4.1).
+      // forward twin, then flip (§4.1). The twin carries the reduce's exact
+      // chunk size; the integer total/n of make_broadcast truncates it when
+      // the rank count does not divide the size.
       const int root = coll.chunks().front().dsts.front();
-      const coll::Collective twin =
+      const coll::Collective fwd =
           coll::make_broadcast(coll.num_ranks(), coll.total_bytes() / coll.num_ranks(), root);
+      const coll::Collective twin(fwd.kind(), fwd.num_ranks(), fwd.total_bytes(),
+                                  coll.chunk_bytes(), fwd.reduce(), fwd.chunks());
       return synthesize_pattern(twin, coll, false, root, sketch::RootedPattern::Broadcast,
                                 true);
     }
@@ -215,30 +219,8 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
   std::vector<sketch::SketchCombination> combos;
   {
     SYCCL_TRACE_SPAN(span, "combine", "core");
-    std::vector<sketch::SketchCombination> balanced;
-    auto try_family = [&](const sketch::Sketch& proto) {
-      try {
-        sketch::SketchCombination combo = sketch::balance_across_groups(proto, groups_);
-        if (all_to_all) combo = sketch::replicate_for_all_roots(combo, groups_);
-        balanced.push_back(std::move(combo));
-      } catch (const std::runtime_error& e) {
-        // Some sketch families cannot be replicated consistently onto every
-        // root (their mapping corners itself); drop the family.
-        SYCCL_DEBUG << "dropping sketch family: " << e.what();
-      }
-    };
-    for (const auto& proto : prototypes) try_family(proto);
-    // Fallback for degraded/failed fabrics: every selected prototype can be
-    // structurally impossible to root everywhere (e.g. the root's image
-    // cannot cross any fabric dim), and select_prototypes' workload-profile
-    // dedup may have discarded a replicable sketch in favour of such an
-    // impossible one. Walk the raw search output until one family works.
-    for (std::size_t si = 0; si < sketches.size() && balanced.empty(); ++si) {
-      try_family(sketches[si]);
-    }
-    if (balanced.empty()) throw std::runtime_error("no replicable sketch family found");
-    combos = sketch::generate_combinations(balanced, groups_, config_.sketch.combine);
-    if (combos.empty()) throw std::runtime_error("no sketch combinations generated");
+    combos = sketch::combine_prototypes(prototypes, sketches, groups_, all_to_all,
+                                        config_.sketch.combine);
     span.annotate("combinations", static_cast<double>(combos.size()));
   }
   breakdown.combine_s = phase_clock.elapsed_seconds();

@@ -1,12 +1,14 @@
 // Process-wide metrics registry: named counters, gauges and log-bucketed
 // histograms with a consistent snapshot and JSON/text exporters.
 //
-// This is the single reporting path for the per-call stat structs scattered
-// through the pipeline (solver::SolveStats, SubScheduleCache::Stats,
-// core::SynthesisBreakdown): those structs keep returning per-call values to
-// their callers, and the instrumentation sites additionally fold the same
-// fields into registry metrics, so one `metrics_json()` shows totals across
-// an entire process — every solve, every cache shard, every synthesis.
+// Process totals live here and nowhere else: each event is counted once, by
+// the instrument its owner increments (serve.* in the broker, solve_cache.*
+// in the solve cache, milp.* in branch and bound, solver.*, synth.* and
+// sim.* in their layers), so one `to_json()` shows every solve, every cache
+// lookup and every synthesis of the process. The structs that remain —
+// per-call results (solver::SolveStats, core::SynthesisBreakdown,
+// milp::MilpSolution) and per-instance state (serve::DiskLibrary::Stats,
+// SubScheduleCache::Stats) — answer their own callers, not copy totals.
 //
 // Cost model: instruments are plain atomics. `counter.add` is one relaxed
 // fetch_add; `histogram.observe` is a frexp plus three relaxed RMWs (bucket,

@@ -113,10 +113,6 @@ ServeResponse Broker::handle(const ServeRequest& request) {
   SYCCL_TRACE_SPAN(span, "serve.request", "serve");
   const auto request_start = std::chrono::steady_clock::now();
   metrics.requests.add();
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests;
-  }
 
   const topo::TopologyGroups groups = topo::extract_groups(request.topology);
   const auto canon_start = std::chrono::steady_clock::now();
@@ -163,26 +159,16 @@ ServeResponse Broker::handle(const ServeRequest& request) {
     return response;
   };
 
-  const auto count_degraded = [&] {
-    metrics.degraded_hits.add();
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.degraded_hits;
-  };
-
   if (std::optional<ScheduleBlob> stored = library_.get(key)) {
     try {
       ServeResponse response = serve_blob(*stored);
       response.hit = true;
       metrics.hits.add();
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.hits;
-      }
       if (response.degraded) {
         // A degraded entry means no full synthesis has landed yet; make
         // sure one is running (or queued) so the entry eventually upgrades.
         // The caller is not kept waiting for it.
-        count_degraded();
+        metrics.degraded_hits.add();
         bool started = false;
         join_or_start(request, canon, key, bucket, started, /*reject_throws=*/false);
       }
@@ -192,8 +178,6 @@ ServeResponse Broker::handle(const ServeRequest& request) {
       // A stored entry that no longer verifies (e.g. hand-edited library) is
       // treated as a miss: fall through and synthesize fresh.
       metrics.verify_failures.add();
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.verify_failures;
     }
   }
 
@@ -201,14 +185,6 @@ ServeResponse Broker::handle(const ServeRequest& request) {
   bool initiator = false;
   std::shared_future<SynthOutcome> future =
       join_or_start(request, canon, key, bucket, initiator, /*reject_throws=*/true);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (initiator) {
-      ++stats_.misses;
-    } else {
-      ++stats_.joins;
-    }
-  }
   if (initiator) {
     metrics.misses.add();
   } else {
@@ -236,7 +212,7 @@ ServeResponse Broker::handle(const ServeRequest& request) {
       ServeResponse response = serve_blob(*fallback);
       response.joined = !initiator;
       response.synth_seconds = seconds_since(wait_start);
-      count_degraded();
+      metrics.degraded_hits.add();
       metrics.request_seconds.observe(seconds_since(request_start));
       return response;
     }
@@ -264,10 +240,7 @@ std::shared_future<Broker::SynthOutcome> Broker::join_or_start(const ServeReques
 
   if (in_flight_.size() >= config_.max_in_flight) {
     if (!reject_throws) return {};  // background upgrade: retry on a later hit
-    auto& metrics = ServeMetrics::instance();
-    metrics.rejects.add();
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.rejects;
+    ServeMetrics::instance().rejects.add();
     throw BrokerError("admission limit reached (" + std::to_string(config_.max_in_flight) +
                       " syntheses in flight)");
   }
@@ -337,11 +310,7 @@ Broker::BlobPtr Broker::synthesize_blob(const ServeRequest& request,
   apply_rank_map(blob->schedule, canon.perm, bucket_coll, canon_coll);
   try {
     const DiskLibrary::PutResult put = library_.put(*blob);
-    if (put == DiskLibrary::PutResult::Upgraded) {
-      metrics.upgrades.add();
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.upgrades;
-    }
+    if (put == DiskLibrary::PutResult::Upgraded) metrics.upgrades.add();
   } catch (const std::exception&) {
     // Entry could not be persisted (disk full, failpoint): the schedule is
     // still correct — serve it and let a later put retry. Availability over
@@ -353,11 +322,6 @@ Broker::BlobPtr Broker::synthesize_blob(const ServeRequest& request,
   obs::MetricsRegistry::instance().gauge("serve.library_bytes")
       .set(static_cast<double>(library_.stats().bytes));
   return blob;
-}
-
-Broker::Stats Broker::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
 }
 
 }  // namespace syccl::serve

@@ -33,10 +33,11 @@
 // synthesis runs on the connection thread itself for the same reason: at
 // deadline expiry the pool is by definition still busy.
 //
-// Instrumented via obs::MetricsRegistry (counters serve.requests/.hits/
+// Counted only in obs::MetricsRegistry (counters serve.requests/.hits/
 // .misses/.joins/.rejects/.verify_failures/.degraded_hits/.upgrades,
-// histograms serve.canon_seconds/.synth_seconds/.request_seconds) plus
-// per-broker Stats for tests that must not depend on process-global state.
+// histograms serve.canon_seconds/.synth_seconds/.request_seconds). The
+// counters are process totals over every broker; the STATS verb
+// (serve/protocol.h) reports them.
 #pragma once
 
 #include <cstdint>
@@ -129,18 +130,6 @@ class Broker {
   /// BrokerError when admission rejects, and propagates synthesis errors.
   ServeResponse handle(const ServeRequest& request);
 
-  struct Stats {
-    std::uint64_t requests = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;  ///< syntheses this broker initiated
-    std::uint64_t joins = 0;   ///< requests coalesced onto an in-flight miss
-    std::uint64_t rejects = 0;
-    std::uint64_t verify_failures = 0;  ///< hits that failed verification
-    std::uint64_t degraded_hits = 0;    ///< responses served degraded
-    std::uint64_t upgrades = 0;  ///< background syntheses that replaced a degraded entry
-  };
-  Stats stats() const;
-
   const BrokerConfig& config() const { return config_; }
 
  private:
@@ -183,9 +172,6 @@ class Broker {
   /// In-flight miss coalescing: scenario key -> the synthesis future every
   /// concurrent requester of that key waits on.
   std::map<std::string, std::shared_future<SynthOutcome>> in_flight_;
-
-  mutable std::mutex stats_mutex_;
-  Stats stats_;
 
   /// Declared last: pool tasks erase their own in_flight_ entries, so the
   /// pool must drain (its destructor joins) before mutex_ and the map go.

@@ -6,7 +6,7 @@
 // cluster differently — or own two identical clusters — must derive the
 // same key, and each must receive the stored schedule relabelled into its
 // own rank space. This module extends the per-group CanonicalForm machinery
-// (topo/groups.h, topo/isomorphism.h) to a whole-topology canonicalisation:
+// (topo/groups.h) to a whole-topology canonicalisation:
 //
 //   1. Extract dimensions/groups. Only the raw star abstraction is consumed
 //      — not GroupTopology::canonical_form(), whose member order (and the

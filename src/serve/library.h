@@ -1,5 +1,6 @@
-// Persistent on-disk schedule library (the fleet-wide counterpart of the
-// in-process core::ScheduleLibrary), crash-safe by construction.
+// Persistent on-disk schedule library — the repo's one schedule library,
+// behind serve::Broker in syccl_serve or in process — crash-safe by
+// construction.
 //
 // Layout under one directory:
 //   <hex>.sched          one codec blob per entry (hex = fnv1a of the

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <vector>
 
+#include "obs/json.h"
+#include "obs/metrics.h"
 #include "runtime/xml.h"
 #include "serve/codec.h"
 #include "topo/serialize.h"
@@ -62,20 +64,30 @@ std::optional<std::string> read_counted_payload(Stream& stream,
   return payload;
 }
 
-std::string stats_json(const Broker& broker, DiskLibrary& library) {
-  const Broker::Stats b = broker.stats();
+/// The STATS reply: the process-wide serve.* counters every broker counts
+/// into, and this connection's library.
+std::string stats_json(DiskLibrary& library) {
+  auto& reg = obs::MetricsRegistry::instance();
+  obs::Json broker = obs::Json::object();
+  for (const char* name : {"requests", "hits", "misses", "joins", "rejects", "verify_failures",
+                           "degraded_hits", "upgrades"}) {
+    broker.set(name, reg.counter(std::string("serve.") + name).value());
+  }
   const DiskLibrary::Stats l = library.stats();
-  std::ostringstream os;
-  os << "{\"broker\":{\"requests\":" << b.requests << ",\"hits\":" << b.hits
-     << ",\"misses\":" << b.misses << ",\"joins\":" << b.joins << ",\"rejects\":" << b.rejects
-     << ",\"verify_failures\":" << b.verify_failures << ",\"degraded_hits\":" << b.degraded_hits
-     << ",\"upgrades\":" << b.upgrades << "},\"library\":{\"entries\":" << l.entries
-     << ",\"bytes\":" << l.bytes << ",\"hits\":" << l.hits << ",\"misses\":" << l.misses
-     << ",\"evictions\":" << l.evictions << ",\"quarantined\":" << l.quarantined
-     << ",\"orphans_adopted\":" << l.orphans_adopted
-     << ",\"journal_failures\":" << l.journal_failures
-     << ",\"rejected_downgrades\":" << l.rejected_downgrades << "}}";
-  return os.str();
+  obs::Json lib = obs::Json::object();
+  lib.set("entries", l.entries);
+  lib.set("bytes", l.bytes);
+  lib.set("hits", l.hits);
+  lib.set("misses", l.misses);
+  lib.set("evictions", l.evictions);
+  lib.set("quarantined", l.quarantined);
+  lib.set("orphans_adopted", l.orphans_adopted);
+  lib.set("journal_failures", l.journal_failures);
+  lib.set("rejected_downgrades", l.rejected_downgrades);
+  obs::Json out = obs::Json::object();
+  out.set("broker", std::move(broker));
+  out.set("library", std::move(lib));
+  return out.dump();
 }
 
 }  // namespace
@@ -163,7 +175,7 @@ int serve_connection(Stream& stream, Broker& broker, DiskLibrary& library,
       continue;
     }
     if (verb == "STATS") {
-      const std::string json = stats_json(broker, library);
+      const std::string json = stats_json(library);
       if (!stream.write_all("OK " + std::to_string(json.size()) + "\n" + json)) break;
       continue;
     }

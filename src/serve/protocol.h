@@ -15,7 +15,8 @@
 //
 // Server → client:
 //   PONG\n                                     (PING)
-//   OK <nbytes>\n<json>                        (STATS: broker+library stats)
+//   OK <nbytes>\n<json>                        (STATS: serve.* counters +
+//                                               library stats)
 //   OK <hit> <joined> <degraded> <predicted_time> <scenario_key>\n
 //   SCHEDULE <binary|xml> <nbytes>\n<nbytes>   (REQUEST; binary = serve
 //                                               codec blob, xml = MSCCL XML)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "sketch/replicate.h"
 #include "util/log.h"
@@ -46,43 +47,35 @@ std::vector<Sketch> select_prototypes(std::vector<Sketch> sketches,
   return out;
 }
 
-std::vector<SketchCombination> generate_rooted_combinations(const topo::TopologyGroups& groups,
-                                                            int root, RootedPattern pattern,
-                                                            const AllToAllConfig& config) {
-  const auto sketches = search_sketches(groups, root, pattern, config.search);
-  const auto prototypes = select_prototypes(sketches, groups, config.max_prototypes);
-  std::vector<SketchCombination> balanced;
-  for (const auto& s : prototypes) {
-    balanced.push_back(balance_across_groups(s, groups));
-  }
-  return generate_combinations(balanced, groups, config.combine);
-}
-
-std::vector<SketchCombination> generate_alltoall_combinations(
-    const topo::TopologyGroups& groups, RootedPattern pattern, const AllToAllConfig& config) {
-  // Search once for the prototype rooted at rank 0 (§4.3), replicate to all
-  // roots, then integrate across dimensions.
-  const auto sketches = search_sketches(groups, 0, pattern, config.search);
-  const auto prototypes = select_prototypes(sketches, groups, config.max_prototypes);
-
+std::vector<SketchCombination> combine_prototypes(const std::vector<Sketch>& prototypes,
+                                                  const std::vector<Sketch>& sketches,
+                                                  const topo::TopologyGroups& groups,
+                                                  bool all_roots, const CombineConfig& config) {
   std::vector<SketchCombination> balanced;
   auto try_family = [&](const Sketch& proto) {
     try {
-      const SketchCombination combo = balance_across_groups(proto, groups);
-      balanced.push_back(replicate_for_all_roots(combo, groups));
+      SketchCombination combo = balance_across_groups(proto, groups);
+      if (all_roots) combo = replicate_for_all_roots(combo, groups);
+      balanced.push_back(std::move(combo));
     } catch (const std::runtime_error& e) {
+      // Some sketch families cannot be replicated consistently onto every
+      // root (their mapping corners itself); drop the family.
       SYCCL_DEBUG << "dropping sketch family: " << e.what();
     }
   };
   for (const auto& proto : prototypes) try_family(proto);
-  // Fallback for degraded/failed fabrics (mirrors
-  // Synthesizer::synthesize_pattern): the profile-deduped working set can be
-  // entirely unreplicable while the raw search output still holds a
-  // feasible family.
+  // Fallback for degraded/failed fabrics: every selected prototype can be
+  // structurally impossible to root everywhere (e.g. the root's image
+  // cannot cross any fabric dim), and select_prototypes' workload-profile
+  // dedup may have discarded a replicable sketch in favour of such an
+  // impossible one. Walk the raw search output until one family works.
   for (std::size_t si = 0; si < sketches.size() && balanced.empty(); ++si) {
     try_family(sketches[si]);
   }
-  return generate_combinations(balanced, groups, config.combine);
+  if (balanced.empty()) throw std::runtime_error("no replicable sketch family found");
+  std::vector<SketchCombination> combos = generate_combinations(balanced, groups, config);
+  if (combos.empty()) throw std::runtime_error("no sketch combinations generated");
+  return combos;
 }
 
 }  // namespace syccl::sketch

@@ -4,8 +4,6 @@
 #include <set>
 #include <string>
 
-#include "topo/isomorphism.h"
-
 namespace syccl::sketch {
 
 std::vector<Sketch> dedup_isomorphic(std::vector<Sketch> sketches,
@@ -22,17 +20,16 @@ bool stage_is_consistent(const Stage& stage, const topo::TopologyGroups& groups,
                          bool is_final_stage) {
   if (is_final_stage) return true;
   // Group the stage's demands by (dim, isomorphism class) and compare ratios.
-  std::map<std::pair<int, int>, std::set<long long>> ratios;
+  // Groups with equal canonical signatures are isomorphic, so the signature
+  // names the class.
+  std::map<std::pair<int, std::string>, std::set<long long>> ratios;
   for (const SubDemandSpec& r : stage.demands) {
     if (r.srcs.empty()) return false;
-    const auto classes =
-        topo::isomorphism_classes(groups.dims[static_cast<std::size_t>(r.dim)].groups);
-    const int cls = classes[static_cast<std::size_t>(r.group)];
     // Fixed-point ratio to avoid float-equality issues.
     const long long ratio =
         static_cast<long long>(1000.0 * static_cast<double>(r.dsts.size()) /
                                static_cast<double>(r.srcs.size()));
-    ratios[{r.dim, cls}].insert(ratio);
+    ratios[{r.dim, groups.group(r.dim, r.group).signature()}].insert(ratio);
   }
   for (const auto& [key, set] : ratios) {
     (void)key;

@@ -339,38 +339,20 @@ SubSchedule solve_sub_demand(const SubDemand& demand, const MilpSchedulerOptions
 
   local.solve_seconds = clock.elapsed_seconds();
 
-  // Fold the per-solve stats into the metrics registry (one reporting path;
-  // the struct keeps serving per-call consumers like the solve cache and
-  // SynthesisBreakdown). References hoisted: solves run on the synthesis hot
-  // path, so steady-state cost is a handful of relaxed atomics.
+  // Count the solve in the metrics registry. Branch-and-bound work (nodes,
+  // LP iterations, prunes) is counted once, by milp::solve, as milp.*.
+  // References hoisted: solves run on the synthesis hot path, so steady-state
+  // cost is a handful of relaxed atomics.
   {
     auto& reg = obs::MetricsRegistry::instance();
     static obs::Counter& solves = reg.counter("solver.solves");
     static obs::Counter& milp_used = reg.counter("solver.milp_used");
     static obs::Counter& milp_improved = reg.counter("solver.milp_improved");
-    static obs::Counter& nodes = reg.counter("solver.nodes_explored");
-    static obs::Counter& lp_iters = reg.counter("solver.lp_iterations");
-    static obs::Counter& warm_hits = reg.counter("solver.warm_hits");
-    static obs::Counter& warm_fallbacks = reg.counter("solver.warm_fallbacks");
-    static obs::Counter& presolve_prunes = reg.counter("solver.presolve_prunes");
-    static obs::Counter& bound_prunes = reg.counter("solver.bound_prunes");
-    static obs::Counter& lp_prunes = reg.counter("solver.lp_prunes");
-    static obs::Counter& flow_prunes = reg.counter("solver.flow_prunes");
-    static obs::Counter& flow_lp_iters = reg.counter("solver.flow_lp_iterations");
     static obs::Histogram& seconds = reg.histogram("solver.solve_seconds");
     static obs::Histogram& binaries = reg.histogram("solver.binaries");
     solves.add(1);
     if (local.used_milp) milp_used.add(1);
     if (local.milp_improved) milp_improved.add(1);
-    nodes.add(local.nodes_explored);
-    lp_iters.add(local.lp_iterations);
-    warm_hits.add(local.warm_hits);
-    warm_fallbacks.add(local.warm_fallbacks);
-    presolve_prunes.add(local.presolve_prunes);
-    bound_prunes.add(local.bound_prunes);
-    lp_prunes.add(local.lp_prunes);
-    flow_prunes.add(local.flow_prunes);
-    flow_lp_iters.add(local.flow_lp_iterations);
     seconds.observe(local.solve_seconds);
     binaries.observe(local.binaries);
   }

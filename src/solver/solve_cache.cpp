@@ -12,8 +12,8 @@ namespace syccl::solver {
 
 namespace {
 
-/// Registry mirrors of the shard counters (one reporting path with the
-/// shard-local Stats). Hoisted: lookups sit on the parallel solve path.
+/// The cache's event counters. Hoisted: lookups sit on the parallel solve
+/// path.
 obs::Counter& hits_counter() {
   static obs::Counter& c = obs::MetricsRegistry::instance().counter("solve_cache.hits");
   return c;
@@ -66,7 +66,6 @@ void SubScheduleCache::evict_locked(Shard& shard) {
     if (victim == shard.map.end()) return;  // only in-flight entries left
     shard.bytes -= victim->second.bytes;
     shard.map.erase(victim);
-    ++shard.evictions;
     evictions_counter().add(1);
   }
 }
@@ -90,7 +89,6 @@ SubSchedule SubScheduleCache::get_or_solve(const SubDemand& demand,
     std::unique_lock<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      ++shard.hits;
       it->second.last_used = ++shard.tick;
       std::shared_future<SubSchedule> future = it->second.future;
       // get() outside the lock: an in-flight entry blocks until the solving
@@ -104,7 +102,6 @@ SubSchedule SubScheduleCache::get_or_solve(const SubDemand& demand,
       }
       return remap_sub_schedule(future.get(), canon.from_canonical());
     }
-    ++shard.misses;
     misses_counter().add(1);
     span.annotate("hit", 0.0);
     Entry entry;
@@ -161,7 +158,6 @@ void SubScheduleCache::clear() {
       it = it->second.ready ? shard.map.erase(it) : std::next(it);
     }
     shard.bytes = 0;
-    shard.hits = shard.misses = shard.evictions = 0;
     shard.tick = 0;
   }
 }
@@ -170,9 +166,6 @@ SubScheduleCache::Stats SubScheduleCache::stats() const {
   Stats out;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    out.hits += shard.hits;
-    out.misses += shard.misses;
-    out.evictions += shard.evictions;
     out.entries += shard.map.size();
     out.bytes += shard.bytes;
   }

@@ -34,10 +34,10 @@ namespace syccl::solver {
 
 class SubScheduleCache {
  public:
+  /// Resident state. Lookups and evictions are counted only in the metrics
+  /// registry (solve_cache.hits/.misses/.evictions, process totals over
+  /// every cache instance).
   struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
     std::size_t entries = 0;
     std::size_t bytes = 0;  ///< estimated resident bytes of ready entries
   };
@@ -62,8 +62,8 @@ class SubScheduleCache {
   SubSchedule get_or_solve(const SubDemand& demand, const MilpSchedulerOptions& options,
                            SolveStats* stats = nullptr);
 
-  /// Drops every ready entry and resets counters (tests, topology changes).
-  /// In-flight solves complete normally but are not re-inserted.
+  /// Drops every ready entry (tests, topology changes). In-flight solves
+  /// complete normally but are not re-inserted.
   void clear();
 
   Stats stats() const;
@@ -85,9 +85,6 @@ class SubScheduleCache {
     std::unordered_map<std::string, Entry> map;
     std::size_t bytes = 0;
     std::uint64_t tick = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
   };
 
   Shard& shard_for(const std::string& key);

@@ -15,7 +15,6 @@
 #include "solver/milp_scheduler.h"
 #include "solver/solve_cache.h"
 #include "topo/groups.h"
-#include "topo/isomorphism.h"
 
 namespace syccl::solver {
 namespace {

@@ -21,8 +21,12 @@ struct Fixture {
 };
 
 sketch::SketchCombination first_combo(const Fixture& f, sketch::RootedPattern pattern) {
-  const auto combos = sketch::generate_alltoall_combinations(f.groups, pattern, {});
-  return combos.front();
+  const sketch::AllToAllConfig config;
+  const auto sketches = sketch::search_sketches(f.groups, 0, pattern, config.search);
+  return sketch::combine_prototypes(
+             sketch::select_prototypes(sketches, f.groups, config.max_prototypes), sketches,
+             f.groups, /*all_roots=*/true, config.combine)
+      .front();
 }
 
 TEST(DemandPlan, AllGatherPiecesMatchChunks) {

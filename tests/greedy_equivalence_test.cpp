@@ -108,10 +108,11 @@ std::unique_ptr<ScenarioDemands> scenario_demands(topo::Topology topo,
           : sketch::RootedPattern::Broadcast;
   std::vector<sketch::SketchCombination> combos;
   try {
-    combos = all_to_all
-                 ? sketch::generate_alltoall_combinations(out->groups, pattern, config.sketch)
-                 : sketch::generate_rooted_combinations(out->groups, coll.chunks().front().src,
-                                                        pattern, config.sketch);
+    const auto sketches = sketch::search_sketches(
+        out->groups, all_to_all ? 0 : coll.chunks().front().src, pattern, config.sketch.search);
+    combos = sketch::combine_prototypes(
+        sketch::select_prototypes(sketches, out->groups, config.sketch.max_prototypes), sketches,
+        out->groups, all_to_all, config.sketch.combine);
   } catch (const std::runtime_error&) {
     return out;  // no replicable sketch family on this fabric
   }

@@ -7,7 +7,7 @@
 #include "coll/collective.h"
 #include "core/synthesizer.h"
 #include "runtime/executor.h"
-#include "topo/isomorphism.h"
+#include "topo/groups.h"
 #include "topo/topology.h"
 
 namespace syccl {
@@ -39,12 +39,11 @@ TEST(Heterogeneous, ServersFallIntoTwoIsomorphismClasses) {
   const auto topo = mixed_cluster();
   const auto groups = topo::extract_groups(topo);
   ASSERT_EQ(groups.num_dims(), 2);
-  const auto classes = topo::isomorphism_classes(groups.dims[0].groups);
-  ASSERT_EQ(classes.size(), 4u);
-  EXPECT_EQ(classes[0], classes[1]);  // the two fast servers
-  EXPECT_EQ(classes[2], classes[3]);  // the two slow servers
-  EXPECT_NE(classes[0], classes[2]);
-  EXPECT_FALSE(topo::isomorphic(groups.dims[0].groups[0], groups.dims[0].groups[2]));
+  const auto& servers = groups.dims[0].groups;
+  ASSERT_EQ(servers.size(), 4u);
+  EXPECT_EQ(servers[0].signature(), servers[1].signature());  // the two fast servers
+  EXPECT_EQ(servers[2].signature(), servers[3].signature());  // the two slow servers
+  EXPECT_NE(servers[0].signature(), servers[2].signature());
 }
 
 TEST(Heterogeneous, SynthesisStillProducesValidSchedules) {

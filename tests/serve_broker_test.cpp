@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "counting_test.h"
+#include "obs/json.h"
 #include "obs/scenario.h"
 #include "runtime/validate.h"
 #include "runtime/xml.h"
@@ -39,9 +41,13 @@ ServeRequest flat4_request(std::uint64_t bytes = 1 << 20) {
   return request;
 }
 
+class ServeBroker : public CountingTest {};
+class ServeProtocol : public CountingTest {};
+class ServeSocket : public CountingTest {};
+
 // ------------------------------------------------------------------- broker
 
-TEST(ServeBroker, MissThenHitWithByteLevelAgreement) {
+TEST_F(ServeBroker, MissThenHitWithByteLevelAgreement) {
   DiskLibrary library({scratch_dir("miss_hit")});
   Broker broker(library);
 
@@ -57,18 +63,17 @@ TEST(ServeBroker, MissThenHitWithByteLevelAgreement) {
   EXPECT_DOUBLE_EQ(warm.predicted_time, cold.predicted_time);
   ASSERT_EQ(warm.schedule.ops.size(), cold.schedule.ops.size());
 
-  const Broker::Stats stats = broker.stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.joins, 0u);
+  EXPECT_EQ(count("serve.requests"), 2);
+  EXPECT_EQ(count("serve.hits"), 1);
+  EXPECT_EQ(count("serve.misses"), 1);
+  EXPECT_EQ(count("serve.joins"), 0);
 }
 
 // The pinned acceptance test: a request whose topology is a rank-permuted
 // copy of an already-served one must derive the same canonical key, hit the
 // library entry, and the served schedule must validate and simulate to the
 // same completion time under the caller's labelling.
-TEST(ServeBroker, IsomorphicPermutedRequestHitsSameEntry) {
+TEST_F(ServeBroker, IsomorphicPermutedRequestHitsSameEntry) {
   DiskLibrary library({scratch_dir("isomorphic")});
   Broker broker(library);
 
@@ -99,7 +104,7 @@ TEST(ServeBroker, IsomorphicPermutedRequestHitsSameEntry) {
   const double time = simulator.time_collective(served.schedule, coll);
   EXPECT_NEAR(time, cold.predicted_time, 1e-12 + 1e-9 * cold.predicted_time);
 
-  EXPECT_EQ(broker.stats().hits, 1u);
+  EXPECT_EQ(count("serve.hits"), 1);
   EXPECT_EQ(library.stats().entries, 1u);  // one entry serves both labellings
 }
 
@@ -107,7 +112,7 @@ TEST(ServeBroker, IsomorphicPermutedRequestHitsSameEntry) {
 // chunk demanded everywhere), its chunk ids are rank-pair-specific, so a
 // served schedule whose chunk ids were not remapped alongside the ranks
 // fails verification and the hit silently degrades to a re-synthesis.
-TEST(ServeBroker, IsomorphicAllToAllRequestRemapsChunkIds) {
+TEST_F(ServeBroker, IsomorphicAllToAllRequestRemapsChunkIds) {
   DiskLibrary library({scratch_dir("alltoall_chunks")});
   Broker broker(library);
 
@@ -123,7 +128,7 @@ TEST(ServeBroker, IsomorphicAllToAllRequestRemapsChunkIds) {
 
   EXPECT_TRUE(served.hit);
   EXPECT_EQ(served.scenario_key, cold.scenario_key);
-  EXPECT_EQ(broker.stats().verify_failures, 0u);
+  EXPECT_EQ(count("serve.verify_failures"), 0);
 
   const topo::TopologyGroups groups = topo::extract_groups(permuted.topology);
   const coll::Collective coll = coll::make_alltoall(4, permuted.total_bytes);
@@ -132,7 +137,7 @@ TEST(ServeBroker, IsomorphicAllToAllRequestRemapsChunkIds) {
   EXPECT_TRUE(report.ok) << (report.errors.empty() ? "" : report.errors.front());
 }
 
-TEST(ServeBroker, SameBucketRequestRescalesPieceBytes) {
+TEST_F(ServeBroker, SameBucketRequestRescalesPieceBytes) {
   DiskLibrary library({scratch_dir("rescale")});
   Broker broker(library);
 
@@ -152,7 +157,7 @@ TEST(ServeBroker, SameBucketRequestRescalesPieceBytes) {
   EXPECT_LT(scaled.predicted_time, cold.predicted_time);
 }
 
-TEST(ServeBroker, ConcurrentMissesCoalesceIntoOneSynthesis) {
+TEST_F(ServeBroker, ConcurrentMissesCoalesceIntoOneSynthesis) {
   DiskLibrary library({scratch_dir("coalesce")});
   BrokerConfig config;
   config.num_threads = 2;
@@ -169,12 +174,11 @@ TEST(ServeBroker, ConcurrentMissesCoalesceIntoOneSynthesis) {
     for (auto& t : threads) t.join();
   }
 
-  const Broker::Stats stats = broker.stats();
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(count("serve.requests"), kThreads);
   // Exactly one synthesis ran; everyone else joined it or (if they arrived
   // after it finished) hit the library.
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.joins + stats.hits, static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(count("serve.misses"), 1);
+  EXPECT_EQ(count("serve.joins") + count("serve.hits"), kThreads - 1);
   for (const auto& response : responses) {
     EXPECT_DOUBLE_EQ(response.predicted_time, responses[0].predicted_time);
     EXPECT_EQ(response.scenario_key, responses[0].scenario_key);
@@ -182,16 +186,16 @@ TEST(ServeBroker, ConcurrentMissesCoalesceIntoOneSynthesis) {
   EXPECT_EQ(library.stats().entries, 1u);
 }
 
-TEST(ServeBroker, AdmissionLimitRejectsInsteadOfQueueingUnbounded) {
+TEST_F(ServeBroker, AdmissionLimitRejectsInsteadOfQueueingUnbounded) {
   DiskLibrary library({scratch_dir("admission")});
   BrokerConfig config;
   config.max_in_flight = 0;
   Broker broker(library, config);
   EXPECT_THROW(broker.handle(flat4_request()), BrokerError);
-  EXPECT_EQ(broker.stats().rejects, 1u);
+  EXPECT_EQ(count("serve.rejects"), 1);
 }
 
-TEST(ServeBroker, UnverifiableLibraryEntryFallsBackToSynthesis) {
+TEST_F(ServeBroker, UnverifiableLibraryEntryFallsBackToSynthesis) {
   DiskLibrary library({scratch_dir("verify_fallback")});
   Broker broker(library);
 
@@ -210,11 +214,11 @@ TEST(ServeBroker, UnverifiableLibraryEntryFallsBackToSynthesis) {
   const ServeResponse response = broker.handle(request);
   EXPECT_FALSE(response.hit);  // fell back to synthesis, did not crash
   EXPECT_GT(response.schedule.ops.size(), 0u);
-  EXPECT_EQ(broker.stats().verify_failures, 1u);
-  EXPECT_EQ(broker.stats().misses, 1u);
+  EXPECT_EQ(count("serve.verify_failures"), 1);
+  EXPECT_EQ(count("serve.misses"), 1);
 }
 
-TEST(ServeBroker, SendRecvIsRejected) {
+TEST_F(ServeBroker, SendRecvIsRejected) {
   DiskLibrary library({scratch_dir("sendrecv")});
   Broker broker(library);
   ServeRequest request = flat4_request();
@@ -255,18 +259,63 @@ class ScriptedStream : public Stream {
   std::size_t pos_ = 0;
 };
 
-TEST(ServeProtocol, PingStatsAndUnknownCommands) {
+TEST_F(ServeProtocol, PingStatsAndUnknownCommands) {
   DiskLibrary library({scratch_dir("protocol_ping")});
   Broker broker(library);
+  // A miss and a hit first, so STATS has non-zero counts on both sides.
+  broker.handle(flat4_request());
+  broker.handle(flat4_request());
   ScriptedStream stream("PING\nFROBNICATE\nSTATS\nQUIT\n");
   EXPECT_EQ(serve_connection(stream, broker, library), 0);
   EXPECT_EQ(stream.output.substr(0, 5), "PONG\n");
   EXPECT_NE(stream.output.find("ERR "), std::string::npos);
-  EXPECT_NE(stream.output.find("\"broker\""), std::string::npos);
-  EXPECT_NE(stream.output.find("\"library\""), std::string::npos);
+
+  // The STATS reply, "OK <nbytes>\n<json>", is the last frame.
+  const std::size_t ok = stream.output.rfind("OK ");
+  ASSERT_NE(ok, std::string::npos);
+  const std::size_t nl = stream.output.find('\n', ok);
+  ASSERT_NE(nl, std::string::npos);
+  const std::string body = stream.output.substr(nl + 1);
+  EXPECT_EQ(std::to_string(body.size()), stream.output.substr(ok + 3, nl - ok - 3));
+  const obs::Json stats = obs::Json::parse(body);
+
+  const auto keys = [](const obs::Json& object) {
+    std::vector<std::string> out;
+    for (const auto& member : object.members()) out.push_back(member.first);
+    return out;
+  };
+  EXPECT_EQ(keys(stats), (std::vector<std::string>{"broker", "library"}));
+  const std::vector<std::string> broker_keys = {"requests", "hits",    "misses",
+                                                "joins",    "rejects", "verify_failures",
+                                                "degraded_hits", "upgrades"};
+  const obs::Json& b = stats.at("broker");
+  EXPECT_EQ(keys(b), broker_keys);
+  for (const std::string& key : broker_keys) {
+    EXPECT_EQ(b.at(key).as_number(), static_cast<double>(count("serve." + key))) << key;
+  }
+  EXPECT_EQ(b.at("requests").as_number(), 2.0);
+  EXPECT_EQ(b.at("hits").as_number(), 1.0);
+
+  const obs::Json& l = stats.at("library");
+  EXPECT_EQ(keys(l), (std::vector<std::string>{"entries", "bytes", "hits", "misses", "evictions",
+                                                "quarantined", "orphans_adopted",
+                                                "journal_failures", "rejected_downgrades"}));
+  const DiskLibrary::Stats want = library.stats();
+  EXPECT_EQ(l.at("entries").as_number(), static_cast<double>(want.entries));
+  EXPECT_EQ(l.at("bytes").as_number(), static_cast<double>(want.bytes));
+  EXPECT_EQ(l.at("hits").as_number(), static_cast<double>(want.hits));
+  EXPECT_EQ(l.at("misses").as_number(), static_cast<double>(want.misses));
+  EXPECT_EQ(l.at("evictions").as_number(), static_cast<double>(want.evictions));
+  EXPECT_EQ(l.at("quarantined").as_number(), static_cast<double>(want.quarantined));
+  EXPECT_EQ(l.at("orphans_adopted").as_number(), static_cast<double>(want.orphans_adopted));
+  EXPECT_EQ(l.at("journal_failures").as_number(), static_cast<double>(want.journal_failures));
+  EXPECT_EQ(l.at("rejected_downgrades").as_number(),
+            static_cast<double>(want.rejected_downgrades));
+  EXPECT_EQ(want.entries, 1u);
+  EXPECT_GT(want.bytes, 0u);
 }
 
-TEST(ServeProtocol, MalformedRequestsGetErrFramesAndKeepTheStream) {
+TEST_F(ServeProtocol, MalformedRequestsGetErrFramesAndKeepTheStream) {
   DiskLibrary library({scratch_dir("protocol_err")});
   Broker broker(library);
   const std::string topo = "TOPOLOGY 0\n";
@@ -282,10 +331,10 @@ TEST(ServeProtocol, MalformedRequestsGetErrFramesAndKeepTheStream) {
   }
   EXPECT_EQ(errs, 3u);
   EXPECT_NE(stream.output.find("PONG\n"), std::string::npos);
-  EXPECT_EQ(broker.stats().requests, 0u);  // nothing reached the broker
+  EXPECT_EQ(count("serve.requests"), 0);  // nothing reached the broker
 }
 
-TEST(ServeProtocol, RequestRoundTripsInBinaryAndXml) {
+TEST_F(ServeProtocol, RequestRoundTripsInBinaryAndXml) {
   DiskLibrary library({scratch_dir("protocol_rt")});
   Broker broker(library);
   const ServeRequest request = flat4_request();
@@ -312,11 +361,11 @@ TEST(ServeProtocol, RequestRoundTripsInBinaryAndXml) {
     }
   }
   // First format missed, second hit the same entry.
-  EXPECT_EQ(broker.stats().misses, 1u);
-  EXPECT_EQ(broker.stats().hits, 1u);
+  EXPECT_EQ(count("serve.misses"), 1);
+  EXPECT_EQ(count("serve.hits"), 1);
 }
 
-TEST(ServeProtocol, TruncatedTopologyPayloadEndsTheConnection) {
+TEST_F(ServeProtocol, TruncatedTopologyPayloadEndsTheConnection) {
   DiskLibrary library({scratch_dir("protocol_trunc")});
   Broker broker(library);
   ScriptedStream stream("REQUEST AllGather 0 1024 binary\nTOPOLOGY 100\nshort");
@@ -326,7 +375,7 @@ TEST(ServeProtocol, TruncatedTopologyPayloadEndsTheConnection) {
 
 // ------------------------------------------------------------------- socket
 
-TEST(ServeSocket, EndToEndOverUnixSocket) {
+TEST_F(ServeSocket, EndToEndOverUnixSocket) {
   DiskLibrary library({scratch_dir("socket_lib")});
   Broker broker(library);
   const std::string sock = fs::path(::testing::TempDir()) / "syccl_serve_test.sock";
@@ -353,8 +402,8 @@ TEST(ServeSocket, EndToEndOverUnixSocket) {
   }
 
   server_thread.join();  // request budget reached -> serve() returns
-  EXPECT_EQ(broker.stats().requests, 2u);
-  EXPECT_EQ(broker.stats().hits, 1u);
+  EXPECT_EQ(count("serve.requests"), 2);
+  EXPECT_EQ(count("serve.hits"), 1);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <functional>
 #include <thread>
 
+#include "counting_test.h"
 #include "obs/scenario.h"
 #include "serve/broker.h"
 #include "serve/canonical.h"
@@ -409,7 +410,9 @@ TEST(ServeRecovery, DegradedBlobNeverOverwritesAFullEntry) {
 
 // ------------------------------------------------- deadlines & degradation
 
-TEST(ServeDeadline, ExpiredDeadlineServesVerifiedDegradedFallback) {
+class ServeDeadline : public CountingTest {};
+
+TEST_F(ServeDeadline, ExpiredDeadlineServesVerifiedDegradedFallback) {
   RegistryGuard guard;
   DiskLibrary library({scratch_dir("deadline_expire")});
   Broker broker(library);
@@ -423,7 +426,7 @@ TEST(ServeDeadline, ExpiredDeadlineServesVerifiedDegradedFallback) {
   // simulator as any served schedule (verify_served defaults on).
   EXPECT_GT(response.predicted_time, 0.0);
   EXPECT_FALSE(response.schedule.ops.empty());
-  EXPECT_GE(broker.stats().degraded_hits, 1u);
+  EXPECT_GE(count("serve.degraded_hits"), 1);
 
   // The full synthesis kept running; eventually a request with no deadline
   // gets the full-budget entry.
@@ -439,7 +442,7 @@ TEST(ServeDeadline, ExpiredDeadlineServesVerifiedDegradedFallback) {
   EXPECT_FALSE(final_response.degraded);
 }
 
-TEST(ServeDeadline, DegradedLibraryHitTriggersBackgroundUpgrade) {
+TEST_F(ServeDeadline, DegradedLibraryHitTriggersBackgroundUpgrade) {
   RegistryGuard guard;
   // Build a full entry with one broker, replant it — flagged degraded — in a
   // fresh library: a deterministic "fallback landed, full never did" state.
@@ -460,10 +463,10 @@ TEST(ServeDeadline, DegradedLibraryHitTriggersBackgroundUpgrade) {
 
   // The hit queued a background full synthesis; it must upgrade the entry.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
-  while (broker.stats().upgrades == 0 && std::chrono::steady_clock::now() < deadline) {
+  while (count("serve.upgrades") == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  EXPECT_EQ(broker.stats().upgrades, 1u);
+  EXPECT_EQ(count("serve.upgrades"), 1);
   const auto upgraded = library.get(cold.scenario_key);
   ASSERT_TRUE(upgraded.has_value());
   EXPECT_FALSE(upgraded->degraded);
@@ -472,7 +475,7 @@ TEST(ServeDeadline, DegradedLibraryHitTriggersBackgroundUpgrade) {
   EXPECT_FALSE(after.degraded);
 }
 
-TEST(ServeDeadline, ExplicitNoDeadlineOverridesServerDefault) {
+TEST_F(ServeDeadline, ExplicitNoDeadlineOverridesServerDefault) {
   RegistryGuard guard;
   DiskLibrary library({scratch_dir("deadline_override")});
   BrokerConfig config;
@@ -491,7 +494,7 @@ TEST(ServeDeadline, ExplicitNoDeadlineOverridesServerDefault) {
   EXPECT_TRUE(degraded.degraded);
 }
 
-TEST(ServeDeadline, SynthesisFailureCleansUpInFlightState) {
+TEST_F(ServeDeadline, SynthesisFailureCleansUpInFlightState) {
   RegistryGuard guard;
   DiskLibrary library({scratch_dir("synth_fail")});
   Broker broker(library);

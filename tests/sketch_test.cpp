@@ -25,6 +25,15 @@ struct Fig3Fixture {
                   groups(topo::extract_groups(topo)) {}
 };
 
+/// Phase 1 exactly as the synthesizer runs it, at the default budgets.
+std::vector<SketchCombination> phase1_combinations(const topo::TopologyGroups& groups, int root,
+                                                   RootedPattern pattern, bool all_roots) {
+  const AllToAllConfig config;
+  const auto sketches = search_sketches(groups, root, pattern, config.search);
+  return combine_prototypes(select_prototypes(sketches, groups, config.max_prototypes), sketches,
+                            groups, all_roots, config.combine);
+}
+
 /// The paper's sketch ① (Fig. 5): stage 0 — D0.G0 {0}→{1,2,3} and D1.G0
 /// {0}→{4,8,12}; stage 1 — D0.G1..3 fill the remaining GPUs.
 Sketch paper_sketch_1() {
@@ -239,7 +248,7 @@ TEST(Replicate, AllRootsCoversEveryRoot) {
 
 TEST(Combine, AllocationMatchesBandwidthShares) {
   Fig3Fixture f;
-  const auto combos = generate_rooted_combinations(f.groups, 0, RootedPattern::Broadcast);
+  const auto combos = phase1_combinations(f.groups, 0, RootedPattern::Broadcast, false);
   ASSERT_FALSE(combos.empty());
   for (const auto& c : combos) {
     EXPECT_NEAR(c.total_fraction(), 1.0, 1e-6) << c.describe();
@@ -254,7 +263,7 @@ TEST(Combine, PaperExampleTwoSketchAllocation) {
   // exercising allocate_across_dims' math directly through real sketches is
   // impractical; instead verify the invariant on generated combinations: the
   // weighted dim shares approach the bandwidth shares.
-  const auto combos = generate_rooted_combinations(f.groups, 0, RootedPattern::Broadcast);
+  const auto combos = phase1_combinations(f.groups, 0, RootedPattern::Broadcast, false);
   bool found_integrated = false;
   for (const auto& c : combos) {
     if (c.sketches.size() < 2) continue;
@@ -283,7 +292,7 @@ TEST(AllToAll, GeneratesValidCombinations) {
                                             topo::params::nic_400g(),
                                             topo::params::fabric_400g(), true});
   const auto groups = topo::extract_groups(topo);
-  const auto combos = generate_alltoall_combinations(groups, RootedPattern::Broadcast);
+  const auto combos = phase1_combinations(groups, 0, RootedPattern::Broadcast, true);
   ASSERT_FALSE(combos.empty());
   for (const auto& c : combos) {
     std::set<int> roots;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/synthesizer.h"
+#include "counting_test.h"
 #include "runtime/xml.h"
 #include "solver/solve_cache.h"
 #include "topo/builders.h"
@@ -36,6 +37,8 @@ std::string xml_of(const core::SynthesisResult& r, int num_ranks) {
   return runtime::to_xml(r.schedule, num_ranks);
 }
 
+class SolveCache : public CountingTest {};
+
 solver::SubDemand make_broadcast_demand(const topo::GroupTopology& gt, double piece_bytes) {
   solver::SubDemand demand;
   demand.group = &gt;
@@ -48,7 +51,7 @@ solver::SubDemand make_broadcast_demand(const topo::GroupTopology& gt, double pi
   return demand;
 }
 
-TEST(SolveCache, OptionsFingerprintSeparatesKnobs) {
+TEST_F(SolveCache, OptionsFingerprintSeparatesKnobs) {
   solver::MilpSchedulerOptions a;
   solver::MilpSchedulerOptions b = a;
   EXPECT_EQ(solver::SubScheduleCache::options_fingerprint(a),
@@ -62,7 +65,7 @@ TEST(SolveCache, OptionsFingerprintSeparatesKnobs) {
             solver::SubScheduleCache::options_fingerprint(b));
 }
 
-TEST(SolveCache, HitReturnsIdenticalScheduleWithoutSolving) {
+TEST_F(SolveCache, HitReturnsIdenticalScheduleWithoutSolving) {
   const auto topo = topo::build_single_server(8);
   const auto groups = topo::extract_groups(topo);
   solver::SubScheduleCache cache;
@@ -82,9 +85,9 @@ TEST(SolveCache, HitReturnsIdenticalScheduleWithoutSolving) {
     EXPECT_EQ(first.ops[i].dst, second.ops[i].dst);
     EXPECT_EQ(first.ops[i].start_epoch, second.ops[i].start_epoch);
   }
+  EXPECT_EQ(count("solve_cache.hits"), 1);
+  EXPECT_EQ(count("solve_cache.misses"), 1);
   const auto st = cache.stats();
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.misses, 1u);
   EXPECT_EQ(st.entries, 1u);
   EXPECT_GT(st.bytes, 0u);
 
@@ -93,7 +96,7 @@ TEST(SolveCache, HitReturnsIdenticalScheduleWithoutSolving) {
   EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
-TEST(SolveCache, LruBoundEvicts) {
+TEST_F(SolveCache, LruBoundEvicts) {
   const auto topo = topo::build_single_server(8);
   const auto groups = topo::extract_groups(topo);
   // A budget far below what ~200 distinct entries need forces eviction.
@@ -105,13 +108,12 @@ TEST(SolveCache, LruBoundEvicts) {
         make_broadcast_demand(groups.dims[0].groups[0], (1 << 16) + k * 997.0);
     cache.get_or_solve(demand, opts);
   }
-  const auto st = cache.stats();
-  EXPECT_EQ(st.misses, 200u);
-  EXPECT_GT(st.evictions, 0u);
-  EXPECT_LE(st.bytes, cache.max_bytes());
+  EXPECT_EQ(count("solve_cache.misses"), 200);
+  EXPECT_GT(count("solve_cache.evictions"), 0);
+  EXPECT_LE(cache.stats().bytes, cache.max_bytes());
 }
 
-TEST(SolveCache, ConcurrentMissesSolveOnce) {
+TEST_F(SolveCache, ConcurrentMissesSolveOnce) {
   const auto topo = topo::build_single_server(8);
   const auto groups = topo::extract_groups(topo);
   solver::SubScheduleCache cache;
@@ -131,11 +133,11 @@ TEST(SolveCache, ConcurrentMissesSolveOnce) {
   // In-flight dedup: exactly one thread solves, everyone else hits (possibly
   // blocking on the in-flight future).
   EXPECT_EQ(solved.load(), 1);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 7u);
+  EXPECT_EQ(count("solve_cache.misses"), 1);
+  EXPECT_EQ(count("solve_cache.hits"), 7);
 }
 
-TEST(SolveCache, SweepByteIdenticalWithAndWithoutCache) {
+TEST_F(SolveCache, SweepByteIdenticalWithAndWithoutCache) {
   const auto topo = topo::build_h800_cluster(2);
   solver::SubScheduleCache::instance().clear();
   core::Synthesizer cached(topo, test_config(true));
@@ -151,7 +153,7 @@ TEST(SolveCache, SweepByteIdenticalWithAndWithoutCache) {
   }
 }
 
-TEST(SolveCache, SecondIdenticalSynthesisHitsCache) {
+TEST_F(SolveCache, SecondIdenticalSynthesisHitsCache) {
   const auto topo = topo::build_h800_cluster(2);
   solver::SubScheduleCache::instance().clear();
   core::Synthesizer synth(topo, test_config(true));
@@ -170,7 +172,7 @@ TEST(SolveCache, SecondIdenticalSynthesisHitsCache) {
   EXPECT_EQ(xml_of(first, 16), xml_of(second, 16));
 }
 
-TEST(SolveCache, AllReducePhasesShareSolves) {
+TEST_F(SolveCache, AllReducePhasesShareSolves) {
   // RS is synthesized through the reversed AG twin, so the two concurrent
   // phases request identical classes — the second requester must reuse the
   // first's solves (ready or in-flight) rather than duplicate them.
@@ -182,7 +184,7 @@ TEST(SolveCache, AllReducePhasesShareSolves) {
   EXPECT_GT(r.predicted_time, 0.0);
 }
 
-TEST(SolveCache, ParallelEvaluationMatchesSingleThread) {
+TEST_F(SolveCache, ParallelEvaluationMatchesSingleThread) {
   // The chosen candidate and its predicted time must not depend on the
   // number of worker threads (deterministic selection).
   const auto topo = topo::build_h800_cluster(2);

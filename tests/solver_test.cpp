@@ -213,6 +213,52 @@ TEST(MilpScheduler, ImprovesSuboptimalGreedyOrMatches) {
   EXPECT_LE(milp.num_epochs, greedy.num_epochs);
 }
 
+TEST(MilpScheduler, BeatsGreedyWhereItCan) {
+  // Regression guard: without a case where the MILP strictly improves on
+  // greedy, a change that silently disabled it would pass every test. A
+  // homogeneous 3-member star (α = 2 µs, 100 GB/s, distinct port ids), two
+  // crossing pieces: 1 → {0, 2} and 0 → {1, 2}.
+  topo::GroupTopology star;
+  for (int i = 0; i < 3; ++i) {
+    star.ranks.push_back(i);
+    star.up.push_back(topo::GroupPort{2e-6, 1.0 / 100e9, i});
+    star.down.push_back(topo::GroupPort{2e-6, 1.0 / 100e9, 3 + i});
+  }
+  SubDemand d;
+  d.group = &star;
+  d.piece_bytes = 64 << 10;
+  d.pieces.push_back(DemandPiece{0, {1}, {0, 2}});
+  d.pieces.push_back(DemandPiece{1, {0}, {1, 2}});
+  const EpochParams ep = derive_epoch_params(star, d.piece_bytes, 0.5);
+  ASSERT_EQ(ep.lat_epochs, 22);
+  ASSERT_EQ(ep.capacity, 1);
+  ASSERT_EQ(ep.occupancy, 3);
+  EXPECT_EQ(solve_greedy(d, ep).num_epochs, 28);
+
+  MilpSchedulerOptions opts;
+  opts.E = 0.5;
+  std::vector<SubSchedule> solved;
+  for (const bool flow : {true, false}) {
+    SCOPED_TRACE(flow ? "flow bounds on" : "flow bounds off");
+    opts.use_flow_bounds = flow;
+    SolveStats stats;
+    solved.push_back(solve_sub_demand(d, opts, &stats));
+    check_sub_schedule(d, solved.back());
+    EXPECT_EQ(solved.back().num_epochs, 25);
+    EXPECT_TRUE(stats.used_milp);
+    EXPECT_TRUE(stats.milp_improved);
+    EXPECT_EQ(stats.binaries, 84);
+  }
+  // Flow bounds change speed, never the schedule.
+  ASSERT_EQ(solved[0].ops.size(), solved[1].ops.size());
+  for (std::size_t i = 0; i < solved[0].ops.size(); ++i) {
+    EXPECT_EQ(solved[0].ops[i].piece, solved[1].ops[i].piece);
+    EXPECT_EQ(solved[0].ops[i].src, solved[1].ops[i].src);
+    EXPECT_EQ(solved[0].ops[i].dst, solved[1].ops[i].dst);
+    EXPECT_EQ(solved[0].ops[i].start_epoch, solved[1].ops[i].start_epoch);
+  }
+}
+
 TEST(MilpScheduler, GreedyOnlyFlagSkipsMilp) {
   GroupFixture f(6);
   SubDemand d = broadcast_demand(f.group(), 1000.0);

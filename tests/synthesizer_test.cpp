@@ -5,6 +5,9 @@
 
 #include "coll/busbw.h"
 #include "core/synthesizer.h"
+#include "obs/scenario.h"
+#include "runtime/validate.h"
+#include "sim/simulator.h"
 #include "topo/builders.h"
 
 namespace syccl::core {
@@ -88,6 +91,23 @@ TEST(Synthesizer, RootedReduceAndGather) {
   EXPECT_GT(synth.synthesize(coll::make_reduce(16, 1 << 20, 3)).predicted_time, 0.0);
   EXPECT_GT(synth.synthesize(coll::make_gather(16, 1 << 20, 5)).predicted_time, 0.0);
   EXPECT_GT(synth.synthesize(coll::make_scatter(16, 1 << 20, 2)).predicted_time, 0.0);
+}
+
+TEST(Synthesizer, ReduceWhenRankCountDoesNotDivideTheSize) {
+  // micro has 24 ranks, so a 1 MiB Reduce has a fractional chunk. The
+  // forward Broadcast twin must carry that exact chunk: a truncated one
+  // leaves every reversed candidate short of the root's demand.
+  const topo::Topology topo = obs::build_scenario_topology("micro");
+  const auto groups = topo::extract_groups(topo);
+  const auto coll = coll::make_reduce(24, 1 << 20, 0);
+  ASSERT_NE(coll.chunk_bytes(), static_cast<double>((1 << 20) / 24));
+  Synthesizer synth(topo);
+  const auto r = synth.synthesize(coll);
+  const runtime::ValidationReport report = runtime::validate_schedule(r.schedule, coll, groups);
+  EXPECT_TRUE(report.ok) << (report.errors.empty() ? "" : report.errors.front());
+  const sim::Simulator simulator(groups);
+  EXPECT_NEAR(simulator.time_collective(r.schedule, coll), r.predicted_time,
+              1e-9 * r.predicted_time);
 }
 
 TEST(Synthesizer, SendRecv) {
