@@ -6,6 +6,8 @@
 #include <stdexcept>
 
 #include "coll/collective.h"
+#include "core/merge.h"
+#include "core/subdemand.h"
 #include "core/synthesizer.h"
 #include "lp/simplex.h"
 #include "sim/schedule.h"
@@ -82,7 +84,45 @@ void BM_AllToAllReplication(benchmark::State& state) {
             .size());
   }
 }
-BENCHMARK(BM_AllToAllReplication)->Arg(2)->Arg(8);
+BENCHMARK(BM_AllToAllReplication)->Arg(2)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
+
+/// One candidate of the 512-GPU AllGather point (h800x64, 1 MiB): the first
+/// sketch combination's demand plan, every demand solved greedily at E₁.
+struct MergeShape {
+  topo::Topology topo = topo::build_h800_cluster(64);
+  topo::TopologyGroups groups = topo::extract_groups(topo);
+  core::DemandPlan plan;
+  std::vector<solver::SubSchedule> solved;
+
+  MergeShape() {
+    const auto coll = coll::make_allgather(512, 1 << 20);
+    const sketch::AllToAllConfig config;
+    const auto sketches =
+        sketch::search_sketches(groups, 0, sketch::RootedPattern::Broadcast, config.search);
+    const auto combos = sketch::combine_prototypes(
+        sketch::select_prototypes(sketches, groups, config.max_prototypes), sketches, groups,
+        /*all_roots=*/true, config.combine);
+    plan = core::build_demand_plan(combos.front(), coll, groups);
+    solver::SubScheduleCache cache;
+    solver::MilpSchedulerOptions options;
+    options.E = 3.0;
+    options.greedy_only = true;
+    for (const auto& md : plan.demands) solved.push_back(cache.get_or_solve(md.demand, options));
+  }
+};
+
+void BM_MergeSchedule(benchmark::State& state) {
+  static const MergeShape shape;  // built once: the search and solves take seconds
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::merge_schedule(shape.plan, shape.solved, shape.groups, false, false, "m")
+            .ops.size());
+  }
+  std::size_t ops = 0;
+  for (const auto& s : shape.solved) ops += s.ops.size();
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ops));
+}
+BENCHMARK(BM_MergeSchedule)->Unit(benchmark::kMillisecond);
 
 /// An AllGather-shaped sub-demand (every member sources one piece all others
 /// need) on one group. Arguments: group size and E × 10. Sizes up to 64 use a

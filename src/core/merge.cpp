@@ -1,32 +1,119 @@
 #include "core/merge.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <stdexcept>
 
 namespace syccl::core {
 
 namespace {
 
-/// Reorders ops by their contention-free estimated start time. The merged
-/// (stage, epoch) order assumes stages start synchronously, but pieces
-/// actually arrive spread out; since per-port execution is FIFO in issue
-/// order, a not-yet-ready op would head-of-line block ready ones. Estimated
-/// availability propagation preserves dependency order (an op's start is
-/// strictly after the delivering op's start because α > 0).
+/// Estimated availability time per (piece, rank): a flat open-addressing
+/// table with linear probing (DESIGN.md §4k). It is sized once from the
+/// number of entries it can ever hold — the seeds plus one per op — so it
+/// never rehashes and stays at most half full.
+class AvailabilityTable {
+ public:
+  explicit AvailabilityTable(std::size_t max_entries) {
+    std::size_t capacity = 16;
+    int bits = 4;
+    while (capacity < 2 * max_entries) {
+      capacity <<= 1;
+      ++bits;
+    }
+    shift_ = 64 - bits;
+    slots_.assign(capacity, Slot{});
+  }
+
+  /// Hints the cache to load the slot where (piece, rank) would start its
+  /// probe; the reorder issues it a few ops ahead of each lookup.
+  void prefetch(int piece, int rank) const {
+    __builtin_prefetch(&slots_[home(pack(piece, rank))]);
+  }
+
+  /// The value stored for (piece, rank), or nullptr.
+  const double* find(int piece, int rank) const {
+    const std::uint64_t key = pack(piece, rank);
+    for (std::size_t i = home(key);; i = (i + 1) & (slots_.size() - 1)) {
+      const Slot& slot = slots_[i];
+      if (slot.key == key) return &slot.value;
+      if (slot.key == kEmpty) return nullptr;
+    }
+  }
+
+  /// Inserts `value` for (piece, rank) if absent. Returns the stored value's
+  /// slot and whether the insertion happened (std::map::try_emplace).
+  std::pair<double*, bool> try_emplace(int piece, int rank, double value) {
+    const std::uint64_t key = pack(piece, rank);
+    for (std::size_t i = home(key);; i = (i + 1) & (slots_.size() - 1)) {
+      Slot& slot = slots_[i];
+      if (slot.key == key) return {&slot.value, false};
+      if (slot.key == kEmpty) {
+        slot = Slot{key, value};
+        return {&slot.value, true};
+      }
+    }
+  }
+
+ private:
+  /// Piece indices are non-negative (they index Schedule::pieces), so no
+  /// packed key has all bits set.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    double value = 0.0;
+  };
+
+  static std::uint64_t pack(int piece, int rank) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(piece)) << 32) |
+           static_cast<std::uint32_t>(rank);
+  }
+  /// Fibonacci hashing: the top bits of key × 2^64/φ.
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  std::vector<Slot> slots_;
+  int shift_ = 60;
+};
+
+}  // namespace
+
 void reorder_by_estimated_start(sim::Schedule& s, const topo::TopologyGroups& groups) {
-  std::map<std::pair<int, int>, double> avail;
+  std::size_t seeds = 0;
+  for (const sim::Piece& p : s.pieces) {
+    seeds += p.reduce ? p.contributors.size() : (p.origin >= 0 ? 1 : 0);
+  }
+  AvailabilityTable avail(seeds + s.ops.size());
   for (std::size_t pi = 0; pi < s.pieces.size(); ++pi) {
     const sim::Piece& p = s.pieces[pi];
     if (p.reduce) {
-      for (int c : p.contributors) avail[{static_cast<int>(pi), c}] = 0.0;
+      for (int c : p.contributors) avail.try_emplace(static_cast<int>(pi), c, 0.0);
     } else if (p.origin >= 0) {
-      avail[{static_cast<int>(pi), p.origin}] = 0.0;
+      avail.try_emplace(static_cast<int>(pi), p.origin, 0.0);
     }
   }
-  std::vector<double> key(s.ops.size(), 0.0);
+
+  // (phase, estimated start, index) sorts into the order a stable sort on
+  // (phase, estimated start) gives: the index breaks every tie.
+  struct Record {
+    int phase;
+    std::uint32_t index;
+    double start;
+  };
+  std::vector<Record> order(s.ops.size());
+  // At paper scale the table is larger than a core's cache, so each op's
+  // two probes are prefetched this many ops ahead.
+  constexpr std::size_t kPrefetchAhead = 16;
   for (std::size_t i = 0; i < s.ops.size(); ++i) {
+    if (i + kPrefetchAhead < s.ops.size()) {
+      const sim::TransferOp& ahead = s.ops[i + kPrefetchAhead];
+      avail.prefetch(ahead.piece, ahead.src);
+      avail.prefetch(ahead.piece, ahead.dst);
+    }
     const sim::TransferOp& op = s.ops[i];
+    order[i] = Record{op.phase, static_cast<std::uint32_t>(i), 0.0};
     const int dim = op.dim >= 0 ? op.dim : groups.best_common_dim(op.src, op.dst);
     if (dim < 0) continue;  // leave key 0; the simulator will reject later
     const auto& gt =
@@ -34,33 +121,24 @@ void reorder_by_estimated_start(sim::Schedule& s, const topo::TopologyGroups& gr
                                          [static_cast<std::size_t>(op.src)]);
     const int ls = gt.local_of(op.src);
     const int ld = gt.local_of(op.dst);
-    const auto it = avail.find({op.piece, op.src});
-    const double t0 = it != avail.end() ? it->second : 0.0;
-    const double arrival = t0 + gt.pair_alpha(ls, ld) +
-                           gt.pair_beta(ls, ld) * s.pieces[static_cast<std::size_t>(op.piece)].bytes;
-    key[i] = t0;
-    auto [dit, inserted] = avail.try_emplace({op.piece, op.dst}, arrival);
-    if (!inserted) {
-      if (s.pieces[static_cast<std::size_t>(op.piece)].reduce) {
-        dit->second = std::max(dit->second, arrival);
-      } else {
-        dit->second = std::min(dit->second, arrival);
-      }
-    }
+    const double* t0p = avail.find(op.piece, op.src);
+    const double t0 = t0p != nullptr ? *t0p : 0.0;
+    const sim::Piece& piece = s.pieces[static_cast<std::size_t>(op.piece)];
+    const double arrival = t0 + gt.pair_alpha(ls, ld) + gt.pair_beta(ls, ld) * piece.bytes;
+    order[i].start = t0;
+    auto [slot, inserted] = avail.try_emplace(op.piece, op.dst, arrival);
+    if (!inserted) *slot = piece.reduce ? std::max(*slot, arrival) : std::min(*slot, arrival);
   }
-  std::vector<std::size_t> idx(s.ops.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    if (s.ops[a].phase != s.ops[b].phase) return s.ops[a].phase < s.ops[b].phase;
-    return key[a] < key[b];
+  std::sort(order.begin(), order.end(), [](const Record& a, const Record& b) {
+    if (a.phase != b.phase) return a.phase < b.phase;
+    if (a.start != b.start) return a.start < b.start;
+    return a.index < b.index;
   });
   std::vector<sim::TransferOp> reordered;
   reordered.reserve(s.ops.size());
-  for (std::size_t i : idx) reordered.push_back(s.ops[i]);
+  for (const Record& r : order) reordered.push_back(s.ops[r.index]);
   s.ops = std::move(reordered);
 }
-
-}  // namespace
 
 std::vector<sim::Piece> reverse_pieces(const std::vector<sim::Piece>& pieces,
                                        const std::vector<int>& contributors) {
@@ -88,21 +166,25 @@ sim::Schedule merge_schedule(const DemandPlan& plan,
     throw std::invalid_argument("solved sub-schedule count mismatch");
   }
 
-  struct GlobalOp {
+  // One compact record per sub-op, generated in (demand, op) order: the
+  // generation index breaks (stage, epoch) ties exactly as a stable sort
+  // over that order would.
+  struct Record {
     int stage;
     int epoch;
-    int demand_index;
-    int order;  // original op index, for stable tie-break
-    sim::TransferOp op;
+    std::uint32_t index;
   };
-  std::vector<GlobalOp> ops;
+  std::vector<Record> order;
+  std::vector<sim::TransferOp> generated;
+  std::size_t total = 0;
+  for (const solver::SubSchedule& ss : solved) total += ss.ops.size();
+  order.reserve(total);
+  generated.reserve(total);
 
   for (std::size_t di = 0; di < plan.demands.size(); ++di) {
     const MergedSubDemand& md = plan.demands[di];
     const topo::GroupTopology& gt = groups.group(md.dim, md.group);
-    const solver::SubSchedule& ss = solved[di];
-    for (std::size_t oi = 0; oi < ss.ops.size(); ++oi) {
-      const solver::SubOp& so = ss.ops[oi];
+    for (const solver::SubOp& so : solved[di].ops) {
       if (so.piece < 0 || static_cast<std::size_t>(so.piece) >= md.global_piece.size()) {
         throw std::invalid_argument("sub-op references unknown demand piece");
       }
@@ -112,17 +194,25 @@ sim::Schedule merge_schedule(const DemandPlan& plan,
       top.dst = gt.ranks[static_cast<std::size_t>(so.dst)];
       top.dim = md.dim;
       top.phase = 0;
-      ops.push_back(GlobalOp{md.stage, so.start_epoch, static_cast<int>(di),
-                             static_cast<int>(oi), top});
+      order.push_back(
+          Record{md.stage, so.start_epoch, static_cast<std::uint32_t>(generated.size())});
+      generated.push_back(top);
     }
   }
 
-  std::stable_sort(ops.begin(), ops.end(), [&](const GlobalOp& a, const GlobalOp& b) {
+  std::sort(order.begin(), order.end(), [&](const Record& a, const Record& b) {
     if (a.stage != b.stage) return reverse ? a.stage > b.stage : a.stage < b.stage;
     if (a.epoch != b.epoch) return reverse ? a.epoch > b.epoch : a.epoch < b.epoch;
-    if (a.demand_index != b.demand_index) return a.demand_index < b.demand_index;
-    return a.order < b.order;
+    return a.index < b.index;
   });
+  std::vector<sim::TransferOp> ops;
+  ops.reserve(order.size());
+  for (const Record& r : order) {
+    sim::TransferOp op = generated[r.index];
+    if (reverse) std::swap(op.src, op.dst);
+    ops.push_back(op);
+  }
+  generated = {};
 
   sim::Schedule out;
   out.name = std::move(name);
@@ -131,34 +221,25 @@ sim::Schedule merge_schedule(const DemandPlan& plan,
     std::vector<int> contributors(static_cast<std::size_t>(num_ranks));
     for (int r = 0; r < num_ranks; ++r) contributors[static_cast<std::size_t>(r)] = r;
     out.pieces = reverse_pieces(plan.pieces, contributors);
-    for (const auto& g : ops) {
-      sim::TransferOp op = g.op;
-      std::swap(op.src, op.dst);
-      out.ops.push_back(op);
-    }
   } else if (reverse) {
     // Gather reversal: each forward piece travelled to exactly one final
     // destination; reversed it originates there and flows to the root.
     std::vector<int> final_dst(plan.pieces.size(), -1);
-    for (const auto& g : ops) {
-      // `ops` is already sorted in reversed order, so the first occurrence
-      // of a piece is the forward-last hop — its scatter destination.
-      int& slot = final_dst[static_cast<std::size_t>(g.op.piece)];
-      if (slot < 0) slot = g.op.dst;
+    for (const sim::TransferOp& op : ops) {
+      // `ops` is already in reversed order and flipped, so the first
+      // occurrence of a piece is the forward-last hop, whose source is now
+      // the scatter destination.
+      int& slot = final_dst[static_cast<std::size_t>(op.piece)];
+      if (slot < 0) slot = op.src;
     }
     out.pieces = plan.pieces;
     for (std::size_t i = 0; i < out.pieces.size(); ++i) {
       if (final_dst[i] >= 0) out.pieces[i].origin = final_dst[i];
     }
-    for (const auto& g : ops) {
-      sim::TransferOp op = g.op;
-      std::swap(op.src, op.dst);
-      out.ops.push_back(op);
-    }
   } else {
     out.pieces = plan.pieces;
-    for (const auto& g : ops) out.ops.push_back(g.op);
   }
+  out.ops = std::move(ops);
   reorder_by_estimated_start(out, groups);
   return out;
 }

@@ -32,6 +32,11 @@ sim::Schedule merge_schedule(const DemandPlan& plan,
                              const topo::TopologyGroups& groups, bool reverse, bool reduce,
                              std::string name);
 
+/// Reorders `s.ops` by contention-free estimated start time within each
+/// phase, ties kept in issue order (used by merge_schedule; exposed for
+/// tests). Ops with dim = -1 are priced on the fastest common dimension.
+void reorder_by_estimated_start(sim::Schedule& s, const topo::TopologyGroups& groups);
+
 /// Rewrites forward pieces into reduce pieces over `contributors` (used by
 /// merge_schedule when reverse=true; exposed for tests).
 std::vector<sim::Piece> reverse_pieces(const std::vector<sim::Piece>& pieces,

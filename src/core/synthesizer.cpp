@@ -38,20 +38,20 @@ struct Candidate {
 };
 
 /// Isomorphism-class registry shared by all candidates of one synthesis.
-/// Owns copies of its representative demands so interning never depends on
-/// candidate storage staying put (candidates move while being collected and
-/// are evaluated concurrently later). Classes are keyed on the *canonical*
-/// demand key, so demands whose groups are isomorphic but differently
-/// labelled (e.g. the same degraded link at different ranks) share a class;
-/// intern() returns the remap that repositions the representative's solution
-/// onto the interned demand.
+/// Owns copies of its representative demands so solving never depends on
+/// candidate storage. Classes are keyed on the *canonical* demand key, so
+/// demands whose groups are isomorphic but differently labelled (e.g. the
+/// same degraded link at different ranks) share a class; intern() returns
+/// the remap that repositions the representative's solution onto the
+/// interned demand.
 struct ClassRegistry {
   std::map<std::string, int> index_of;
   std::vector<solver::SubDemand> representative;
   std::vector<solver::CanonicalDemand> canon;  ///< of the representative
 
-  std::pair<int, solver::SubScheduleRemap> intern(const solver::SubDemand& demand) {
-    solver::CanonicalDemand cd = demand.canonical();
+  /// `cd` is `demand.canonical()`, computed by the caller (on the pool).
+  std::pair<int, solver::SubScheduleRemap> intern(const solver::SubDemand& demand,
+                                                  solver::CanonicalDemand cd) {
     const auto it = index_of.find(cd.key);
     if (it == index_of.end()) {
       const int id = static_cast<int>(representative.size());
@@ -220,7 +220,7 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
   {
     SYCCL_TRACE_SPAN(span, "combine", "core");
     combos = sketch::combine_prototypes(prototypes, sketches, groups_, all_to_all,
-                                        config_.sketch.combine);
+                                        config_.sketch.combine, &pool_);
     span.annotate("combinations", static_cast<double>(combos.size()));
   }
   breakdown.combine_s = phase_clock.elapsed_seconds();
@@ -228,26 +228,33 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
 
   // ---- Phase 2a: coarse solve of every candidate (§5.1, E₁).
   phase_clock.reset();
-  std::vector<Candidate> candidates;
-  candidates.reserve(combos.size());
+  std::vector<Candidate> candidates(combos.size());
   ClassRegistry registry;
   {
-    // Demand planning and canonicalisation into isomorphism classes: serial,
-    // and on 512 GPUs a sizeable share of the synthesis.
+    // Demand planning and canonicalisation run per candidate on the pool
+    // (outputs written by index); interning then walks the candidates in
+    // order, so class ids and remaps match a serial pass.
     SYCCL_TRACE_SPAN(span, "demand_plan", "core");
-    for (const auto& combo : combos) {
-      Candidate cand;
-      cand.combo = combo;
-      cand.plan = build_demand_plan(combo, coll, groups_);
+    std::vector<std::vector<solver::CanonicalDemand>> canon(combos.size());
+    pool_.parallel_for(combos.size(), [&](std::size_t i) {
+      SYCCL_TRACE_SPAN(plan_span, "plan_candidate", "core");
+      Candidate& cand = candidates[i];
+      cand.combo = std::move(combos[i]);
+      cand.plan = build_demand_plan(cand.combo, coll, groups_);
+      canon[i].reserve(cand.plan.demands.size());
+      for (const auto& md : cand.plan.demands) canon[i].push_back(md.demand.canonical());
+    });
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      Candidate& cand = candidates[i];
       cand.demand_class.reserve(cand.plan.demands.size());
       cand.demand_remap.reserve(cand.plan.demands.size());
-      for (const auto& md : cand.plan.demands) {
-        auto [cls, remap] = registry.intern(md.demand);
+      for (std::size_t k = 0; k < cand.plan.demands.size(); ++k) {
+        auto [cls, remap] = registry.intern(cand.plan.demands[k].demand, std::move(canon[i][k]));
         cand.demand_class.push_back(cls);
         cand.demand_remap.push_back(std::move(remap));
       }
+      canon[i] = {};
       breakdown.num_subdemands += static_cast<int>(cand.plan.demands.size());
-      candidates.push_back(std::move(cand));
     }
     span.annotate("demands", static_cast<double>(breakdown.num_subdemands));
     span.annotate("classes", static_cast<double>(registry.representative.size()));
@@ -316,6 +323,7 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
     std::vector<std::string> error(n);
 
     pool_.parallel_for(n, [&](std::size_t i) {
+      SYCCL_TRACE_SPAN(merge_span, "merge_schedule", "core");
       const Candidate& cand = *cands[i];
       std::vector<solver::SubSchedule> per_demand;
       per_demand.reserve(cand.plan.demands.size());

@@ -159,21 +159,26 @@ ServeResponse Broker::handle(const ServeRequest& request) {
     return response;
   };
 
-  if (std::optional<ScheduleBlob> stored = library_.get(key)) {
+  // Serves a library entry as a hit. A degraded entry means no full
+  // synthesis has landed yet; make sure one is running (or queued) so the
+  // entry eventually upgrades. The caller is not kept waiting for it.
+  const auto answer_hit = [&](const ScheduleBlob& blob) {
+    ServeResponse response = serve_blob(blob);
+    response.hit = true;
+    metrics.hits.add();
+    if (response.degraded) {
+      metrics.degraded_hits.add();
+      bool started = false;
+      join_or_start(request, canon, key, bucket, started, /*reject_throws=*/false);
+    }
+    metrics.request_seconds.observe(seconds_since(request_start));
+    return response;
+  };
+
+  const std::optional<ScheduleBlob> stored = library_.get(key);
+  if (stored) {
     try {
-      ServeResponse response = serve_blob(*stored);
-      response.hit = true;
-      metrics.hits.add();
-      if (response.degraded) {
-        // A degraded entry means no full synthesis has landed yet; make
-        // sure one is running (or queued) so the entry eventually upgrades.
-        // The caller is not kept waiting for it.
-        metrics.degraded_hits.add();
-        bool started = false;
-        join_or_start(request, canon, key, bucket, started, /*reject_throws=*/false);
-      }
-      metrics.request_seconds.observe(seconds_since(request_start));
-      return response;
+      return answer_hit(*stored);
     } catch (const std::exception&) {
       // A stored entry that no longer verifies (e.g. hand-edited library) is
       // treated as a miss: fall through and synthesize fresh.
@@ -181,10 +186,23 @@ ServeResponse Broker::handle(const ServeRequest& request) {
     }
   }
 
-  // Miss: join an in-flight synthesis for this key, or start one.
+  // Miss: join an in-flight synthesis for this key, or start one. The entry
+  // may land between the lookup above and this point (its synthesis stored
+  // it and retired its in-flight record); join_or_start re-checks the
+  // library under its lock, and such an entry is answered as a hit.
+  util::failpoint("serve.broker.join");
   bool initiator = false;
-  std::shared_future<SynthOutcome> future =
-      join_or_start(request, canon, key, bucket, initiator, /*reject_throws=*/true);
+  std::optional<ScheduleBlob> landed;
+  std::shared_future<SynthOutcome> future = join_or_start(
+      request, canon, key, bucket, initiator, /*reject_throws=*/true, stored ? nullptr : &landed);
+  if (landed) {
+    try {
+      return answer_hit(*landed);
+    } catch (const std::exception&) {
+      metrics.verify_failures.add();
+    }
+    future = join_or_start(request, canon, key, bucket, initiator, /*reject_throws=*/true);
+  }
   if (initiator) {
     metrics.misses.add();
   } else {
@@ -227,16 +245,20 @@ ServeResponse Broker::handle(const ServeRequest& request) {
   return response;
 }
 
-std::shared_future<Broker::SynthOutcome> Broker::join_or_start(const ServeRequest& request,
-                                                               const CanonicalTopology& canon,
-                                                               const std::string& key,
-                                                               std::uint64_t bucket,
-                                                               bool& started,
-                                                               bool reject_throws) {
+std::shared_future<Broker::SynthOutcome> Broker::join_or_start(
+    const ServeRequest& request, const CanonicalTopology& canon, const std::string& key,
+    std::uint64_t bucket, bool& started, bool reject_throws,
+    std::optional<ScheduleBlob>* landed) {
   started = false;
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = in_flight_.find(key);
   if (it != in_flight_.end()) return it->second;
+  // A synthesis stores its entry before it retires its in-flight record
+  // under this lock, so once the record is gone a stored entry is visible.
+  if (landed != nullptr) {
+    *landed = library_.get(key);
+    if (landed->has_value()) return {};
+  }
 
   if (in_flight_.size() >= config_.max_in_flight) {
     if (!reject_throws) return {};  // background upgrade: retry on a later hit

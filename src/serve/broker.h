@@ -45,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -151,11 +152,15 @@ class Broker {
   /// their deadline, so completion cannot be their job. When a start is
   /// needed but admission is full: throws BrokerError if `reject_throws`
   /// (foreground misses), else returns an invalid future (background
-  /// upgrades just wait for a quieter moment).
+  /// upgrades just wait for a quieter moment). With `landed`, the library
+  /// is re-checked under the lock before a start: an entry stored since the
+  /// caller's lookup is returned through it, with an invalid future, instead
+  /// of starting a duplicate synthesis.
   std::shared_future<SynthOutcome> join_or_start(const ServeRequest& request,
                                                  const CanonicalTopology& canon,
                                                  const std::string& key, std::uint64_t bucket,
-                                                 bool& started, bool reject_throws);
+                                                 bool& started, bool reject_throws,
+                                                 std::optional<ScheduleBlob>* landed = nullptr);
 
   /// Synthesizes at the bucket size under `synth`, stores the blob
   /// canonically (marked `degraded`), and returns it. Library index

@@ -32,6 +32,10 @@ inline constexpr const char* kServeFailpoints[] = {
     // Full-budget synthesis on the broker pool (delay = deterministic slow
     // synthesis for deadline tests; error = synthesis failure propagation).
     "serve.broker.synthesize",
+    // Between a miss's library lookup and joining or starting a synthesis
+    // (delay = a deterministic window for the entry to land meanwhile;
+    // error = the miss fails before any synthesis starts).
+    "serve.broker.join",
     // Transport syscalls (eintr storms, hard errors, stalls).
     "serve.socket.read",
     "serve.socket.write",

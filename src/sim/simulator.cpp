@@ -476,7 +476,8 @@ double demand_completion(const Engine& engine, const Schedule& schedule,
 }
 
 /// Runs fn(i) for every index — across `pool` when given, serially
-/// otherwise. Callers capture per-index failures, so fn must not throw.
+/// otherwise. Either way a throwing fn surfaces the lowest failing index's
+/// exception, as the serial loop does.
 void dispatch(util::ThreadPool* pool, std::size_t count,
               const std::function<void(std::size_t)>& fn) {
   if (pool != nullptr && count > 1) {
@@ -554,19 +555,7 @@ double Simulator::time_collective(const Schedule& schedule, const coll::Collecti
 std::vector<SimResult> Simulator::run_batch(std::span<const Schedule* const> schedules,
                                             util::ThreadPool* pool) const {
   std::vector<SimResult> results(schedules.size());
-  std::vector<std::exception_ptr> errors(schedules.size());
-  dispatch(pool, schedules.size(), [&](std::size_t i) {
-    try {
-      results[i] = run(*schedules[i]);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  });
-  // Like the serial loop, the first failing candidate's exception wins —
-  // deterministically by index, not by completion order.
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  dispatch(pool, schedules.size(), [&](std::size_t i) { results[i] = run(*schedules[i]); });
   return results;
 }
 

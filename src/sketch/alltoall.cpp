@@ -1,11 +1,14 @@
 #include "sketch/alltoall.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
+#include "obs/trace.h"
 #include "sketch/replicate.h"
 #include "util/log.h"
+#include "util/thread_pool.h"
 
 namespace syccl::sketch {
 
@@ -50,27 +53,41 @@ std::vector<Sketch> select_prototypes(std::vector<Sketch> sketches,
 std::vector<SketchCombination> combine_prototypes(const std::vector<Sketch>& prototypes,
                                                   const std::vector<Sketch>& sketches,
                                                   const topo::TopologyGroups& groups,
-                                                  bool all_roots, const CombineConfig& config) {
-  std::vector<SketchCombination> balanced;
-  auto try_family = [&](const Sketch& proto) {
+                                                  bool all_roots, const CombineConfig& config,
+                                                  util::ThreadPool* pool) {
+  auto try_family = [&](const Sketch& proto) -> std::optional<SketchCombination> {
+    SYCCL_TRACE_SPAN(span, "replicate_family", "core");
     try {
       SketchCombination combo = balance_across_groups(proto, groups);
       if (all_roots) combo = replicate_for_all_roots(combo, groups);
-      balanced.push_back(std::move(combo));
+      return combo;
     } catch (const std::runtime_error& e) {
       // Some sketch families cannot be replicated consistently onto every
       // root (their mapping corners itself); drop the family.
       SYCCL_DEBUG << "dropping sketch family: " << e.what();
+      return std::nullopt;
     }
   };
-  for (const auto& proto : prototypes) try_family(proto);
+  // Families are independent: replicate them on the pool, each result
+  // written by prototype index so the order below matches a serial pass.
+  std::vector<std::optional<SketchCombination>> family(prototypes.size());
+  const auto run = [&](std::size_t i) { family[i] = try_family(prototypes[i]); };
+  if (pool != nullptr) {
+    pool->parallel_for(prototypes.size(), run);
+  } else {
+    for (std::size_t i = 0; i < prototypes.size(); ++i) run(i);
+  }
+  std::vector<SketchCombination> balanced;
+  for (auto& combo : family) {
+    if (combo.has_value()) balanced.push_back(std::move(*combo));
+  }
   // Fallback for degraded/failed fabrics: every selected prototype can be
   // structurally impossible to root everywhere (e.g. the root's image
   // cannot cross any fabric dim), and select_prototypes' workload-profile
   // dedup may have discarded a replicable sketch in favour of such an
   // impossible one. Walk the raw search output until one family works.
   for (std::size_t si = 0; si < sketches.size() && balanced.empty(); ++si) {
-    try_family(sketches[si]);
+    if (auto combo = try_family(sketches[si])) balanced.push_back(std::move(*combo));
   }
   if (balanced.empty()) throw std::runtime_error("no replicable sketch family found");
   std::vector<SketchCombination> combos = generate_combinations(balanced, groups, config);

@@ -16,6 +16,10 @@
 #include "sketch/search.h"
 #include "sketch/sketch.h"
 
+namespace syccl::util {
+class ThreadPool;
+}  // namespace syccl::util
+
 namespace syccl::sketch {
 
 struct AllToAllConfig {
@@ -36,11 +40,14 @@ std::vector<Sketch> select_prototypes(std::vector<Sketch> sketches,
 /// patterns) — and integrates the balanced families across dimensions. A
 /// family that cannot be replicated is dropped; when every prototype fails
 /// (degraded fabrics), the raw search output `sketches` is walked until one
-/// family works. Throws std::runtime_error when no family replicates or no
-/// combination results.
+/// family works. With a `pool`, the prototype families replicate on it
+/// (results and failures by prototype index, as in the serial loop; the
+/// fallback walk stays serial). Throws std::runtime_error when no family
+/// replicates or no combination results.
 std::vector<SketchCombination> combine_prototypes(const std::vector<Sketch>& prototypes,
                                                   const std::vector<Sketch>& sketches,
                                                   const topo::TopologyGroups& groups,
-                                                  bool all_roots, const CombineConfig& config);
+                                                  bool all_roots, const CombineConfig& config,
+                                                  util::ThreadPool* pool = nullptr);
 
 }  // namespace syccl::sketch

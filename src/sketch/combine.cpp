@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "lp/simplex.h"
 #include "util/log.h"
@@ -75,11 +76,15 @@ std::optional<std::pair<std::vector<double>, double>> solve_allocation(
   return std::make_pair(std::move(t), worst);
 }
 
-}  // namespace
-
+/// Allocates chunk fractions across the combinations `candidates` points at
+/// (per-dimension workloads in the parallel array `raw_workload`) to match
+/// the dimension bandwidth shares. Returns the merged combination (each
+/// member sketch's fraction scaled by its combination's t_i), or nullopt if
+/// invalid.
 std::optional<SketchCombination> allocate_across_dims(
-    const std::vector<SketchCombination>& candidates, const topo::TopologyGroups& groups,
-    const CombineConfig& config) {
+    const std::vector<const SketchCombination*>& candidates,
+    const std::vector<const std::vector<double>*>& raw_workload,
+    const topo::TopologyGroups& groups, const CombineConfig& config) {
   if (candidates.empty()) return std::nullopt;
 
   // Aggregate workloads and shares by capacity dimension: tiers that ride
@@ -87,12 +92,11 @@ std::optional<SketchCombination> allocate_across_dims(
   // compete for the same capacity.
   const int nd = groups.num_dims();
   std::vector<std::vector<double>> W;
-  for (const auto& c : candidates) {
-    const auto raw = c.dim_workload(groups);
+  for (const std::vector<double>* raw : raw_workload) {
     std::vector<double> agg(static_cast<std::size_t>(nd), 0.0);
     for (int d = 0; d < nd; ++d) {
       agg[static_cast<std::size_t>(groups.dims[static_cast<std::size_t>(d)].capacity_dim)] +=
-          raw[static_cast<std::size_t>(d)];
+          (*raw)[static_cast<std::size_t>(d)];
     }
     W.push_back(std::move(agg));
   }
@@ -123,13 +127,15 @@ std::optional<SketchCombination> allocate_across_dims(
   SketchCombination out;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (t[i] < config.min_fraction) continue;
-    for (const auto& ws : candidates[i].sketches) {
+    for (const auto& ws : candidates[i]->sketches) {
       out.sketches.push_back(WeightedSketch{ws.sketch, ws.fraction * t[i]});
     }
   }
   if (out.sketches.empty()) return std::nullopt;
   return out;
 }
+
+}  // namespace
 
 std::vector<SketchCombination> generate_combinations(
     const std::vector<SketchCombination>& balanced, const topo::TopologyGroups& groups,
@@ -144,18 +150,29 @@ std::vector<SketchCombination> generate_combinations(
   }
 
   // Large-size candidates: integrate subsets (size 2..|D|) across dimensions.
+  // Each family's workload is computed once; subsets refer to their members
+  // in place.
   const int nd = groups.num_dims();
-  const int n = static_cast<int>(balanced.size());
-  for (int mask = 1; mask < (1 << std::min(n, 16)); ++mask) {
+  const int n = std::min(static_cast<int>(balanced.size()), 16);
+  std::vector<std::vector<double>> workload;
+  workload.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    workload.push_back(balanced[static_cast<std::size_t>(i)].dim_workload(groups));
+  }
+  for (int mask = 1; mask < (1 << n); ++mask) {
     const int bits = __builtin_popcount(static_cast<unsigned>(mask));
     if (bits < 2 || bits > nd) continue;
-    std::vector<SketchCombination> subset;
-    for (int i = 0; i < std::min(n, 16); ++i) {
-      if (mask & (1 << i)) subset.push_back(balanced[static_cast<std::size_t>(i)]);
+    std::vector<const SketchCombination*> subset;
+    std::vector<const std::vector<double>*> subset_workload;
+    for (int i = 0; i < n; ++i) {
+      if (mask & (1 << i)) {
+        subset.push_back(&balanced[static_cast<std::size_t>(i)]);
+        subset_workload.push_back(&workload[static_cast<std::size_t>(i)]);
+      }
     }
-    const auto merged = allocate_across_dims(subset, groups, config);
+    auto merged = allocate_across_dims(subset, subset_workload, groups, config);
     if (merged.has_value()) {
-      out.push_back(*merged);
+      out.push_back(std::move(*merged));
       if (static_cast<int>(out.size()) >= config.max_outputs) break;
     }
   }

@@ -8,7 +8,6 @@
 // rejected (paper: "the candidate is deemed invalid").
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "sketch/sketch.h"
@@ -25,17 +24,10 @@ struct CombineConfig {
   double min_fraction = 1e-6;
 };
 
-/// Allocates chunk fractions across `candidates` to match the dimension
-/// bandwidth shares. Returns the merged combination (each member sketch's
-/// fraction scaled by its combination's t_i), or nullopt if invalid.
-std::optional<SketchCombination> allocate_across_dims(
-    const std::vector<SketchCombination>& candidates, const topo::TopologyGroups& groups,
-    const CombineConfig& config = {});
-
 /// Generates the full set of sketch combinations for a rooted collective
 /// (§4.2): every input combination alone (small-size candidates, t=1), plus
-/// every ≤|D|-subset integrated by allocate_across_dims (large-size
-/// candidates).
+/// every ≤|D|-subset integrated across dimensions by the allocation LP
+/// (large-size candidates); a subset without a valid allocation is skipped.
 std::vector<SketchCombination> generate_combinations(
     const std::vector<SketchCombination>& balanced, const topo::TopologyGroups& groups,
     const CombineConfig& config = {});

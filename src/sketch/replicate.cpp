@@ -261,19 +261,40 @@ SketchCombination balance_across_groups(const Sketch& sketch, const topo::Topolo
   return combo;
 }
 
-std::optional<Sketch> rotate_sketch(const Sketch& sketch, const topo::TopologyGroups& groups,
-                                    int new_root) {
-  const int num_ranks = static_cast<int>(groups.group_of.front().size());
+namespace {
 
-  // Build hierarchical coordinates: digit 0 is the position inside the
-  // dim-0 group; every higher dimension that *nests* the previous level
-  // (Clos pods contain whole servers) adds a digit. Dimensions that cross
-  // servers (rails) are implied by digit 0 and add nothing. Rotating each
-  // digit independently is an automorphism of the whole tier structure.
+/// The hierarchical coordinates rotate_sketch rotates, built once per
+/// topology: digit 0 is the position inside the dim-0 group; every higher
+/// dimension that *nests* the previous level (Clos pods contain whole
+/// servers) adds a digit. Dimensions that cross servers (rails) are implied
+/// by digit 0 and add nothing. Rotating each digit independently is an
+/// automorphism of the whole tier structure.
+class RotationFrame {
+ public:
+  explicit RotationFrame(const topo::TopologyGroups& groups);
+
+  /// False for irregular topologies (unequal server sizes or fanouts):
+  /// no rotation exists.
+  bool valid() const { return valid_; }
+
+  /// The image of `rank` under the rotation taking `root` to `new_root`.
+  /// Throws std::out_of_range when the rotated coordinates name no rank.
+  int image(int rank, int root, int new_root) const;
+
+ private:
+  bool valid_ = false;
+  int num_digits_ = 0;
+  std::vector<int> sizes_;    ///< radix of every digit
+  std::vector<int> digits_;   ///< rank * num_digits_ + digit
+  std::vector<int> rank_of_;  ///< mixed-radix code -> highest rank with it, or -1
+};
+
+RotationFrame::RotationFrame(const topo::TopologyGroups& groups) {
+  const int num_ranks = static_cast<int>(groups.group_of.front().size());
   const auto& servers = groups.dims.front().groups;
   const int per_server = servers.front().size();
   for (const auto& sv : servers) {
-    if (sv.size() != per_server) return std::nullopt;  // irregular topology
+    if (sv.size() != per_server) return;  // irregular topology
   }
 
   struct Level {
@@ -312,7 +333,7 @@ std::optional<Sketch> rotate_sketch(const Sketch& sketch, const topo::TopologyGr
       const int fanout = static_cast<int>(members.begin()->second.size());
       for (const auto& [g, us] : members) {
         (void)g;
-        if (static_cast<int>(us.size()) != fanout) return std::nullopt;
+        if (static_cast<int>(us.size()) != fanout) return;
       }
       // Renumber units to dim-d groups.
       std::map<int, int> group_id;
@@ -328,64 +349,82 @@ std::optional<Sketch> rotate_sketch(const Sketch& sketch, const topo::TopologyGr
     }
   }
 
-  // Compute full digit vectors directly per rank.
-  std::vector<std::vector<int>> digits(static_cast<std::size_t>(num_ranks));
+  // Full digit vectors per rank.
+  num_digits_ = 1 + static_cast<int>(levels.size());
+  digits_.assign(static_cast<std::size_t>(num_ranks) * static_cast<std::size_t>(num_digits_), 0);
+  const auto digit = [&](int r, std::size_t i) -> int& {
+    return digits_[static_cast<std::size_t>(r) * static_cast<std::size_t>(num_digits_) + i];
+  };
   {
-    std::vector<int> u2(static_cast<std::size_t>(num_ranks));
+    std::vector<int> cur(static_cast<std::size_t>(num_ranks));
     for (int r = 0; r < num_ranks; ++r) {
       const int s0 = groups.group_of[0][static_cast<std::size_t>(r)];
-      digits[static_cast<std::size_t>(r)].push_back(
-          servers[static_cast<std::size_t>(s0)].local_of(r));
-      u2[static_cast<std::size_t>(r)] = s0;
+      digit(r, 0) = servers[static_cast<std::size_t>(s0)].local_of(r);
+      cur[static_cast<std::size_t>(r)] = s0;
     }
-    // Recompute level digits rank-wise by replaying the nesting.
-    std::vector<int> cur = u2;
-    int n_units = static_cast<int>(servers.size());
-    std::size_t level_idx = 0;
-    for (int d = 1; d < groups.num_dims() && level_idx < levels.size(); ++d) {
-      if (levels[level_idx].dim != d) continue;
-      const auto& gd = groups.group_of[static_cast<std::size_t>(d)];
+    // Level digits rank-wise by replaying the nesting: a unit's digit is its
+    // order of first appearance inside its dim-d group.
+    for (std::size_t li = 0; li < levels.size(); ++li) {
+      const auto& gd = groups.group_of[static_cast<std::size_t>(levels[li].dim)];
       std::map<int, std::map<int, int>> digit_of;  // dim-d group -> unit -> digit
-      std::map<int, int> group_id;
       for (int r = 0; r < num_ranks; ++r) {
-        const int g = gd[static_cast<std::size_t>(r)];
-        auto& m = digit_of[g];
+        auto& m = digit_of[gd[static_cast<std::size_t>(r)]];
         m.emplace(cur[static_cast<std::size_t>(r)], static_cast<int>(m.size()));
       }
-      int next = 0;
-      for (auto& [g, m] : digit_of) {
+      std::map<int, int> group_id;
+      for (const auto& [g, m] : digit_of) {
         (void)m;
-        group_id.emplace(g, next++);
+        group_id.emplace(g, static_cast<int>(group_id.size()));
       }
       for (int r = 0; r < num_ranks; ++r) {
         const int g = gd[static_cast<std::size_t>(r)];
-        digits[static_cast<std::size_t>(r)].push_back(
-            digit_of[g][cur[static_cast<std::size_t>(r)]]);
+        digit(r, li + 1) = digit_of[g][cur[static_cast<std::size_t>(r)]];
         cur[static_cast<std::size_t>(r)] = group_id[g];
       }
-      n_units = next;
-      (void)n_units;
-      ++level_idx;
     }
   }
-  std::vector<int> sizes;
-  sizes.push_back(per_server);
-  for (const auto& l : levels) sizes.push_back(l.fanout);
+  sizes_.push_back(per_server);
+  for (const auto& l : levels) sizes_.push_back(l.fanout);
 
-  std::map<std::vector<int>, int> rank_of;
-  for (int r = 0; r < num_ranks; ++r) rank_of[digits[static_cast<std::size_t>(r)]] = r;
-
-  const auto& c0 = digits[static_cast<std::size_t>(sketch.root)];
-  const auto& c1 = digits[static_cast<std::size_t>(new_root)];
-  std::vector<int> delta(sizes.size());
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    delta[i] = ((c1[i] - c0[i]) % sizes[i] + sizes[i]) % sizes[i];
+  // Coordinates -> rank as a dense mixed-radix table. Ranks sharing
+  // coordinates (units above the top nested level) resolve to the highest
+  // such rank.
+  std::size_t codes = 1;
+  for (int size : sizes_) codes *= static_cast<std::size_t>(size);
+  rank_of_.assign(codes, -1);
+  for (int r = 0; r < num_ranks; ++r) {
+    std::size_t code = 0;
+    for (int i = 0; i < num_digits_; ++i) {
+      code = code * static_cast<std::size_t>(sizes_[static_cast<std::size_t>(i)]) +
+             static_cast<std::size_t>(digit(r, static_cast<std::size_t>(i)));
+    }
+    rank_of_[code] = r;
   }
-  auto F = [&](int rank) {
-    std::vector<int> c = digits[static_cast<std::size_t>(rank)];
-    for (std::size_t i = 0; i < sizes.size(); ++i) c[i] = (c[i] + delta[i]) % sizes[i];
-    return rank_of.at(c);
-  };
+  valid_ = true;
+}
+
+int RotationFrame::image(int rank, int root, int new_root) const {
+  const int* c = &digits_[static_cast<std::size_t>(rank) * static_cast<std::size_t>(num_digits_)];
+  const int* c0 = &digits_[static_cast<std::size_t>(root) * static_cast<std::size_t>(num_digits_)];
+  const int* c1 =
+      &digits_[static_cast<std::size_t>(new_root) * static_cast<std::size_t>(num_digits_)];
+  std::size_t code = 0;
+  for (int i = 0; i < num_digits_; ++i) {
+    const int size = sizes_[static_cast<std::size_t>(i)];
+    const int delta = ((c1[i] - c0[i]) % size + size) % size;
+    code = code * static_cast<std::size_t>(size) + static_cast<std::size_t>((c[i] + delta) % size);
+  }
+  const int out = rank_of_[code];
+  if (out < 0) throw std::out_of_range("rotated coordinates name no rank");
+  return out;
+}
+
+/// rotate_sketch over a prebuilt frame.
+std::optional<Sketch> rotate_in_frame(const RotationFrame& frame, const Sketch& sketch,
+                                      const topo::TopologyGroups& groups, int new_root) {
+  if (!frame.valid()) return std::nullopt;
+  const int num_ranks = static_cast<int>(groups.group_of.front().size());
+  const auto F = [&](int rank) { return frame.image(rank, sketch.root, new_root); };
 
   Sketch out;
   out.root = new_root;
@@ -423,6 +462,13 @@ std::optional<Sketch> rotate_sketch(const Sketch& sketch, const topo::TopologyGr
   return out;
 }
 
+}  // namespace
+
+std::optional<Sketch> rotate_sketch(const Sketch& sketch, const topo::TopologyGroups& groups,
+                                    int new_root) {
+  return rotate_in_frame(RotationFrame(groups), sketch, groups, new_root);
+}
+
 SketchCombination replicate_for_all_roots(const SketchCombination& proto,
                                           const topo::TopologyGroups& groups) {
   if (proto.sketches.empty()) throw std::invalid_argument("empty prototype combination");
@@ -432,6 +478,7 @@ SketchCombination replicate_for_all_roots(const SketchCombination& proto,
   SketchCombination out = proto;
   WorkloadState acc(groups);
   for (const auto& ws : proto.sketches) acc.add_sketch(ws.sketch, groups);
+  const RotationFrame frame(groups);
 
   for (int r = 0; r < num_ranks; ++r) {
     if (r == r0) continue;
@@ -439,7 +486,7 @@ SketchCombination replicate_for_all_roots(const SketchCombination& proto,
       // The exact automorphism first (uniform by construction); load-steered
       // replication handles irregular topologies; canonical mapping is the
       // last resort.
-      auto rep = rotate_sketch(ws.sketch, groups, r);
+      auto rep = rotate_in_frame(frame, ws.sketch, groups, r);
       if (!rep.has_value()) rep = replicate_sketch(ws.sketch, groups, acc, r);
       if (!rep.has_value()) rep = replicate_sketch(ws.sketch, groups, acc, r, false);
       if (!rep.has_value()) {

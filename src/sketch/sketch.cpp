@@ -84,10 +84,14 @@ std::string Sketch::canonical_key(const topo::TopologyGroups& groups) const {
 void Sketch::validate(const topo::TopologyGroups& groups) const {
   const int num_ranks =
       groups.group_of.empty() ? 0 : static_cast<int>(groups.group_of.front().size());
-  std::set<int> holders{root};
-  std::set<int> ever_dst;
+  // Per-rank flags rather than sets: replicate_for_all_roots validates every
+  // replica, 511 per prototype sketch on the 512-GPU point.
+  std::vector<char> holds(static_cast<std::size_t>(num_ranks), 0);
+  std::vector<char> received(static_cast<std::size_t>(num_ranks), 0);
+  if (root >= 0 && root < num_ranks) holds[static_cast<std::size_t>(root)] = 1;
+  std::vector<int> stage_dsts;
   for (const Stage& st : stages) {
-    std::set<int> new_holders;
+    stage_dsts.clear();
     for (const SubDemandSpec& r : st.demands) {
       if (r.dim < 0 || r.dim >= groups.num_dims()) throw std::invalid_argument("bad dimension");
       const auto& gd = groups.group_of[static_cast<std::size_t>(r.dim)];
@@ -99,7 +103,7 @@ void Sketch::validate(const topo::TopologyGroups& groups) const {
         if (gd[static_cast<std::size_t>(s)] != r.group) {
           throw std::invalid_argument("src outside its group");
         }
-        if (holders.count(s) == 0) {
+        if (!holds[static_cast<std::size_t>(s)]) {
           throw std::invalid_argument("source does not hold the chunk yet");
         }
       }
@@ -108,14 +112,14 @@ void Sketch::validate(const topo::TopologyGroups& groups) const {
         if (gd[static_cast<std::size_t>(v)] != r.group) {
           throw std::invalid_argument("dst outside its group");
         }
-        if (v == root || ever_dst.count(v) != 0 || new_holders.count(v) != 0) {
+        if (v == root || received[static_cast<std::size_t>(v)]) {
           throw std::invalid_argument("rank is a destination more than once");
         }
-        ever_dst.insert(v);
-        new_holders.insert(v);
+        received[static_cast<std::size_t>(v)] = 1;
+        stage_dsts.push_back(v);
       }
     }
-    holders.insert(new_holders.begin(), new_holders.end());
+    for (int v : stage_dsts) holds[static_cast<std::size_t>(v)] = 1;
   }
   // Relay tree consistency.
   if (!parent.empty()) {
@@ -125,8 +129,8 @@ void Sketch::validate(const topo::TopologyGroups& groups) const {
     if (parent[static_cast<std::size_t>(root)] != -1) {
       throw std::invalid_argument("root must not have a parent");
     }
-    for (int v : ever_dst) {
-      if (parent[static_cast<std::size_t>(v)] < 0) {
+    for (int v = 0; v < num_ranks; ++v) {
+      if (received[static_cast<std::size_t>(v)] && parent[static_cast<std::size_t>(v)] < 0) {
         throw std::invalid_argument("destination without a parent in the relay tree");
       }
     }

@@ -77,7 +77,10 @@ void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::s
     std::atomic<std::size_t> done{0};
     std::mutex done_mutex;
     std::condition_variable done_cv;
-    std::exception_ptr first_error;
+    /// The failure of the lowest failing index, so a parallel loop fails
+    /// exactly as its serial counterpart would.
+    std::exception_ptr error;
+    std::size_t error_index = 0;
     std::mutex error_mutex;
 
     void run() {
@@ -88,7 +91,10 @@ void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::s
           fn(i);
         } catch (...) {
           std::lock_guard<std::mutex> elock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
+          if (!error || i < error_index) {
+            error = std::current_exception();
+            error_index = i;
+          }
         }
         if (done.fetch_add(1) + 1 == count) {
           std::lock_guard<std::mutex> dlock(done_mutex);
@@ -119,7 +125,7 @@ void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::s
   batch->done_cv.wait(lock, [&batch] { return batch->done.load() == batch->count; });
   lock.unlock();
 
-  if (batch->first_error) std::rethrow_exception(batch->first_error);
+  if (batch->error) std::rethrow_exception(batch->error);
 }
 
 }  // namespace syccl::util

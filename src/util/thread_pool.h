@@ -7,9 +7,10 @@
 // parallel_for uses chunked dispatch — one helper task per worker, indices
 // claimed from a shared atomic counter — so per-item allocation and wake-up
 // costs are amortised over the batch. It blocks the caller until every index
-// finished and rethrows the first captured exception, so callers never
-// observe partially-completed batches. The caller itself claims indices,
-// which makes nested parallel_for calls deadlock-free.
+// finished and rethrows the exception of the lowest failing index, so callers
+// never observe partially-completed batches and a parallel loop fails with
+// the same error as the serial loop it replaces. The caller itself claims
+// indices, which makes nested parallel_for calls deadlock-free.
 #pragma once
 
 #include <condition_variable>
@@ -39,8 +40,8 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   /// Runs fn(i) for i in [0, count) across the pool and waits for completion.
-  /// If any task throws, the first exception is rethrown in the caller after
-  /// all tasks have drained.
+  /// If any task throws, the exception of the lowest failing index is
+  /// rethrown in the caller after all tasks have drained.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   /// Enqueues a single task and returns its future (fire-and-wait-later, the

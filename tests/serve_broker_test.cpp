@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <numeric>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "sim/simulator.h"
 #include "topo/groups.h"
 #include "topo/mutate.h"
+#include "util/failpoint.h"
 
 namespace syccl::serve {
 namespace {
@@ -39,6 +41,31 @@ ServeRequest flat4_request(std::uint64_t bytes = 1 << 20) {
   request.kind = coll::CollKind::AllGather;
   request.total_bytes = bytes;
   return request;
+}
+
+/// Disarms every failpoint when a test ends, pass or fail.
+struct FailpointGuard {
+  ~FailpointGuard() { util::Failpoints::instance().clear(); }
+};
+
+/// Blocks until failpoint `name` has fired at least once.
+void await_failpoint(const char* name) {
+  while (util::Failpoints::instance().hits(name) == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// A decodable entry under `request`'s scenario key that satisfies no
+/// demand (an empty schedule), so serving it fails verification.
+ScheduleBlob bogus_entry(const Broker& broker, const ServeRequest& request) {
+  const CanonicalTopology canon = canonicalize(topo::extract_groups(request.topology));
+  ScheduleBlob bogus;
+  bogus.scenario_key =
+      scenario_key(canon, request.kind, -1, size_bucket(request.total_bytes),
+                   options_fingerprint(broker.config().synthesis));
+  bogus.num_ranks = canon.num_ranks;
+  bogus.bucket_bytes = size_bucket(request.total_bytes);
+  return bogus;
 }
 
 class ServeBroker : public CountingTest {};
@@ -200,22 +227,71 @@ TEST_F(ServeBroker, UnverifiableLibraryEntryFallsBackToSynthesis) {
   Broker broker(library);
 
   // Plant a decodable but bogus entry under the exact key the request will
-  // derive: an empty schedule satisfies no demand.
+  // derive.
   const ServeRequest request = flat4_request();
-  const CanonicalTopology canon = canonicalize(topo::extract_groups(request.topology));
-  ScheduleBlob bogus;
-  bogus.scenario_key =
-      scenario_key(canon, request.kind, -1, size_bucket(request.total_bytes),
-                   options_fingerprint(broker.config().synthesis));
-  bogus.num_ranks = canon.num_ranks;
-  bogus.bucket_bytes = size_bucket(request.total_bytes);
-  library.put(bogus);
+  library.put(bogus_entry(broker, request));
 
   const ServeResponse response = broker.handle(request);
   EXPECT_FALSE(response.hit);  // fell back to synthesis, did not crash
   EXPECT_GT(response.schedule.ops.size(), 0u);
   EXPECT_EQ(count("serve.verify_failures"), 1);
   EXPECT_EQ(count("serve.misses"), 1);
+}
+
+TEST_F(ServeBroker, EntryLandingBetweenLookupAndJoinIsServedAsHit) {
+  // The miss/store race: the second request's lookup misses while the first
+  // request's synthesis runs; that synthesis then stores its entry and
+  // retires its in-flight record while the second request sits between its
+  // lookup and join_or_start. The second request must answer from the
+  // stored entry, not start a duplicate synthesis. The delays make the
+  // window deterministic.
+  FailpointGuard guard;
+  auto& failpoints = util::Failpoints::instance();
+  DiskLibrary library({scratch_dir("landed")});
+  Broker broker(library);
+
+  failpoints.enable("serve.broker.synthesize", "delay:300");
+  ServeResponse first, second;
+  std::thread initiator([&] { first = broker.handle(flat4_request()); });
+  await_failpoint("serve.broker.synthesize");  // the first synthesis is asleep
+  failpoints.enable("serve.broker.join", "delay:1500");
+  std::thread late([&] { second = broker.handle(flat4_request()); });
+  initiator.join();
+  late.join();
+
+  EXPECT_FALSE(first.hit);
+  EXPECT_TRUE(second.hit);
+  EXPECT_FALSE(second.joined);
+  EXPECT_EQ(failpoints.hits("serve.broker.synthesize"), 1u);  // one synthesis ran
+  EXPECT_EQ(count("serve.misses"), 1);
+  EXPECT_EQ(count("serve.hits"), 1);
+  EXPECT_EQ(count("serve.joins"), 0);
+  EXPECT_EQ(library.stats().entries, 1u);
+  EXPECT_EQ(runtime::to_xml(first.schedule, 4), runtime::to_xml(second.schedule, 4));
+}
+
+TEST_F(ServeBroker, UnverifiableEntryLandingBeforeJoinFallsBackToSynthesis) {
+  // An entry that lands between the lookup and join_or_start is served like
+  // any hit; when it fails verification the request synthesizes, exactly as
+  // for an unverifiable entry found by the lookup itself.
+  FailpointGuard guard;
+  auto& failpoints = util::Failpoints::instance();
+  DiskLibrary library({scratch_dir("landed_bogus")});
+  Broker broker(library);
+  const ServeRequest request = flat4_request();
+
+  failpoints.enable("serve.broker.join", "delay:300");
+  ServeResponse response;
+  std::thread requester([&] { response = broker.handle(request); });
+  await_failpoint("serve.broker.join");  // the lookup has missed
+  library.put(bogus_entry(broker, request));
+  requester.join();
+
+  EXPECT_FALSE(response.hit);
+  EXPECT_GT(response.schedule.ops.size(), 0u);
+  EXPECT_EQ(count("serve.verify_failures"), 1);
+  EXPECT_EQ(count("serve.misses"), 1);
+  EXPECT_EQ(count("serve.hits"), 0);
 }
 
 TEST_F(ServeBroker, SendRecvIsRejected) {

@@ -747,10 +747,10 @@ TEST_P(ServeChaosSweep, RequestIsAnsweredAndLibraryReopensClean) {
     MemoryStream replies(stream.output);
     WireResponse response;
     ASSERT_TRUE(read_response(replies, response)) << "no complete answer on the wire";
-    if (name == "serve.broker.synthesize") {
-      // Synthesis itself "failing" is the one fault that cannot produce a
-      // schedule; the answer is a clean ERR, and the connection survived
-      // to process QUIT.
+    if (name == "serve.broker.synthesize" || name == "serve.broker.join") {
+      // A miss failing before or during synthesis is the one fault that
+      // cannot produce a schedule; the answer is a clean ERR, and the
+      // connection survived to process QUIT.
       EXPECT_FALSE(response.ok);
     } else {
       // Library and codec faults degrade durability or hit-rate, never

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "runtime/xml.h"
 #include "solver/solve_cache.h"
 #include "topo/builders.h"
+#include "topo/mutate.h"
 
 namespace syccl {
 namespace {
@@ -185,22 +187,50 @@ TEST_F(SolveCache, AllReducePhasesShareSolves) {
 }
 
 TEST_F(SolveCache, ParallelEvaluationMatchesSingleThread) {
-  // The chosen candidate and its predicted time must not depend on the
-  // number of worker threads (deterministic selection).
-  const auto topo = topo::build_h800_cluster(2);
-  const auto coll = coll::make_allreduce(16, 4 << 20);
+  // The chosen candidate, its predicted time and the schedule bytes must not
+  // depend on the number of worker threads. Every pool stage runs: family
+  // replication in combine, demand planning, merging and simulation. The
+  // failed-NIC fabrics drop sketch families: on the first some prototypes
+  // replicate and some do not, on the second none does and the serial walk
+  // over the raw search output supplies the family.
+  struct Case {
+    std::string name;
+    topo::Topology topo;
+    coll::Collective coll;
+  };
+  const topo::Topology h800x4 = topo::build_h800_cluster(4);
+  const auto failed_nic = [](int servers, const char* nic) {
+    topo::MultiRailSpec spec;
+    spec.num_servers = servers;
+    spec.gpus_per_server = 4;
+    const topo::Topology base = topo::build_multi_rail(spec);
+    return topo::fail_nic(base, topo::node_by_name(base, nic)).topo;
+  };
+  const std::vector<Case> cases = {
+      {"h800x2 allreduce 4M", topo::build_h800_cluster(2), coll::make_allreduce(16, 4 << 20)},
+      {"h800x4 allgather 1M", h800x4, coll::make_allgather(32, 1 << 20)},
+      {"h800x4 alltoall 1M", h800x4, coll::make_alltoall(32, 1 << 20)},
+      {"h800x4 reducescatter 1M", h800x4, coll::make_reduce_scatter(32, 1 << 20)},
+      {"h800x4 broadcast 1M", h800x4, coll::make_broadcast(32, 1 << 20, 5)},
+      {"multi-rail 2x4, nic1.0 failed, allgather 1M", failed_nic(2, "nic1.0"),
+       coll::make_allgather(8, 1 << 20)},
+      {"multi-rail 4x4, nic0.1 failed, allgather 1M", failed_nic(4, "nic0.1"),
+       coll::make_allgather(16, 1 << 20)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    solver::SubScheduleCache::instance().clear();
+    core::Synthesizer serial(c.topo, test_config(true, 1));
+    const auto rs = serial.synthesize(c.coll);
 
-  solver::SubScheduleCache::instance().clear();
-  core::Synthesizer serial(topo, test_config(true, 1));
-  const auto rs = serial.synthesize(coll);
+    solver::SubScheduleCache::instance().clear();
+    core::Synthesizer parallel(c.topo, test_config(true, 4));
+    const auto rp = parallel.synthesize(c.coll);
 
-  solver::SubScheduleCache::instance().clear();
-  core::Synthesizer parallel(topo, test_config(true, 4));
-  const auto rp = parallel.synthesize(coll);
-
-  EXPECT_EQ(rs.chosen, rp.chosen);
-  EXPECT_EQ(rs.predicted_time, rp.predicted_time);
-  EXPECT_EQ(xml_of(rs, 16), xml_of(rp, 16));
+    EXPECT_EQ(rs.chosen, rp.chosen);
+    EXPECT_EQ(rs.predicted_time, rp.predicted_time);
+    EXPECT_EQ(xml_of(rs, c.coll.num_ranks()), xml_of(rp, c.coll.num_ranks()));
+  }
 }
 
 }  // namespace

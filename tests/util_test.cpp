@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -62,6 +65,26 @@ TEST(ThreadPool, PropagatesException) {
                                    if (i == 3) throw std::runtime_error("boom");
                                  }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, RethrowsLowestFailingIndex) {
+  // Several indices fail; the lowest one fails last in time. The caller must
+  // still see its exception, as a serial loop would.
+  ThreadPool pool(4);
+  for (int round = 0; round < 5; ++round) {
+    try {
+      pool.parallel_for(64, [](std::size_t i) {
+        if (i == 3) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("3");
+        }
+        if (i == 9 || i == 40) throw std::runtime_error(std::to_string(i));
+      });
+      FAIL() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "3");
+    }
+  }
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
