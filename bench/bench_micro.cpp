@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): throughput of the substrates under the
 // synthesizer — simulator, group extraction, sketch search, greedy and MILP
-// sub-demand solvers, the sub-schedule checker, LP simplex, schedule merging.
+// sub-demand solvers, the sub-schedule checker, LP simplex, schedule merging
+// and candidate simulation.
 #include <benchmark/benchmark.h>
 
 #include <stdexcept>
@@ -91,11 +92,11 @@ BENCHMARK(BM_AllToAllReplication)->Arg(2)->Arg(8)->Arg(64)->Unit(benchmark::kMil
 struct MergeShape {
   topo::Topology topo = topo::build_h800_cluster(64);
   topo::TopologyGroups groups = topo::extract_groups(topo);
+  coll::Collective coll = coll::make_allgather(512, 1 << 20);
   core::DemandPlan plan;
   std::vector<solver::SubSchedule> solved;
 
   MergeShape() {
-    const auto coll = coll::make_allgather(512, 1 << 20);
     const sketch::AllToAllConfig config;
     const auto sketches =
         sketch::search_sketches(groups, 0, sketch::RootedPattern::Broadcast, config.search);
@@ -111,8 +112,14 @@ struct MergeShape {
   }
 };
 
+/// Built once: the search and solves take seconds.
+const MergeShape& merge_shape() {
+  static const MergeShape shape;
+  return shape;
+}
+
 void BM_MergeSchedule(benchmark::State& state) {
-  static const MergeShape shape;  // built once: the search and solves take seconds
+  const MergeShape& shape = merge_shape();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::merge_schedule(shape.plan, shape.solved, shape.groups, false, false, "m")
@@ -123,6 +130,21 @@ void BM_MergeSchedule(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_MergeSchedule)->Unit(benchmark::kMillisecond);
+
+/// Candidate ranking on its own: time_collective of the merged MergeShape
+/// candidate (items = simulated events).
+void BM_SimulateCandidate(benchmark::State& state) {
+  const MergeShape& shape = merge_shape();
+  const sim::Schedule schedule =
+      core::merge_schedule(shape.plan, shape.solved, shape.groups, false, false, "m");
+  const sim::Simulator simulator(shape.groups);
+  const auto events = static_cast<std::int64_t>(simulator.run(schedule).num_events);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simulator.time_collective(schedule, shape.coll));
+  }
+  state.SetItemsProcessed(state.iterations() * events);
+}
+BENCHMARK(BM_SimulateCandidate)->Unit(benchmark::kMillisecond);
 
 /// An AllGather-shaped sub-demand (every member sources one piece all others
 /// need) on one group. Arguments: group size and E × 10. Sizes up to 64 use a

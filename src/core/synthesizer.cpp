@@ -24,9 +24,14 @@ namespace syccl::core {
 namespace {
 
 /// A candidate = one sketch combination with its demand plan and the
-/// isomorphism-class index of every merged sub-demand.
+/// isomorphism-class index of every merged sub-demand. The combination
+/// itself is freed once the plan is built; only its description stays.
 struct Candidate {
-  sketch::SketchCombination combo;
+  /// Index of the first earlier candidate with an equal combination, or -1.
+  /// A copy has no plan of its own: it is never planned, merged or
+  /// simulated, and takes its original's predicted time and validity.
+  int copy_of = -1;
+  std::string description;
   DemandPlan plan;
   std::vector<int> demand_class;
   /// Per-demand remap carrying the class representative's solution into this
@@ -231,21 +236,45 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
   std::vector<Candidate> candidates(combos.size());
   ClassRegistry registry;
   {
-    // Demand planning and canonicalisation run per candidate on the pool
-    // (outputs written by index); interning then walks the candidates in
-    // order, so class ids and remaps match a serial pass.
+    // Allocation can zero a family of a subset and reproduce a smaller
+    // subset's combination exactly. Each candidate looks for the first
+    // earlier equal combination; the scan only reads `combos`, so it runs
+    // on the pool before anything is freed.
     SYCCL_TRACE_SPAN(span, "demand_plan", "core");
+    pool_.parallel_for(combos.size(), [&](std::size_t i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        if (combos[j] == combos[i]) {
+          candidates[i].copy_of = static_cast<int>(j);
+          return;
+        }
+      }
+    });
+    // Demand planning and canonicalisation run per original on the pool
+    // (outputs written by index), and every combination is freed there too;
+    // interning then walks the candidates in order, so class ids and remaps
+    // match a serial pass.
     std::vector<std::vector<solver::CanonicalDemand>> canon(combos.size());
     pool_.parallel_for(combos.size(), [&](std::size_t i) {
-      SYCCL_TRACE_SPAN(plan_span, "plan_candidate", "core");
       Candidate& cand = candidates[i];
-      cand.combo = std::move(combos[i]);
-      cand.plan = build_demand_plan(cand.combo, coll, groups_);
-      canon[i].reserve(cand.plan.demands.size());
-      for (const auto& md : cand.plan.demands) canon[i].push_back(md.demand.canonical());
+      if (cand.copy_of < 0) {
+        SYCCL_TRACE_SPAN(plan_span, "plan_candidate", "core");
+        cand.plan = build_demand_plan(combos[i], coll, groups_);
+        cand.description = combos[i].describe();
+        canon[i].reserve(cand.plan.demands.size());
+        for (const auto& md : cand.plan.demands) canon[i].push_back(md.demand.canonical());
+      }
+      combos[i] = {};
     });
+    int copies = 0;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       Candidate& cand = candidates[i];
+      if (cand.copy_of >= 0) {
+        // A copy counts its original's demands, as if it had planned them.
+        ++copies;
+        breakdown.num_subdemands += static_cast<int>(
+            candidates[static_cast<std::size_t>(cand.copy_of)].plan.demands.size());
+        continue;
+      }
       cand.demand_class.reserve(cand.plan.demands.size());
       cand.demand_remap.reserve(cand.plan.demands.size());
       for (std::size_t k = 0; k < cand.plan.demands.size(); ++k) {
@@ -258,6 +287,7 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
     }
     span.annotate("demands", static_cast<double>(breakdown.num_subdemands));
     span.annotate("classes", static_cast<double>(registry.representative.size()));
+    span.annotate("copies", static_cast<double>(copies));
   }
 
   auto solve_classes = [&](const solver::MilpSchedulerOptions& base_opts, double E,
@@ -384,7 +414,7 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
       if (timings[j].ok()) {
         Candidate& cand = *cands[live_idx[j]];
         cand.predicted = timings[j].time;
-        SYCCL_DEBUG << pass << " candidate " << cand.combo.describe() << " -> "
+        SYCCL_DEBUG << pass << " candidate " << cand.description << " -> "
                     << cand.predicted * 1e6 << " us";
       } else {
         error[live_idx[j]] = timings[j].error;
@@ -403,10 +433,18 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
   {
     SYCCL_TRACE_SPAN(span, "coarse_eval", "core");
     span.annotate("candidates", static_cast<double>(candidates.size()));
-    std::vector<Candidate*> all;
-    all.reserve(candidates.size());
-    for (auto& cand : candidates) all.push_back(&cand);
-    evaluate_all(all, coarse_solutions, "coarse");
+    std::vector<Candidate*> originals;
+    for (auto& cand : candidates) {
+      if (cand.copy_of < 0) originals.push_back(&cand);
+    }
+    evaluate_all(originals, coarse_solutions, "coarse");
+    // An original precedes its copies and has its coarse results now.
+    for (auto& cand : candidates) {
+      if (cand.copy_of < 0) continue;
+      const Candidate& original = candidates[static_cast<std::size_t>(cand.copy_of)];
+      cand.predicted = original.predicted;
+      cand.valid = original.valid;
+    }
   }
   breakdown.solve1_s = phase_clock.elapsed_seconds();
 
@@ -430,6 +468,13 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
   if (static_cast<int>(survivors.size()) > config_.R2) {
     survivors.resize(static_cast<std::size_t>(config_.R2));
   }
+  // A copy ties its original and sorts after it, so its original survives
+  // too and the copy can never win the strict `<` scan below: the fine pass
+  // evaluates and scans the survivors that are originals.
+  std::vector<Candidate*> fine;
+  for (Candidate* cand : survivors) {
+    if (cand->copy_of < 0) fine.push_back(cand);
+  }
 
   // ---- Phase 2b: fine solve of the survivors (E₂) and final selection.
   const std::vector<solver::SubSchedule>* final_solutions = &coarse_solutions;
@@ -437,7 +482,7 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
   if (config_.two_step) {
     SYCCL_TRACE_SPAN(span, "fine_solve", "core");
     std::vector<bool> needed(registry.representative.size(), false);
-    for (const Candidate* cand : survivors) {
+    for (const Candidate* cand : fine) {
       for (int c : cand->demand_class) needed[static_cast<std::size_t>(c)] = true;
     }
     solve_classes(config_.fine_solver, config_.E2, needed, fine_solutions);
@@ -451,23 +496,26 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
   {
     SYCCL_TRACE_SPAN(span, "fine_eval", "core");
     span.annotate("survivors", static_cast<double>(survivors.size()));
-    fine_schedules = evaluate_all(survivors, *final_solutions, "fine");
+    fine_schedules = evaluate_all(fine, *final_solutions, "fine");
   }
 
   SynthesisResult result;
   double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < survivors.size(); ++i) {
-    Candidate* cand = survivors[i];
+  for (std::size_t i = 0; i < fine.size(); ++i) {
+    Candidate* cand = fine[i];
     if (cand->valid && cand->predicted < best) {
       best = cand->predicted;
       result.schedule = std::move(fine_schedules[i]);
       result.predicted_time = cand->predicted;
-      result.chosen = cand->combo.describe();
+      result.chosen = cand->description;
     }
   }
   if (!std::isfinite(best)) {
     throw std::runtime_error("fine pass invalidated every surviving candidate");
   }
+  // Plans are as deep as the combinations they came from: free them on the
+  // pool as well instead of serially on return.
+  pool_.parallel_for(candidates.size(), [&](std::size_t i) { candidates[i] = Candidate{}; });
   breakdown.solve2_s = phase_clock.elapsed_seconds();
   breakdown.total_s = total_clock.elapsed_seconds();
   if (config_.use_solve_cache) {

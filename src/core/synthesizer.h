@@ -6,11 +6,12 @@
 // (coarse E₁ pass over all combinations, then fine E₂ pass over the top
 // candidates within R₁ of the best, at most R₂ of them), merge the
 // sub-schedules, rank the complete schedules with the α–β simulator, and
-// return the best (§5). Sub-demand solves are deduplicated by isomorphism
-// class, memoised process-wide (solver::SubScheduleCache) and run on a
-// thread pool alongside parallel candidate evaluation (§5.3); selection
-// stays deterministic — candidates are ranked by predicted time with a
-// stable index tie-break, independent of task completion order.
+// return the best (§5). Equal sketch combinations are evaluated once.
+// Sub-demand solves are deduplicated by isomorphism class, memoised
+// process-wide (solver::SubScheduleCache) and run on a thread pool alongside
+// parallel candidate evaluation (§5.3); selection stays deterministic —
+// candidates are ranked by predicted time with a stable index tie-break,
+// independent of task completion order.
 #pragma once
 
 #include <cstddef>

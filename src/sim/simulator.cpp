@@ -1,9 +1,12 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
 #include <functional>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -91,6 +94,10 @@ struct Simulator::PathCache {
 
 namespace {
 
+/// Which op times a run records. run() returns both; tune_issue_order sorts
+/// by the starts; time_collective reads neither.
+enum class OpTimes { None, Start, StartFinish };
+
 /// One simulation's working state. All of it is flat: piece state lives in a
 /// lazily-allocated dense row per piece (slot ids into struct-of-arrays
 /// columns, block arrivals and reduce-contributor bitsets in arenas), link
@@ -98,13 +105,18 @@ namespace {
 /// copies — arena offsets stay valid across allocation, so the source state
 /// is read in place (the old map-backed engine had to copy `block_arrival`
 /// and the contributor set on every op because an insertion could rehash).
+///
+/// An engine is also a workspace: run() clears every arena and timeline but
+/// keeps their capacity, so an engine reused across runs stops allocating
+/// (and faulting in fresh pages) once it has seen its largest schedule.
 struct Engine {
-  const topo::TopologyGroups& groups;
   const SimOptions& opts;
-  const Schedule& schedule;
   const Simulator::PathCache& paths;
   int num_ranks;
   int contrib_words;
+  /// The schedule of the current run.
+  const Schedule* sched = nullptr;
+  OpTimes op_times = OpTimes::StartFinish;
 
   // Per piece: block count and the base of its rank row (-1 until touched).
   std::vector<std::int32_t> nb_of;
@@ -130,22 +142,39 @@ struct Engine {
     int link_id;
   };
   std::vector<ResolvedHop> hop_scratch;
+  /// Phase-sorted op order, built only for schedules with out-of-order phases.
+  std::vector<std::size_t> order;
 
-  Engine(const topo::TopologyGroups& g, const SimOptions& o, const Schedule& s,
-         const Simulator::PathCache& p)
-      : groups(g), opts(o), schedule(s), paths(p) {
-    num_ranks = paths.num_ranks;
-    contrib_words = (num_ranks + 63) / 64;
-    nb_of.resize(schedule.pieces.size());
-    for (std::size_t i = 0; i < schedule.pieces.size(); ++i) {
-      nb_of[i] = blocks_for(schedule.pieces[i].bytes);
-    }
-    row_of.assign(schedule.pieces.size(), -1);
-    const std::size_t reserve_slots = std::min<std::size_t>(2 * schedule.ops.size() + 8, 1 << 16);
+  Engine(const SimOptions& o, const Simulator::PathCache& p)
+      : opts(o), paths(p), num_ranks(p.num_ranks), contrib_words((p.num_ranks + 63) / 64) {}
+
+  /// Clears the state of the previous run, keeping every buffer's capacity.
+  void reset(const Schedule& s, OpTimes times) {
+    sched = &s;
+    op_times = times;
+    nb_of.resize(s.pieces.size());
+    for (std::size_t i = 0; i < s.pieces.size(); ++i) nb_of[i] = blocks_for(s.pieces[i].bytes);
+    row_of.assign(s.pieces.size(), -1);
+    slots.clear();
+    arrival_at.clear();
+    contrib_at.clear();
+    flags.clear();
+    arrivals.clear();
+    contribs.clear();
+    const std::size_t reserve_slots = std::min<std::size_t>(2 * s.ops.size() + 8, 1 << 16);
     arrival_at.reserve(reserve_slots);
     contrib_at.reserve(reserve_slots);
     flags.reserve(reserve_slots);
     links.resize(static_cast<std::size_t>(paths.num_links));
+    for (LinkTimeline& link : links) link.reset();
+    result.makespan = 0.0;
+    result.num_events = 0;
+    result.final_state.clear();
+    result.link_events.clear();
+    const std::size_t start_ops = times == OpTimes::None ? 0 : s.ops.size();
+    const std::size_t finish_ops = times == OpTimes::StartFinish ? s.ops.size() : 0;
+    result.op_start.assign(start_ops, 0.0);
+    result.op_finish.assign(finish_ops, 0.0);
   }
 
   int blocks_for(double bytes) const {
@@ -170,7 +199,7 @@ struct Engine {
     std::int32_t& s = slots[static_cast<std::size_t>(row) + static_cast<std::size_t>(rank)];
     if (s >= 0) return s;
     s = static_cast<std::int32_t>(flags.size());
-    const Piece& p = schedule.pieces[static_cast<std::size_t>(piece)];
+    const Piece& p = sched->pieces[static_cast<std::size_t>(piece)];
     const int nb = nb_of[static_cast<std::size_t>(piece)];
     const bool contributes =
         p.reduce && std::binary_search(p.contributors.begin(), p.contributors.end(), rank);
@@ -203,7 +232,7 @@ struct Engine {
     return true;
   }
 
-  void run() {
+  void run(const Schedule& schedule, OpTimes times) {
     // Event-loop totals for the observability layer. run() is the single
     // choke point behind Simulator::run/time_collective/tune_issue_order, so
     // these two relaxed adds (per run, not per event) see every simulation.
@@ -212,15 +241,13 @@ struct Engine {
         obs::MetricsRegistry::instance().counter("sim.events");
     SYCCL_TRACE_SPAN(span, "sim.run", "sim");
 
-    result.op_start.assign(schedule.ops.size(), 0.0);
-    result.op_finish.assign(schedule.ops.size(), 0.0);
+    reset(schedule, times);
 
     // Ops are processed phase by phase with a barrier between phases; inside
     // a phase, issue order is the per-port order. Schedules almost always
     // list ops in phase order already (merge/reverse/tuning all preserve
     // it), so the sort — and its index vector — is only materialised when an
     // out-of-order phase is actually present.
-    std::vector<std::size_t> order;
     bool sorted = true;
     for (std::size_t i = 1; i < schedule.ops.size(); ++i) {
       if (schedule.ops[i].phase < schedule.ops[i - 1].phase) {
@@ -251,7 +278,7 @@ struct Engine {
       }
       const double finish = run_op(idx, phase_floor);
       phase_max = std::max(phase_max, finish);
-      result.op_finish[idx] = finish;
+      if (op_times == OpTimes::StartFinish) result.op_finish[idx] = finish;
       result.makespan = std::max(result.makespan, finish);
     }
 
@@ -267,6 +294,7 @@ struct Engine {
   void record_final_state() {
     // Piece-major, rank-ascending iteration yields the sorted order the
     // result contract requires.
+    const Schedule& schedule = *sched;
     for (int piece = 0; piece < static_cast<int>(schedule.pieces.size()); ++piece) {
       if (row_of[static_cast<std::size_t>(piece)] < 0) continue;
       const bool reduce = schedule.pieces[static_cast<std::size_t>(piece)].reduce;
@@ -292,6 +320,7 @@ struct Engine {
   }
 
   double run_op(std::size_t idx, double phase_floor) {
+    const Schedule& schedule = *sched;
     const TransferOp& op = schedule.ops[idx];
     if (op.piece < 0 || static_cast<std::size_t>(op.piece) >= schedule.pieces.size()) {
       throw std::invalid_argument("op references unknown piece");
@@ -409,7 +438,10 @@ struct Engine {
     // first_start unset; fall back to the first block's ready time instead
     // of reporting a bogus 0.0 that would corrupt tune_issue_order's
     // start-time sort.
-    result.op_start[static_cast<std::size_t>(idx)] = first_start >= 0.0 ? first_start : first_ready;
+    if (op_times != OpTimes::None) {
+      result.op_start[static_cast<std::size_t>(idx)] =
+          first_start >= 0.0 ? first_start : first_ready;
+    }
     flags[static_cast<std::size_t>(d_slot)] |= kPresent;
     if (p.reduce) {
       std::uint64_t* dc = contribs.data() + contrib_at[static_cast<std::size_t>(d_slot)];
@@ -475,16 +507,96 @@ double demand_completion(const Engine& engine, const Schedule& schedule,
   return completion;
 }
 
-/// Runs fn(i) for every index — across `pool` when given, serially
-/// otherwise. Either way a throwing fn surfaces the lowest failing index's
-/// exception, as the serial loop does.
-void dispatch(util::ThreadPool* pool, std::size_t count,
-              const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && count > 1) {
-    pool->parallel_for(count, fn);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
+/// time_collective on a given engine.
+double time_on(Engine& engine, const Schedule& schedule, const coll::Collective& coll) {
+  engine.run(schedule, OpTimes::None);
+  return demand_completion(engine, schedule, coll, build_demand_index(schedule, coll));
+}
+
+/// tune_issue_order on a given engine: every pass reuses its buffers.
+double tune_on(Engine& engine, Schedule& schedule, const coll::Collective& coll, int passes) {
+  // The piece set is invariant under reordering, so one demand index serves
+  // every pass.
+  const DemandIndex index = build_demand_index(schedule, coll);
+
+  // One engine run supplies both the baseline timing and the first pass's
+  // sort keys (the old implementation simulated the same unmodified schedule
+  // twice — once for each).
+  engine.run(schedule, OpTimes::Start);
+  double best = demand_completion(engine, schedule, coll, index);
+  std::vector<double> op_start;
+  op_start.swap(engine.result.op_start);
+
+  // Each pass swaps the reordered ops into `schedule` and swaps them back
+  // out if they do not help, so no pass copies the schedule.
+  std::vector<std::size_t> idx;
+  std::vector<TransferOp> reordered;
+  for (int p = 0; p < passes; ++p) {
+    idx.resize(schedule.ops.size());
+    std::iota(idx.begin(), idx.end(), std::size_t{0});
+    std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+      if (schedule.ops[a].phase != schedule.ops[b].phase) {
+        return schedule.ops[a].phase < schedule.ops[b].phase;
+      }
+      return op_start[a] < op_start[b];
+    });
+    reordered.clear();
+    for (std::size_t i : idx) reordered.push_back(schedule.ops[i]);
+    schedule.ops.swap(reordered);
+    double t;
+    try {
+      engine.run(schedule, OpTimes::Start);
+      t = demand_completion(engine, schedule, coll, index);
+    } catch (const std::exception&) {
+      // Reorder broke a dependency (shouldn't happen); keep current.
+      schedule.ops.swap(reordered);
+      break;
+    }
+    if (t < best) {
+      best = t;
+      op_start.swap(engine.result.op_start);
+      continue;
+    }
+    schedule.ops.swap(reordered);
+    break;
   }
+  return best;
+}
+
+/// Runs fn(engine, i) for every index — across `pool` when given, serially
+/// otherwise. Each running task claims indices from a shared counter and
+/// keeps one engine for all of them, so a batch allocates one workspace per
+/// task instead of one per run. Results do not depend on which engine ran
+/// an index (every run starts from a cleared state). Either way a throwing
+/// fn surfaces the lowest failing index's exception, as the serial loop
+/// does.
+void dispatch(const SimOptions& opts, const Simulator::PathCache& paths,
+              util::ThreadPool* pool, std::size_t count,
+              const std::function<void(Engine&, std::size_t)>& fn) {
+  if (pool == nullptr || count <= 1) {
+    Engine engine(opts, paths);
+    for (std::size_t i = 0; i < count; ++i) fn(engine, i);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  std::size_t error_index = count;
+  pool->parallel_for(std::min(count, pool->size() + 1), [&](std::size_t) {
+    Engine engine(opts, paths);
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      try {
+        fn(engine, i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (i < error_index) {
+          error = std::current_exception();
+          error_index = i;
+        }
+      }
+    }
+  });
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace
@@ -496,66 +608,29 @@ Simulator::Simulator(const topo::TopologyGroups& groups, SimOptions opts)
 }
 
 SimResult Simulator::run(const Schedule& schedule) const {
-  Engine engine(groups_, opts_, schedule, *paths_);
-  engine.run();
+  Engine engine(opts_, *paths_);
+  engine.run(schedule, OpTimes::StartFinish);
   return std::move(engine.result);
 }
 
 double Simulator::tune_issue_order(Schedule& schedule, const coll::Collective& coll,
                                    int passes) const {
-  // The piece set is invariant under reordering, so one demand index serves
-  // every pass.
-  const DemandIndex index = build_demand_index(schedule, coll);
-
-  // One engine run supplies both the baseline timing and the first pass's
-  // sort keys (the old implementation simulated the same unmodified schedule
-  // twice — once for each).
-  Engine engine(groups_, opts_, schedule, *paths_);
-  engine.run();
-  double best = demand_completion(engine, schedule, coll, index);
-  std::vector<double> op_start = std::move(engine.result.op_start);
-
-  for (int p = 0; p < passes; ++p) {
-    std::vector<std::size_t> idx(schedule.ops.size());
-    std::iota(idx.begin(), idx.end(), std::size_t{0});
-    std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-      if (schedule.ops[a].phase != schedule.ops[b].phase) {
-        return schedule.ops[a].phase < schedule.ops[b].phase;
-      }
-      return op_start[a] < op_start[b];
-    });
-    Schedule candidate = schedule;
-    candidate.ops.clear();
-    for (std::size_t i : idx) candidate.ops.push_back(schedule.ops[i]);
-    double t;
-    Engine trial(groups_, opts_, candidate, *paths_);
-    try {
-      trial.run();
-      t = demand_completion(trial, candidate, coll, index);
-    } catch (const std::exception&) {
-      break;  // reorder broke a dependency (shouldn't happen); keep current
-    }
-    if (t < best) {
-      best = t;
-      schedule = std::move(candidate);
-      op_start = std::move(trial.result.op_start);
-    } else {
-      break;
-    }
-  }
-  return best;
+  Engine engine(opts_, *paths_);
+  return tune_on(engine, schedule, coll, passes);
 }
 
 double Simulator::time_collective(const Schedule& schedule, const coll::Collective& coll) const {
-  Engine engine(groups_, opts_, schedule, *paths_);
-  engine.run();
-  return demand_completion(engine, schedule, coll, build_demand_index(schedule, coll));
+  Engine engine(opts_, *paths_);
+  return time_on(engine, schedule, coll);
 }
 
 std::vector<SimResult> Simulator::run_batch(std::span<const Schedule* const> schedules,
                                             util::ThreadPool* pool) const {
   std::vector<SimResult> results(schedules.size());
-  dispatch(pool, schedules.size(), [&](std::size_t i) { results[i] = run(*schedules[i]); });
+  dispatch(opts_, *paths_, pool, schedules.size(), [&](Engine& engine, std::size_t i) {
+    engine.run(*schedules[i], OpTimes::StartFinish);
+    results[i] = std::move(engine.result);
+  });
   return results;
 }
 
@@ -563,9 +638,9 @@ std::vector<BatchTiming> Simulator::time_collectives(std::span<const Schedule* c
                                                      const coll::Collective& coll,
                                                      util::ThreadPool* pool) const {
   std::vector<BatchTiming> out(schedules.size());
-  dispatch(pool, schedules.size(), [&](std::size_t i) {
+  dispatch(opts_, *paths_, pool, schedules.size(), [&](Engine& engine, std::size_t i) {
     try {
-      out[i].time = time_collective(*schedules[i], coll);
+      out[i].time = time_on(engine, *schedules[i], coll);
     } catch (const std::exception& e) {
       out[i].error = e.what()[0] != '\0' ? e.what() : "simulation failed";
     }
@@ -577,9 +652,9 @@ std::vector<BatchTiming> Simulator::tune_issue_orders(std::span<Schedule* const>
                                                       const coll::Collective& coll, int passes,
                                                       util::ThreadPool* pool) const {
   std::vector<BatchTiming> out(schedules.size());
-  dispatch(pool, schedules.size(), [&](std::size_t i) {
+  dispatch(opts_, *paths_, pool, schedules.size(), [&](Engine& engine, std::size_t i) {
     try {
-      out[i].time = tune_issue_order(*schedules[i], coll, passes);
+      out[i].time = tune_on(engine, *schedules[i], coll, passes);
     } catch (const std::exception& e) {
       out[i].error = e.what()[0] != '\0' ? e.what() : "simulation failed";
     }

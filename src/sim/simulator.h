@@ -95,10 +95,11 @@ struct BatchTiming {
 };
 
 /// Immutable after construction: run/time_collective/tune_issue_order are
-/// const and keep all working state on the stack, so one Simulator may rank
-/// many candidate schedules concurrently (core::Synthesizer's parallel
-/// evaluation relies on this). Construction resolves every (dimension, rank)
-/// to its physical hop path once; all runs share that cache.
+/// const and keep all working state in a per-call workspace, so one
+/// Simulator may rank many candidate schedules concurrently
+/// (core::Synthesizer's parallel evaluation relies on this). Construction
+/// resolves every (dimension, rank) to its physical hop path once; all runs
+/// share that cache.
 class Simulator {
  public:
   explicit Simulator(const topo::TopologyGroups& groups, SimOptions opts = {});
@@ -126,9 +127,11 @@ class Simulator {
 
   // ---- Batched multi-candidate simulation. All batch calls reuse this
   // Simulator's topology/path caches and, when `pool` is non-null, fan the
-  // candidates across it. Results are byte-identical to the equivalent
-  // serial loop regardless of pool size (each candidate's simulation is
-  // deterministic and independent); outputs are written by candidate index.
+  // candidates across it. Each running task keeps one workspace (state
+  // arenas and link timelines) for every candidate it claims. Results are
+  // byte-identical to the equivalent serial loop regardless of pool size
+  // (each candidate's simulation is deterministic, independent and starts
+  // from a cleared workspace); outputs are written by candidate index.
 
   /// run() over every schedule. On error the first failing index's exception
   /// is rethrown (after all candidates finished), like a serial loop would.

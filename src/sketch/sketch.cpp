@@ -88,6 +88,11 @@ void Sketch::validate(const topo::TopologyGroups& groups) const {
   // replica, 511 per prototype sketch on the 512-GPU point.
   std::vector<char> holds(static_cast<std::size_t>(num_ranks), 0);
   std::vector<char> received(static_cast<std::size_t>(num_ranks), 0);
+  // Scatter routes each destination's chunk along its relay edge, so the
+  // parent must be a source of the sub-demand that delivers the child.
+  const bool check_relays =
+      pattern == RootedPattern::Scatter && static_cast<int>(parent.size()) == num_ranks;
+  std::vector<char> is_src(check_relays ? static_cast<std::size_t>(num_ranks) : 0, 0);
   if (root >= 0 && root < num_ranks) holds[static_cast<std::size_t>(root)] = 1;
   std::vector<int> stage_dsts;
   for (const Stage& st : stages) {
@@ -106,6 +111,7 @@ void Sketch::validate(const topo::TopologyGroups& groups) const {
         if (!holds[static_cast<std::size_t>(s)]) {
           throw std::invalid_argument("source does not hold the chunk yet");
         }
+        if (check_relays) is_src[static_cast<std::size_t>(s)] = 1;
       }
       for (int v : r.dsts) {
         if (v < 0 || v >= num_ranks) throw std::invalid_argument("dst rank out of range");
@@ -115,8 +121,17 @@ void Sketch::validate(const topo::TopologyGroups& groups) const {
         if (v == root || received[static_cast<std::size_t>(v)]) {
           throw std::invalid_argument("rank is a destination more than once");
         }
+        if (check_relays) {
+          const int p = parent[static_cast<std::size_t>(v)];
+          if (p >= num_ranks || (p >= 0 && !is_src[static_cast<std::size_t>(p)])) {
+            throw std::invalid_argument("relay parent is not a source of its sub-demand");
+          }
+        }
         received[static_cast<std::size_t>(v)] = 1;
         stage_dsts.push_back(v);
+      }
+      if (check_relays) {
+        for (int s : r.srcs) is_src[static_cast<std::size_t>(s)] = 0;
       }
     }
     for (int v : stage_dsts) holds[static_cast<std::size_t>(v)] = 1;

@@ -22,10 +22,14 @@ struct SubDemandSpec {
   int group = -1;
   std::vector<int> srcs;
   std::vector<int> dsts;
+
+  bool operator==(const SubDemandSpec&) const = default;
 };
 
 struct Stage {
   std::vector<SubDemandSpec> demands;
+
+  bool operator==(const Stage&) const = default;
 };
 
 /// The collective pattern a sketch was searched for. Reduce flows reuse the
@@ -44,6 +48,9 @@ class Sketch {
 
   int num_stages() const { return static_cast<int>(stages.size()); }
 
+  /// Member-wise equality: equal sketches plan into identical demands.
+  bool operator==(const Sketch&) const = default;
+
   /// Number of descendants of `rank` in the relay tree (f(v) in §4.2).
   int descendants(int rank) const;
 
@@ -61,8 +68,9 @@ class Sketch {
   std::string canonical_key(const topo::TopologyGroups& groups) const;
 
   /// Structural validation: destinations unique, sources hold data (root or
-  /// earlier destination), demands stay inside their group. Throws
-  /// std::invalid_argument with a description.
+  /// earlier destination), demands stay inside their group, and a Scatter
+  /// relay parent is a source of the sub-demand that delivers its child.
+  /// Throws std::invalid_argument with a description.
   void validate(const topo::TopologyGroups& groups) const;
 
   /// Set of all ranks covered (root + every destination).
@@ -76,10 +84,16 @@ class Sketch {
 struct WeightedSketch {
   Sketch sketch;
   double fraction = 1.0;
+
+  bool operator==(const WeightedSketch&) const = default;
 };
 
 struct SketchCombination {
   std::vector<WeightedSketch> sketches;
+
+  /// Exact equality, fractions included: the synthesizer evaluates each
+  /// distinct combination once.
+  bool operator==(const SketchCombination&) const = default;
 
   double total_fraction() const;
   /// Aggregate workload per dimension, fraction-weighted.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "coll/collective.h"
@@ -155,6 +156,85 @@ TEST(SimBatch, TuneIssueOrdersIsPoolInvariant) {
                   got_p.dst == want.dst && got_p.phase == want.phase)
           << "candidate " << i << " op " << o;
     }
+  }
+}
+
+bool same_ops(const Schedule& a, const Schedule& b) {
+  if (a.ops.size() != b.ops.size()) return false;
+  for (std::size_t o = 0; o < a.ops.size(); ++o) {
+    const TransferOp& x = a.ops[o];
+    const TransferOp& y = b.ops[o];
+    if (x.piece != y.piece || x.src != y.src || x.dst != y.dst || x.dim != y.dim ||
+        x.phase != y.phase) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SimBatch, WorkspaceReuseMatchesFreshRuns) {
+  // Without a pool one workspace serves every run of a batch, so each run
+  // must start from a cleared state whatever ran before it: a reduce
+  // schedule (contributor bitsets), a forward schedule with another piece
+  // count, and a malformed schedule that throws halfway through its ops.
+  const topo::Topology topo = topo::build_multi_rail(topo::MultiRailSpec{2, 4});
+  const topo::TopologyGroups groups = topo::extract_groups(topo);
+  const coll::Collective ag = coll::make_allgather(8, 1 << 18);
+  util::Rng rng(707);
+  const Schedule reduce =
+      fuzz::random_direct_schedule(coll::make_reduce_scatter(8, 1 << 16), groups, rng);
+  // Draw until some chunk is split, so the piece counts differ.
+  Schedule forward;
+  do {
+    forward = fuzz::random_direct_schedule(ag, groups, rng);
+  } while (forward.pieces.size() == reduce.pieces.size());
+  Schedule malformed = forward;
+  malformed.ops[malformed.ops.size() / 2].piece = static_cast<int>(malformed.pieces.size());
+  const std::vector<Schedule> schedules = {reduce, forward, malformed, reduce, forward};
+  const auto pointers = [](auto& v) {
+    std::vector<std::remove_reference_t<decltype(v[0])>*> out;
+    for (auto& s : v) out.push_back(&s);
+    return out;
+  };
+  const Simulator sim(groups);
+
+  const auto timings = sim.time_collectives(pointers(schedules), ag, nullptr);
+  std::vector<Schedule> tuned = schedules;
+  const auto tunings = sim.tune_issue_orders(pointers(tuned), ag, 2, nullptr);
+  ASSERT_EQ(timings.size(), schedules.size());
+  ASSERT_EQ(tunings.size(), schedules.size());
+  for (std::size_t i = 0; i < schedules.size(); ++i) {
+    SCOPED_TRACE(i);
+    BatchTiming fresh;
+    Schedule fresh_tuned = schedules[i];
+    BatchTiming fresh_tuning;
+    try {
+      fresh.time = sim.time_collective(schedules[i], ag);
+    } catch (const std::exception& e) {
+      fresh.error = e.what();
+    }
+    try {
+      fresh_tuning.time = sim.tune_issue_order(fresh_tuned, ag);
+    } catch (const std::exception& e) {
+      fresh_tuning.error = e.what();
+    }
+    EXPECT_EQ(timings[i].time, fresh.time);
+    EXPECT_EQ(timings[i].error, fresh.error);
+    EXPECT_EQ(tunings[i].time, fresh_tuning.time);
+    EXPECT_EQ(tunings[i].error, fresh_tuning.error);
+    EXPECT_TRUE(same_ops(tuned[i], fresh_tuned));
+  }
+  EXPECT_TRUE(timings[1].ok()) << timings[1].error;
+  EXPECT_FALSE(timings[2].ok());
+
+  // run_batch rethrows a malformed schedule, so it reuses its workspace
+  // across the well-formed ones, op times included.
+  const std::vector<Schedule> runnable = {reduce, forward, reduce, forward};
+  const auto results = sim.run_batch(pointers(runnable), nullptr);
+  ASSERT_EQ(results.size(), runnable.size());
+  for (std::size_t i = 0; i < runnable.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_identical(results[i], sim.run(runnable[i]));
   }
 }
 

@@ -89,6 +89,20 @@ TEST(Sketch, ValidateCatchesSourceWithoutChunk) {
   EXPECT_THROW(s.validate(f.groups), std::invalid_argument);
 }
 
+TEST(Sketch, ValidateCatchesScatterRelayParentOutsideItsSubDemand) {
+  // Scatter routes 5's chunk along the edge parent[5] → 5, so the parent
+  // must be a source of the sub-demand that delivers 5 (D0.G1 {4}→{5,6,7}).
+  // Broadcast never routes along the relay tree and keeps accepting it.
+  Fig3Fixture f;
+  Sketch s = paper_sketch_1();
+  s.pattern = RootedPattern::Scatter;
+  EXPECT_NO_THROW(s.validate(f.groups));
+  s.parent[5] = 0;
+  EXPECT_THROW(s.validate(f.groups), std::invalid_argument);
+  s.pattern = RootedPattern::Broadcast;
+  EXPECT_NO_THROW(s.validate(f.groups));
+}
+
 TEST(Sketch, DescendantsCount) {
   const Sketch s = paper_sketch_1();
   EXPECT_EQ(s.descendants(4), 3);   // 5,6,7

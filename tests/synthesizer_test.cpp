@@ -3,12 +3,23 @@
 // checks), sane busbw, and the paper's qualitative properties.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+#include <string>
+
 #include "coll/busbw.h"
 #include "core/synthesizer.h"
+#include "obs/metrics.h"
 #include "obs/scenario.h"
+#include "obs/trace.h"
 #include "runtime/validate.h"
+#include "runtime/xml.h"
+#include "serve/canonical.h"
 #include "sim/simulator.h"
+#include "sketch/alltoall.h"
+#include "sketch/search.h"
 #include "topo/builders.h"
+#include "topo/mutate.h"
 
 namespace syccl::core {
 namespace {
@@ -160,6 +171,139 @@ TEST(Synthesizer, PruningOffProducesComparableSchedules) {
   const auto r_on = s_on.synthesize(coll);
   const auto r_off = s_off.synthesize(coll);
   EXPECT_LT(r_on.predicted_time, r_off.predicted_time * 1.5);
+}
+
+TEST(Synthesizer, DuplicateCombinationsEvaluatedOnce) {
+  // Allocating a three-family subset can zero one family and reproduce a
+  // two-family subset's combination exactly. Such copies are planned,
+  // merged and simulated once, as their original.
+  const topo::Topology topo = obs::build_scenario_topology("h800x4");
+  const topo::TopologyGroups groups = topo::extract_groups(topo);
+  SynthesisConfig cfg;
+  cfg.two_step = false;
+  const auto sketches = sketch::search_sketches(groups, 0, sketch::RootedPattern::Broadcast,
+                                                cfg.sketch.search);
+  const auto combos = sketch::combine_prototypes(
+      sketch::select_prototypes(sketches, groups, cfg.sketch.max_prototypes), sketches, groups,
+      true, cfg.sketch.combine);
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < combos.size(); ++i) {
+    bool copy = false;
+    for (std::size_t j = 0; j < i && !copy; ++j) copy = combos[j] == combos[i];
+    if (!copy) ++distinct;
+  }
+  ASSERT_EQ(combos.size(), 24u);
+  ASSERT_EQ(distinct, 14u);
+
+  obs::MetricsRegistry::instance().reset();
+  obs::trace_clear();
+  obs::set_tracing(true);
+  Synthesizer synth(topo, cfg);
+  const SynthesisResult r = synth.synthesize(coll::make_allgather(32, 1 << 20));
+  obs::set_tracing(false);
+  EXPECT_EQ(r.breakdown.num_combinations, 24);
+
+  // The coarse pass simulates every distinct combination once; the fine
+  // pass then tunes the survivors.
+  const auto threads = obs::trace_snapshot();
+  const auto spans_named = [&](const char* name) {
+    std::vector<const obs::SpanRecord*> out;
+    for (const auto& thread : threads) {
+      for (const auto& span : thread.spans) {
+        if (std::strcmp(span.name, name) == 0) out.push_back(&span);
+      }
+    }
+    return out;
+  };
+  const auto coarse = spans_named("coarse_eval");
+  const auto demand_plan = spans_named("demand_plan");
+  ASSERT_EQ(coarse.size(), 1u);
+  ASSERT_EQ(demand_plan.size(), 1u);
+  const auto runs = spans_named("sim.run");
+  std::size_t coarse_runs = 0;
+  for (const obs::SpanRecord* run : runs) {
+    if (run->begin_us >= coarse[0]->begin_us && run->end_us <= coarse[0]->end_us) ++coarse_runs;
+  }
+  EXPECT_EQ(coarse_runs, distinct);
+  EXPECT_EQ(spans_named("plan_candidate").size(), distinct);
+  EXPECT_EQ(obs::MetricsRegistry::instance().counter("sim.runs").value(),
+            static_cast<std::int64_t>(runs.size()));
+  double copies = -1.0;
+  for (const auto& [key, value] : demand_plan[0]->args) {
+    if (std::strcmp(key, "copies") == 0) copies = value;
+  }
+  EXPECT_EQ(copies, static_cast<double>(combos.size() - distinct));
+}
+
+/// FNV-1a of the schedule's XML export.
+std::uint64_t schedule_digest(const SynthesisResult& r, int num_ranks) {
+  const std::string xml = runtime::to_xml(r.schedule, num_ranks);
+  return serve::fnv1a(xml.data(), xml.size());
+}
+
+/// Synthesizes `coll` on the named fabric at 1 and 4 threads and checks the
+/// schedule digest and predicted time of each against recorded values.
+void expect_golden(const char* fabric, const coll::Collective& coll, SynthesisConfig cfg,
+                   std::uint64_t digest, double predicted) {
+  const topo::Topology topo = obs::build_scenario_topology(fabric);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    cfg.num_threads = threads;
+    Synthesizer synth(topo, cfg);
+    const SynthesisResult r = synth.synthesize(coll);
+    EXPECT_EQ(schedule_digest(r, coll.num_ranks()), digest);
+    EXPECT_NEAR(r.predicted_time, predicted, 1e-9 * predicted);
+  }
+}
+
+// Golden digests pin candidate evaluation: skipping copies and reusing
+// simulator workspaces must leave every schedule byte-identical.
+TEST(Synthesizer, GoldenDigestH800x4AllGather) {
+  expect_golden("h800x4", coll::make_allgather(32, 1 << 20), {}, 0x9df02c83e790f048ull,
+                11.53901333e-6);
+}
+
+TEST(Synthesizer, GoldenDigestDgx16ReduceScatter) {
+  expect_golden("dgx16", coll::make_reduce_scatter(16, 16 << 20), {}, 0x52c66dacdc0341f4ull,
+                78.13720309e-6);
+}
+
+TEST(Synthesizer, GoldenDigestA100x32CopiesCompeteForSurvivorSlots) {
+  // 18 of a100x32's 24 combinations are copies. With every candidate inside
+  // R1, the R2 cut keeps the three fastest, copies included.
+  SynthesisConfig cfg;
+  cfg.R1 = 10.0;
+  cfg.R2 = 3;
+  expect_golden("a100x32", coll::make_allgather(32, 1 << 20), cfg, 0x775b35bc9812ed4aull,
+                19.42056e-6);
+}
+
+TEST(Synthesizer, AllToAllOnFailedNicMultiRailFailsTyped) {
+  // Re-sourcing a replica around the failed NIC leaves relay parents that
+  // are not sources of their sub-demands. Such Scatter replicas are
+  // rejected, so no family replicates and synthesis fails with a typed
+  // error instead of tripping over the relay tree in demand planning.
+  const auto failed_nic = [](int servers, const char* nic) {
+    topo::MultiRailSpec spec;
+    spec.num_servers = servers;
+    spec.gpus_per_server = 4;
+    const topo::Topology base = topo::build_multi_rail(spec);
+    return topo::fail_nic(base, topo::node_by_name(base, nic)).topo;
+  };
+  const std::pair<int, const char*> fabrics[] = {{2, "nic0.1"}, {2, "nic1.0"}, {4, "nic0.1"}};
+  for (const auto& [servers, nic] : fabrics) {
+    SCOPED_TRACE(std::to_string(servers) + "x4 " + nic);
+    const topo::Topology topo = failed_nic(servers, nic);
+    Synthesizer synth(topo);
+    try {
+      synth.synthesize(coll::make_alltoall(servers * 4, 1 << 20));
+      ADD_FAILURE() << "AllToAll synthesized on a fabric with no replicable family";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "no replicable sketch family found");
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "untyped failure: " << e.what();
+    }
+  }
 }
 
 }  // namespace
