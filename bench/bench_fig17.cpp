@@ -90,7 +90,7 @@ void panel_c() {
     int i = 0;
     for (const double e2 : {0.1, 0.2, 1.0}) {
       core::SynthesisConfig cfg;
-      cfg.E2 = e2;
+      cfg.fine_solver.E = e2;
       core::Synthesizer synth(topo, cfg);
       const coll::Collective ag = coll::make_allgather(24, size);
       const auto r = synth.synthesize(ag);

@@ -122,8 +122,7 @@ void BM_MergeSchedule(benchmark::State& state) {
   const MergeShape& shape = merge_shape();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::merge_schedule(shape.plan, shape.solved, shape.groups, false, false, "m")
-            .ops.size());
+        core::merge_schedule(shape.plan, shape.solved, shape.groups, "m").ops.size());
   }
   std::size_t ops = 0;
   for (const auto& s : shape.solved) ops += s.ops.size();
@@ -135,8 +134,7 @@ BENCHMARK(BM_MergeSchedule)->Unit(benchmark::kMillisecond);
 /// candidate (items = simulated events).
 void BM_SimulateCandidate(benchmark::State& state) {
   const MergeShape& shape = merge_shape();
-  const sim::Schedule schedule =
-      core::merge_schedule(shape.plan, shape.solved, shape.groups, false, false, "m");
+  const sim::Schedule schedule = core::merge_schedule(shape.plan, shape.solved, shape.groups, "m");
   const sim::Simulator simulator(shape.groups);
   const auto events = static_cast<std::int64_t>(simulator.run(schedule).num_events);
   for (auto _ : state) {
@@ -257,14 +255,13 @@ void BM_MilpEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_MilpEncode)->Arg(4)->Arg(8)->Arg(16);
 
-core::SynthesisConfig synth_bench_config(bool use_cache) {
+core::SynthesisConfig synth_bench_config() {
   core::SynthesisConfig cfg;
   cfg.sketch.search.max_sketches = 32;
   cfg.sketch.max_prototypes = 4;
   cfg.sketch.combine.max_outputs = 10;
   cfg.coarse_solver.time_limit_s = 0.1;
   cfg.fine_solver.time_limit_s = 0.2;
-  cfg.use_solve_cache = use_cache;
   return cfg;
 }
 
@@ -275,7 +272,7 @@ void BM_SynthesizeAllGatherColdCache(benchmark::State& state) {
   const auto coll = coll::make_allgather(16, 16 << 20);
   for (auto _ : state) {
     solver::SubScheduleCache::instance().clear();
-    core::Synthesizer synth(topo, synth_bench_config(true));
+    core::Synthesizer synth(topo, synth_bench_config());
     benchmark::DoNotOptimize(synth.synthesize(coll).predicted_time);
   }
 }
@@ -288,11 +285,11 @@ void BM_SynthesizeAllGatherWarmCache(benchmark::State& state) {
   const auto coll = coll::make_allgather(16, 16 << 20);
   solver::SubScheduleCache::instance().clear();
   {
-    core::Synthesizer warmup(topo, synth_bench_config(true));
+    core::Synthesizer warmup(topo, synth_bench_config());
     warmup.synthesize(coll);
   }
   for (auto _ : state) {
-    core::Synthesizer synth(topo, synth_bench_config(true));
+    core::Synthesizer synth(topo, synth_bench_config());
     benchmark::DoNotOptimize(synth.synthesize(coll).predicted_time);
   }
 }

@@ -11,7 +11,7 @@
 //   warm — one lp::SimplexSolver re-entered via dual simplex per node.
 //
 // The node re-solve throughput ratio cold_s/warm_s is the tentpole metric;
-// a full branch-and-bound run with use_warm_start on/off is also reported.
+// the node count and time of a full branch-and-bound run are also reported.
 //
 // A second section replays congested sub-demands derived from the pinned
 // fuzz corpus (argv[1], default tests/corpus/seeds.txt by the absolute path
@@ -121,11 +121,9 @@ struct CaseResult {
   double warm_s = 0.0;
   double ratio = 0.0;
   long warm_fallbacks = 0;
-  int mismatches = 0;      ///< status disagreements (must be 0)
-  long bb_nodes_cold = 0;  ///< full B&B, use_warm_start = false
-  long bb_nodes_warm = 0;
-  double bb_cold_s = 0.0;
-  double bb_warm_s = 0.0;
+  int mismatches = 0;  ///< status disagreements (must be 0)
+  long bb_nodes = 0;   ///< full branch and bound from the greedy incumbent
+  double bb_s = 0.0;
 };
 
 double median(std::vector<double> v) {
@@ -201,21 +199,14 @@ CaseResult run_case(const std::string& name, const solver::SubDemandEncoding& en
   res.warm_s = median(warm_runs);
   res.ratio = res.warm_s > 0 ? res.cold_s / res.warm_s : 0.0;
 
-  // Full branch and bound, warm vs cold node LPs, same incumbent seed.
+  // Full branch and bound from the greedy incumbent.
   milp::MilpOptions opts;
   opts.time_limit_s = 10.0;
   std::optional<std::vector<double>> inc;
   if (!enc.incumbent.empty()) inc = enc.incumbent;
-  opts.use_warm_start = false;
   util::Stopwatch clock;
-  const milp::MilpSolution cold_bb = milp::solve(enc.problem, opts, inc);
-  res.bb_cold_s = clock.elapsed_seconds();
-  res.bb_nodes_cold = cold_bb.nodes_explored;
-  opts.use_warm_start = true;
-  clock.reset();
-  const milp::MilpSolution warm_bb = milp::solve(enc.problem, opts, inc);
-  res.bb_warm_s = clock.elapsed_seconds();
-  res.bb_nodes_warm = warm_bb.nodes_explored;
+  res.bb_nodes = milp::solve(enc.problem, opts, inc).nodes_explored;
+  res.bb_s = clock.elapsed_seconds();
   return res;
 }
 
@@ -387,16 +378,14 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof(buf),
                   "%s{\"name\":\"%s\",\"vars\":%d,\"rows\":%d,\"cold_s\":%.6f,"
                   "\"warm_s\":%.6f,\"ratio\":%.2f,\"warm_fallbacks\":%ld,"
-                  "\"mismatches\":%d,\"bb_nodes_cold\":%ld,\"bb_nodes_warm\":%ld,"
-                  "\"bb_cold_s\":%.6f,\"bb_warm_s\":%.6f}",
+                  "\"mismatches\":%d,\"bb_nodes\":%ld,\"bb_s\":%.6f}",
                   i ? "," : "", r.name.c_str(), r.vars, r.rows, r.cold_s, r.warm_s, r.ratio,
-                  r.warm_fallbacks, r.mismatches, r.bb_nodes_cold, r.bb_nodes_warm, r.bb_cold_s,
-                  r.bb_warm_s);
+                  r.warm_fallbacks, r.mismatches, r.bb_nodes, r.bb_s);
     json += buf;
     std::printf("%s: %d vars, %d rows — cold %.4fs, warm %.4fs, ratio %.2fx "
-                "(fallbacks %ld, mismatches %d); B&B %ld nodes %.3fs cold / %ld nodes %.3fs warm\n",
+                "(fallbacks %ld, mismatches %d); B&B %ld nodes %.3fs\n",
                 r.name.c_str(), r.vars, r.rows, r.cold_s, r.warm_s, r.ratio, r.warm_fallbacks,
-                r.mismatches, r.bb_nodes_cold, r.bb_cold_s, r.bb_nodes_warm, r.bb_warm_s);
+                r.mismatches, r.bb_nodes, r.bb_s);
   }
   const double med = median(ratios);
   char tail[128];

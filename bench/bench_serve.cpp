@@ -28,6 +28,7 @@
 #include "obs/metrics.h"
 #include "serve/broker.h"
 #include "serve/library.h"
+#include "solver/solve_cache.h"
 #include "topo/builders.h"
 #include "topo/mutate.h"
 #include "util/stopwatch.h"
@@ -70,7 +71,6 @@ int main() {
 
   serve::BrokerConfig cfg;
   cfg.synthesis = bench_config();
-  cfg.verify_served = true;
   serve::Broker broker(library, cfg);
 
   serve::ServeRequest request;
@@ -125,13 +125,12 @@ int main() {
   serve::DiskLibraryConfig dlib_cfg;
   dlib_cfg.dir = ddir.string();
   serve::DiskLibrary dlibrary(dlib_cfg);
-  serve::BrokerConfig dcfg = cfg;
   // The solve cache is process-global and already warm from the cold run
-  // above; with it on, the "full" synthesis here would finish inside any
-  // deadline and nothing would degrade. Off, this section's full synthesis
-  // costs what the measured cold_s cost.
-  dcfg.synthesis.use_solve_cache = false;
-  serve::Broker dbroker(dlibrary, dcfg);
+  // above; warm, the "full" synthesis here would finish inside any deadline
+  // and nothing would degrade. Cleared, this section's full synthesis costs
+  // what the measured cold_s cost.
+  solver::SubScheduleCache::instance().clear();
+  serve::Broker dbroker(dlibrary, cfg);
   // Upgrades are counted only in the process-wide registry.
   const obs::Counter& upgrades = obs::MetricsRegistry::instance().counter("serve.upgrades");
   const std::int64_t upgrades_before = upgrades.value();

@@ -140,28 +140,9 @@ void reorder_by_estimated_start(sim::Schedule& s, const topo::TopologyGroups& gr
   s.ops = std::move(reordered);
 }
 
-std::vector<sim::Piece> reverse_pieces(const std::vector<sim::Piece>& pieces,
-                                       const std::vector<int>& contributors) {
-  std::vector<sim::Piece> out;
-  out.reserve(pieces.size());
-  for (const auto& p : pieces) {
-    sim::Piece r;
-    // The reversed flow converges where the forward flow originated: the
-    // forward origin rank identifies the reduced block.
-    r.chunk = p.origin;
-    r.bytes = p.bytes;
-    r.origin = -1;
-    r.reduce = true;
-    r.contributors = contributors;
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
 sim::Schedule merge_schedule(const DemandPlan& plan,
                              const std::vector<solver::SubSchedule>& solved,
-                             const topo::TopologyGroups& groups, bool reverse, bool reduce,
-                             std::string name) {
+                             const topo::TopologyGroups& groups, std::string name) {
   if (solved.size() != plan.demands.size()) {
     throw std::invalid_argument("solved sub-schedule count mismatch");
   }
@@ -200,46 +181,18 @@ sim::Schedule merge_schedule(const DemandPlan& plan,
     }
   }
 
-  std::sort(order.begin(), order.end(), [&](const Record& a, const Record& b) {
-    if (a.stage != b.stage) return reverse ? a.stage > b.stage : a.stage < b.stage;
-    if (a.epoch != b.epoch) return reverse ? a.epoch > b.epoch : a.epoch < b.epoch;
+  std::sort(order.begin(), order.end(), [](const Record& a, const Record& b) {
+    if (a.stage != b.stage) return a.stage < b.stage;
+    if (a.epoch != b.epoch) return a.epoch < b.epoch;
     return a.index < b.index;
   });
-  std::vector<sim::TransferOp> ops;
-  ops.reserve(order.size());
-  for (const Record& r : order) {
-    sim::TransferOp op = generated[r.index];
-    if (reverse) std::swap(op.src, op.dst);
-    ops.push_back(op);
-  }
-  generated = {};
 
   sim::Schedule out;
   out.name = std::move(name);
-  if (reverse && reduce) {
-    const int num_ranks = static_cast<int>(groups.group_of.front().size());
-    std::vector<int> contributors(static_cast<std::size_t>(num_ranks));
-    for (int r = 0; r < num_ranks; ++r) contributors[static_cast<std::size_t>(r)] = r;
-    out.pieces = reverse_pieces(plan.pieces, contributors);
-  } else if (reverse) {
-    // Gather reversal: each forward piece travelled to exactly one final
-    // destination; reversed it originates there and flows to the root.
-    std::vector<int> final_dst(plan.pieces.size(), -1);
-    for (const sim::TransferOp& op : ops) {
-      // `ops` is already in reversed order and flipped, so the first
-      // occurrence of a piece is the forward-last hop, whose source is now
-      // the scatter destination.
-      int& slot = final_dst[static_cast<std::size_t>(op.piece)];
-      if (slot < 0) slot = op.src;
-    }
-    out.pieces = plan.pieces;
-    for (std::size_t i = 0; i < out.pieces.size(); ++i) {
-      if (final_dst[i] >= 0) out.pieces[i].origin = final_dst[i];
-    }
-  } else {
-    out.pieces = plan.pieces;
-  }
-  out.ops = std::move(ops);
+  out.ops.reserve(order.size());
+  for (const Record& r : order) out.ops.push_back(generated[r.index]);
+  generated = {};
+  out.pieces = plan.pieces;
   reorder_by_estimated_start(out, groups);
   return out;
 }
@@ -251,7 +204,18 @@ sim::Schedule reverse_schedule(const sim::Schedule& forward, bool reduce, int nu
   if (reduce) {
     std::vector<int> contributors(static_cast<std::size_t>(num_ranks));
     for (int r = 0; r < num_ranks; ++r) contributors[static_cast<std::size_t>(r)] = r;
-    out.pieces = reverse_pieces(forward.pieces, contributors);
+    out.pieces.reserve(forward.pieces.size());
+    for (const sim::Piece& p : forward.pieces) {
+      sim::Piece r;
+      // The reversed flow converges where the forward flow originated: the
+      // forward origin rank identifies the reduced block.
+      r.chunk = p.origin;
+      r.bytes = p.bytes;
+      r.origin = -1;
+      r.reduce = true;
+      r.contributors = contributors;
+      out.pieces.push_back(std::move(r));
+    }
   } else {
     // Gather reversal: the piece's chronologically last forward op delivers
     // it to its scatter destination — that destination becomes the origin.

@@ -7,9 +7,9 @@
 // order.
 //
 // Reduce collectives (Reduce / Gather / ReduceScatter) reuse forward
-// synthesis: `reverse=true` flips every op (src↔dst) and reverses the global
-// order, turning broadcast trees into reduction trees of identical cost, and
-// rewrites the pieces as reduce pieces.
+// synthesis: reverse_schedule flips every op (src↔dst) of the tuned forward
+// schedule and reverses the global order, turning broadcast trees into
+// reduction trees of identical cost, and rewrites the pieces.
 #pragma once
 
 #include <string>
@@ -22,31 +22,22 @@
 namespace syccl::core {
 
 /// Merges solved sub-schedules (parallel array to `plan.demands`) into a
-/// global schedule. When `reverse` is set, `reduce` selects between a
-/// reduction reversal (Broadcast→Reduce: reduce pieces converging on the
-/// forward origin) and a gather reversal (Scatter→Gather: plain pieces whose
-/// origin is the forward destination). Throws std::invalid_argument on size
-/// mismatch.
+/// global forward schedule. Throws std::invalid_argument on size mismatch.
 sim::Schedule merge_schedule(const DemandPlan& plan,
                              const std::vector<solver::SubSchedule>& solved,
-                             const topo::TopologyGroups& groups, bool reverse, bool reduce,
-                             std::string name);
+                             const topo::TopologyGroups& groups, std::string name);
 
 /// Reorders `s.ops` by contention-free estimated start time within each
 /// phase, ties kept in issue order (used by merge_schedule; exposed for
 /// tests). Ops with dim = -1 are priced on the fastest common dimension.
 void reorder_by_estimated_start(sim::Schedule& s, const topo::TopologyGroups& groups);
 
-/// Rewrites forward pieces into reduce pieces over `contributors` (used by
-/// merge_schedule when reverse=true; exposed for tests).
-std::vector<sim::Piece> reverse_pieces(const std::vector<sim::Piece>& pieces,
-                                       const std::vector<int>& contributors);
-
 /// Reverses a complete forward schedule into its inverse collective's
 /// schedule: ops flipped and played backwards; pieces become reduce pieces
-/// (`reduce` = true, Broadcast→Reduce) or keep their identity with the
-/// origin moved to the forward destination (Scatter→Gather). Works on any
-/// valid forward schedule, including ones whose issue order was tuned.
+/// over every rank, each identified by its forward origin (`reduce` = true,
+/// Broadcast→Reduce), or keep their identity with the origin moved to the
+/// forward destination (Scatter→Gather). Works on any valid forward
+/// schedule, including ones whose issue order was tuned.
 sim::Schedule reverse_schedule(const sim::Schedule& forward, bool reduce, int num_ranks,
                                std::string name);
 

@@ -38,11 +38,8 @@ ResynthesisReport resynthesize(const topo::Topology& base, const topo::MutationR
     return report;
   }
 
-  SynthesisConfig cfg = config;
-  cfg.use_solve_cache = true;
-
   util::Stopwatch clock;
-  Synthesizer synth(mutation.topo, cfg);
+  Synthesizer synth(mutation.topo, config);
 
   // Diff the group decompositions: a group of the mutated topology is
   // affected iff no base group matches its (tier, ranks, signature). Keyed

@@ -43,10 +43,8 @@ struct ResynthesisReport {
 /// topology, used to report which groups changed. If the delta is empty and
 /// `previous` is provided, returns it unchanged without re-synthesizing.
 ///
-/// The cache is always enabled for the incremental pass regardless of
-/// `config.use_solve_cache` — serving unaffected classes from it is the
-/// point. The result is byte-identical to a cold synthesis on
-/// `mutation.topo` with the same config.
+/// The result is byte-identical to a cold synthesis on `mutation.topo` with
+/// the same config.
 ResynthesisReport resynthesize(const topo::Topology& base, const topo::MutationResult& mutation,
                                const coll::Collective& coll, const SynthesisConfig& config = {},
                                const SynthesisResult* previous = nullptr);

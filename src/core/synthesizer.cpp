@@ -290,11 +290,9 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
     span.annotate("copies", static_cast<double>(copies));
   }
 
-  auto solve_classes = [&](const solver::MilpSchedulerOptions& base_opts, double E,
+  auto solve_classes = [&](const solver::MilpSchedulerOptions& opts,
                            const std::vector<bool>& needed,
                            std::vector<solver::SubSchedule>& out) {
-    solver::MilpSchedulerOptions opts = base_opts;
-    opts.E = E;
     std::vector<int> todo;
     for (std::size_t c = 0; c < registry.representative.size(); ++c) {
       if (needed[c]) todo.push_back(static_cast<int>(c));
@@ -307,19 +305,15 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
       const std::size_t c = static_cast<std::size_t>(todo[i]);
       span.annotate("class", static_cast<double>(c));
       solver::SolveStats stats;
-      out[c] = config_.use_solve_cache
-                   ? solver::SubScheduleCache::instance().get_or_solve(
-                         registry.representative[c], opts, &stats)
-                   : solver::solve_sub_demand(registry.representative[c], opts, &stats);
+      out[c] = solver::SubScheduleCache::instance().get_or_solve(registry.representative[c],
+                                                                 opts, &stats);
       if (stats.cache_hit) hits.fetch_add(1);
       solve_times[i] = stats.solve_seconds;
     });
     const int n_hits = hits.load();
     breakdown.num_solver_calls += static_cast<int>(todo.size()) - n_hits;
-    if (config_.use_solve_cache) {
-      breakdown.cache_hits += n_hits;
-      breakdown.cache_misses += static_cast<int>(todo.size()) - n_hits;
-    }
+    breakdown.cache_hits += n_hits;
+    breakdown.cache_misses += static_cast<int>(todo.size()) - n_hits;
     for (double t : solve_times) breakdown.max_solve_s = std::max(breakdown.max_solve_s, t);
   };
 
@@ -328,7 +322,7 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
   {
     SYCCL_TRACE_SPAN(span, "coarse_solve", "core");
     span.annotate("classes", static_cast<double>(registry.representative.size()));
-    solve_classes(config_.coarse_solver, config_.E1, all_needed, coarse_solutions);
+    solve_classes(config_.coarse_solver, all_needed, coarse_solutions);
   }
 
   const sim::Simulator simulator(groups_, config_.sim);
@@ -362,8 +356,7 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
         per_demand.push_back(solver::remap_sub_schedule(sol, cand.demand_remap[k]));
       }
       try {
-        schedules[i] =
-            merge_schedule(cand.plan, per_demand, groups_, false, false, "syccl-candidate");
+        schedules[i] = merge_schedule(cand.plan, per_demand, groups_, "syccl-candidate");
       } catch (const std::exception& e) {
         error[i] = e.what();
       }
@@ -485,7 +478,7 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
     for (const Candidate* cand : fine) {
       for (int c : cand->demand_class) needed[static_cast<std::size_t>(c)] = true;
     }
-    solve_classes(config_.fine_solver, config_.E2, needed, fine_solutions);
+    solve_classes(config_.fine_solver, needed, fine_solutions);
     final_solutions = &fine_solutions;
   }
 
@@ -518,9 +511,7 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
   pool_.parallel_for(candidates.size(), [&](std::size_t i) { candidates[i] = Candidate{}; });
   breakdown.solve2_s = phase_clock.elapsed_seconds();
   breakdown.total_s = total_clock.elapsed_seconds();
-  if (config_.use_solve_cache) {
-    breakdown.cache_bytes = solver::SubScheduleCache::instance().stats().bytes;
-  }
+  breakdown.cache_bytes = solver::SubScheduleCache::instance().stats().bytes;
   result.schedule.name = "syccl";
   result.breakdown = breakdown;
 

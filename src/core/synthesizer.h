@@ -29,9 +29,6 @@
 namespace syccl::core {
 
 struct SynthesisConfig {
-  /// Epoch knobs for the two-step synthesis (§5.3; paper defaults).
-  double E1 = 3.0;
-  double E2 = 0.5;
   /// Candidate filter: keep schedules within R1 of the best, at most R2.
   double R1 = 0.20;
   int R2 = 8;
@@ -42,7 +39,8 @@ struct SynthesisConfig {
   /// sketch.search).
   sketch::AllToAllConfig sketch;
 
-  /// Per-sub-demand solver settings. E is overwritten from E1/E2. The
+  /// Per-sub-demand solver settings of the two passes; E is the epoch knob
+  /// (§5.3 paper defaults: E₁ = 3.0 coarse, E₂ = 0.5 fine). The
   /// binary-count gates keep the dense-simplex B&B inside its practical
   /// size range; larger merged demands fall back to the greedy incumbent.
   solver::MilpSchedulerOptions coarse_solver{3.0, 0.25, 500, 250, false};
@@ -54,12 +52,6 @@ struct SynthesisConfig {
   /// Worker threads for parallel sub-demand solving and candidate
   /// evaluation (0 = hardware).
   int num_threads = 0;
-
-  /// Memoise sub-demand solves in the process-wide
-  /// solver::SubScheduleCache: reuse spans candidates, the RS/AG phases of
-  /// AllReduce, repeated synthesize() calls and size sweeps. Disable for
-  /// A/B measurements; results are identical either way.
-  bool use_solve_cache = true;
 };
 
 /// Wall-clock breakdown of one synthesis call (Fig. 16(b)).
@@ -76,8 +68,8 @@ struct SynthesisBreakdown {
   int num_solver_calls = 0;
   /// Longest single sub-demand solve (Fig. 17(c) metric).
   double max_solve_s = 0.0;
-  /// SubScheduleCache traffic of this synthesis (0/0 when the cache is
-  /// disabled). hits + misses = deduplicated classes that were needed.
+  /// SubScheduleCache traffic of this synthesis. hits + misses =
+  /// deduplicated classes that were needed.
   int cache_hits = 0;
   int cache_misses = 0;
   /// Resident bytes of the process-wide solve cache after this synthesis.

@@ -15,6 +15,14 @@ namespace syccl::milp {
 
 namespace {
 
+/// Integrality tolerance, and the relative optimality gap at which search
+/// stops.
+constexpr double kIntTol = 1e-6;
+constexpr double kGapTol = 1e-6;
+/// Flow-bound refresh gates: branching depth, and a node-count stride.
+constexpr int kFlowNodeDepth = 6;
+constexpr long kFlowNodeEvery = 16;
+
 /// Branching delta: absolute replacement bounds for one variable. A node's
 /// bounds are the root bounds overwritten by the deltas on its ancestor
 /// chain (deeper deltas are tighter, so root→leaf application is exact).
@@ -47,23 +55,6 @@ struct HeapEntry {
     return id > o.id;
   }
 };
-
-/// Index of the most fractional integer variable, or -1 if integral.
-int most_fractional(const std::vector<double>& x, const std::vector<bool>& is_integer,
-                    double tol) {
-  int best = -1;
-  double best_frac = tol;
-  for (std::size_t v = 0; v < x.size(); ++v) {
-    if (!is_integer[v]) continue;
-    const double f = x[v] - std::floor(x[v]);
-    const double dist = std::min(f, 1.0 - f);
-    if (dist > best_frac) {
-      best_frac = dist;
-      best = static_cast<int>(v);
-    }
-  }
-  return best;
-}
 
 /// Per-variable branching history: observed objective degradation per unit
 /// of fractional distance, one estimate per direction, seeded from the
@@ -108,15 +99,16 @@ struct PseudoCosts {
 
 /// Pseudocost product-rule selection over fractional integer variables; the
 /// first maximizer (lowest index) wins, keeping the search deterministic.
+/// Returns -1 when `x` is integral.
 int select_pseudocost(const std::vector<double>& x, const std::vector<bool>& is_integer,
-                      double tol, const PseudoCosts& pc) {
+                      const PseudoCosts& pc) {
   constexpr double kMinScore = 1e-12;
   int best = -1;
   double best_score = -1.0;
   for (std::size_t v = 0; v < x.size(); ++v) {
     if (!is_integer[v]) continue;
     const double f = x[v] - std::floor(x[v]);
-    if (std::min(f, 1.0 - f) <= tol) continue;
+    if (std::min(f, 1.0 - f) <= kIntTol) continue;
     const double score = std::max(pc.dn_est(static_cast<int>(v)) * f, kMinScore) *
                          std::max(pc.up_est(static_cast<int>(v)) * (1.0 - f), kMinScore);
     if (score > best_score) {
@@ -156,17 +148,17 @@ std::vector<std::vector<int>> build_touching(const lp::Problem& p) {
 /// false when a domain empties — the node is infeasible without an LP call.
 bool propagate_branch(const lp::Problem& p, const std::vector<bool>& is_integer,
                       const std::vector<std::vector<int>>& touching, int v,
-                      std::vector<double>& lo, std::vector<double>& hi, double int_tol) {
+                      std::vector<double>& lo, std::vector<double>& hi) {
   constexpr double kImprove = 1e-7;
   auto tighten_hi = [&](int w, double b) {
     const std::size_t s = static_cast<std::size_t>(w);
-    if (is_integer[s]) b = std::floor(b + int_tol);
+    if (is_integer[s]) b = std::floor(b + kIntTol);
     if (b < hi[s] - kImprove) hi[s] = b;
     return lo[s] <= hi[s] + 1e-9;
   };
   auto tighten_lo = [&](int w, double b) {
     const std::size_t s = static_cast<std::size_t>(w);
-    if (is_integer[s]) b = std::ceil(b - int_tol);
+    if (is_integer[s]) b = std::ceil(b - kIntTol);
     if (b > lo[s] + kImprove) lo[s] = b;
     return lo[s] <= hi[s] + 1e-9;
   };
@@ -248,8 +240,8 @@ MilpSolution solve_impl(const MilpProblem& problem, const MilpOptions& options,
   for (int v = 0; v < n; ++v) {
     const std::size_t s = static_cast<std::size_t>(v);
     if (!problem.is_integer[s]) continue;
-    if (root_lo[s] > -lp::kInf) root_lo[s] = std::ceil(root_lo[s] - options.int_tol);
-    if (root_hi[s] < lp::kInf) root_hi[s] = std::floor(root_hi[s] + options.int_tol);
+    if (root_lo[s] > -lp::kInf) root_lo[s] = std::ceil(root_lo[s] - kIntTol);
+    if (root_hi[s] < lp::kInf) root_hi[s] = std::floor(root_hi[s] + kIntTol);
     if (root_lo[s] > root_hi[s]) {
       result.status = MilpStatus::Infeasible;
       return result;
@@ -258,7 +250,7 @@ MilpSolution solve_impl(const MilpProblem& problem, const MilpOptions& options,
 
   // Relative-gap pruning threshold against the current incumbent.
   const auto prune_floor = [&]() {
-    return best_obj - options.gap_tol * std::max(1.0, std::fabs(best_obj));
+    return best_obj - kGapTol * std::max(1.0, std::fabs(best_obj));
   };
 
   // Root flow bound: a global dual bound for the whole tree. It can prove
@@ -282,10 +274,13 @@ MilpSolution solve_impl(const MilpProblem& problem, const MilpOptions& options,
     }
   }
 
-  std::unique_ptr<lp::SimplexSolver> solver;
-  if (options.use_warm_start) solver = std::make_unique<lp::SimplexSolver>(problem.lp);
-  std::vector<std::vector<int>> touching;
-  if (options.use_presolve) touching = build_touching(problem.lp);
+  lp::SimplexSolver solver(problem.lp);
+  const auto record_lp_stats = [&]() {
+    result.lp_iterations = solver.stats().lp_iterations;
+    result.warm_hits = solver.stats().warm_hits;
+    result.warm_fallbacks = solver.stats().warm_fallbacks;
+  };
+  const std::vector<std::vector<int>> touching = build_touching(problem.lp);
   PseudoCosts pc(problem.lp);
 
   std::vector<Node> pool;
@@ -335,9 +330,8 @@ MilpSolution solve_impl(const MilpProblem& problem, const MilpOptions& options,
       }
     }
 
-    if (options.use_presolve && node.branch_var >= 0 &&
-        !propagate_branch(problem.lp, problem.is_integer, touching, node.delta.var, lo, hi,
-                          options.int_tol)) {
+    if (node.branch_var >= 0 &&
+        !propagate_branch(problem.lp, problem.is_integer, touching, node.delta.var, lo, hi)) {
       ++result.presolve_prunes;
       continue;  // domain emptied — infeasible without an LP call
     }
@@ -346,10 +340,8 @@ MilpSolution solve_impl(const MilpProblem& problem, const MilpOptions& options,
     // before paying for the node LP. Gated by depth (shallow nodes shape the
     // most tree) and a node-count stride (periodic deep refreshes).
     double flow_node = -lp::kInf;
-    if (options.flow != nullptr &&
-        (static_cast<int>(chain.size()) <= options.flow_node_depth ||
-         (options.flow_node_every > 0 &&
-          result.nodes_explored % options.flow_node_every == 0))) {
+    if (options.flow != nullptr && (static_cast<int>(chain.size()) <= kFlowNodeDepth ||
+                                    result.nodes_explored % kFlowNodeEvery == 0)) {
       const DualBoundProvider::Result fb = options.flow->node_bound(lo, hi);
       result.flow_lp_iterations += fb.lp_iterations;
       if (fb.infeasible) {
@@ -371,24 +363,12 @@ MilpSolution solve_impl(const MilpProblem& problem, const MilpOptions& options,
       exhausted = true;
       break;
     }
-    lp::Solution rel;
-    if (solver) {
-      rel = solver->resolve(lo, hi, options.lp_iteration_limit, remaining, node.warm.get());
-    } else {
-      lp::Problem sub = problem.lp;
-      sub.lower = lo;
-      sub.upper = hi;
-      rel = lp::solve(sub, options.lp_iteration_limit, remaining);
-      result.lp_iterations += rel.iterations;
-    }
+    const lp::Solution rel =
+        solver.resolve(lo, hi, options.lp_iteration_limit, remaining, node.warm.get());
     if (rel.status == lp::Status::Infeasible) continue;
     if (rel.status == lp::Status::Unbounded) {
       result.status = MilpStatus::Unbounded;
-      if (solver) {
-        result.lp_iterations = solver->stats().lp_iterations;
-        result.warm_hits = solver->stats().warm_hits;
-        result.warm_fallbacks = solver->stats().warm_fallbacks;
-      }
+      record_lp_stats();
       return result;
     }
     if (rel.status == lp::Status::IterationLimit) {
@@ -417,9 +397,7 @@ MilpSolution solve_impl(const MilpProblem& problem, const MilpOptions& options,
       continue;
     }
 
-    const int branch_var = options.use_pseudocost
-                               ? select_pseudocost(rel.x, problem.is_integer, options.int_tol, pc)
-                               : most_fractional(rel.x, problem.is_integer, options.int_tol);
+    const int branch_var = select_pseudocost(rel.x, problem.is_integer, pc);
     if (branch_var < 0) {
       // Integer feasible: round to kill tolerance noise. Adding 0.0
       // normalises std::round(-1e-9) = -0.0 to +0.0 so incumbents are
@@ -443,8 +421,7 @@ MilpSolution solve_impl(const MilpProblem& problem, const MilpOptions& options,
 
     const double val = rel.x[static_cast<std::size_t>(branch_var)];
     const double frac = val - std::floor(val);
-    std::shared_ptr<const lp::Basis> snap;
-    if (solver) snap = std::make_shared<const lp::Basis>(solver->basis());
+    const auto snap = std::make_shared<const lp::Basis>(solver.basis());
 
     Node down;
     down.parent = id;
@@ -472,11 +449,7 @@ MilpSolution solve_impl(const MilpProblem& problem, const MilpOptions& options,
     }
   }
 
-  if (solver) {
-    result.lp_iterations = solver->stats().lp_iterations;
-    result.warm_hits = solver->stats().warm_hits;
-    result.warm_fallbacks = solver->stats().warm_fallbacks;
-  }
+  record_lp_stats();
 
   const double open_floor = open.empty() ? lp::kInf : open.top().bound;
   // flow_floor holds tree-wide, so it can only raise the proof floor.
@@ -489,8 +462,8 @@ MilpSolution solve_impl(const MilpProblem& problem, const MilpOptions& options,
     }
     result.objective = best_obj;
     result.x = std::move(best_x);
-    const bool proven = result.best_bound >=
-                        best_obj - options.gap_tol * std::max(1.0, std::fabs(best_obj));
+    const bool proven =
+        result.best_bound >= best_obj - kGapTol * std::max(1.0, std::fabs(best_obj));
     result.status = proven ? MilpStatus::Optimal : MilpStatus::Feasible;
     return result;
   }

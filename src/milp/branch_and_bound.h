@@ -13,8 +13,7 @@
 // on pop. A cheap per-node presolve propagates the branched bound through
 // the rows that contain it and can prune the node without an LP call.
 // Branching uses pseudocosts (seeded from objective coefficients, updated
-// from observed per-branch degradation); most-fractional selection remains
-// available as a toggle.
+// from observed per-branch degradation).
 #pragma once
 
 #include <functional>
@@ -60,33 +59,20 @@ class DualBoundProvider {
 struct MilpOptions {
   double time_limit_s = 5.0;
   long node_limit = 20000;
-  double int_tol = 1e-6;
-  /// Relative optimality gap at which search stops.
-  double gap_tol = 1e-6;
+  /// Pivot budget of one node LP.
   long lp_iteration_limit = 20000;
-  /// Re-solve node LPs warm from the previous basis (dual simplex) instead
-  /// of cold two-phase solves. Changes speed, not answers.
-  bool use_warm_start = true;
-  /// Pseudocost branching; false reverts to most-fractional selection.
-  bool use_pseudocost = true;
-  /// Per-node bound propagation on the branched variable's rows.
-  bool use_presolve = true;
   /// External dual-bound provider (non-owning; e.g. lp::FlowRelaxation).
   /// Consulted once at the root — where it can prove optimality or
-  /// infeasibility before any branching — and per node when the depth /
-  /// frequency gates below pass, *before* the node LP so a flow prune skips
-  /// the LP entirely. Node bounds are max-combined with the LP relaxation
-  /// bound for pruning and for the children's bounds, and the combined
-  /// degradation feeds the pseudocosts.
+  /// infeasibility before any branching — and per node at shallow depth or
+  /// periodically deeper, *before* the node LP so a flow prune skips the LP
+  /// entirely. Node bounds are max-combined with the LP relaxation bound for
+  /// pruning and for the children's bounds, and the combined degradation
+  /// feeds the pseudocosts.
   DualBoundProvider* flow = nullptr;
-  /// Consult `flow` at nodes whose branching depth is ≤ this.
-  int flow_node_depth = 6;
-  /// Additionally consult `flow` at every Nth explored node (0 = never).
-  long flow_node_every = 16;
 };
 
 enum class MilpStatus {
-  Optimal,     ///< proven within gap_tol
+  Optimal,     ///< proven within a relative gap of 1e-6
   Feasible,    ///< incumbent found, limits hit before proof
   Infeasible,  ///< no integer-feasible point exists
   Unbounded,

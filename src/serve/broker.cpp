@@ -146,13 +146,13 @@ ServeResponse Broker::handle(const ServeRequest& request) {
     const double scale =
         static_cast<double>(request.total_bytes) / static_cast<double>(blob.bucket_bytes);
     for (auto& piece : response.schedule.pieces) piece.bytes *= scale;
-    if (config_.verify_served) {
-      const runtime::ValidationReport report =
-          runtime::validate_schedule(response.schedule, coll, groups);
-      if (!report.ok) {
-        throw BrokerError("served schedule failed validation: " +
-                          (report.errors.empty() ? "unknown" : report.errors.front()));
-      }
+    // Every served schedule, hit or miss, passes the structural validator;
+    // the re-simulation below prices it under the caller's labelling.
+    const runtime::ValidationReport report =
+        runtime::validate_schedule(response.schedule, coll, groups);
+    if (!report.ok) {
+      throw BrokerError("served schedule failed validation: " +
+                        (report.errors.empty() ? "unknown" : report.errors.front()));
     }
     const sim::Simulator simulator(groups, config_.synthesis.sim);
     response.predicted_time = simulator.time_collective(response.schedule, coll);

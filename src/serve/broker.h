@@ -77,10 +77,6 @@ struct BrokerConfig {
   std::size_t max_in_flight = 64;
   /// Worker threads for the synthesis pool (0 = hardware concurrency).
   int num_threads = 0;
-  /// Run the structural validator on every served schedule (hits and
-  /// misses). The α–β re-simulation always runs — it both prices the
-  /// schedule under the caller's labelling and rejects unmet demands.
-  bool verify_served = true;
   /// Synthesis deadline applied to requests that do not set their own
   /// (seconds, measured from request arrival). 0 = no deadline: block until
   /// the full synthesis lands, the pre-deadline behaviour.

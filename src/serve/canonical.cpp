@@ -15,9 +15,11 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-/// Same quantisation the group signatures use (topo/groups.cpp): picoseconds
-/// for α, 1e-21 s/byte for β — fine enough that distinct link classes never
-/// collide, coarse enough that a 1-ulp serialisation wobble never splits.
+/// Picoseconds for α, 1e-21 s/byte for β, rounded to nearest — fine enough
+/// that distinct link classes never collide, coarse enough that a 1-ulp
+/// serialisation wobble never splits. The group signatures (topo/groups.cpp)
+/// use the same units but truncate, so a value can land one unit apart in
+/// the two; serve keys are only ever compared with serve keys.
 long long quant_alpha(double a) { return std::llround(a * 1e12); }
 long long quant_beta(double b) { return std::llround(b * 1e21); }
 
@@ -319,12 +321,13 @@ std::uint64_t size_bucket(std::uint64_t bytes) {
 }
 
 std::string options_fingerprint(const core::SynthesisConfig& config) {
-  // Every field that can change the winning schedule. num_threads and
-  // use_solve_cache are excluded on purpose: results are byte-identical
-  // across both (pinned by milp_determinism_test / cache_test).
+  // Every field that can change the winning schedule; the epoch knobs are
+  // in the solver fingerprints. num_threads is excluded on purpose: results
+  // are byte-identical across thread counts (pinned by
+  // SolveCache.ParallelEvaluationMatchesSingleThread and the golden digests).
   std::ostringstream os;
-  os << std::hexfloat << "E1=" << config.E1 << ";E2=" << config.E2 << ";R1=" << config.R1
-     << ";R2=" << config.R2 << ";ts=" << static_cast<int>(config.two_step)
+  os << std::hexfloat << "R1=" << config.R1 << ";R2=" << config.R2
+     << ";ts=" << static_cast<int>(config.two_step)
      << ";coarse={" << solver::SubScheduleCache::options_fingerprint(config.coarse_solver)
      << "};fine={" << solver::SubScheduleCache::options_fingerprint(config.fine_solver)
      << "};sk={st=" << config.sketch.search.max_stages << ";h=" << config.sketch.search.max_hops

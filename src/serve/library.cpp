@@ -22,6 +22,10 @@ namespace syccl::serve {
 
 namespace {
 
+/// Journal lines accumulated before the library compacts (snapshot +
+/// journal truncate) on its own; opens and flush() always compact.
+constexpr std::size_t kCompactEvery = 512;
+
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
@@ -350,7 +354,7 @@ void DiskLibrary::evict_locked() {
     entries_.erase(victim);
     ++evictions_;
   }
-  if (journal_lines_ >= config_.compact_every) {
+  if (journal_lines_ >= kCompactEvery) {
     try {
       compact_locked();
     } catch (const std::exception&) {

@@ -56,9 +56,6 @@ struct DiskLibraryConfig {
   std::string dir;
   /// Byte bound over encoded entries (LRU eviction).
   std::size_t max_bytes = 256ull << 20;
-  /// Journal lines accumulated before the library compacts (snapshot +
-  /// journal truncate) on its own; opens and flush() always compact.
-  std::size_t compact_every = 512;
 };
 
 class DiskLibrary {

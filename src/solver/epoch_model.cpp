@@ -106,8 +106,6 @@ CanonicalDemand SubDemand::canonical() const {
   return out;
 }
 
-std::string SubDemand::isomorphism_key() const { return canonical().key; }
-
 void SubDemand::validate() const {
   if (group == nullptr) throw std::invalid_argument("sub-demand without group");
   if (pieces.empty()) throw std::invalid_argument("sub-demand without pieces");

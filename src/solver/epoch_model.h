@@ -66,11 +66,6 @@ struct SubDemand {
   /// id == index; throws std::invalid_argument otherwise.
   CanonicalDemand canonical() const;
 
-  /// Structural key for isomorphism-class deduplication (§5.3):
-  /// `canonical().key`. Equal keys ⇒ solutions transfer through the
-  /// canonical remaps (see CanonicalDemand).
-  std::string isomorphism_key() const;
-
   /// Throws std::invalid_argument on malformed demands (bad locals, empty).
   void validate() const;
 };

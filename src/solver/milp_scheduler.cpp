@@ -304,20 +304,11 @@ SubSchedule solve_sub_demand(const SubDemand& demand, const MilpSchedulerOptions
       if (options.use_flow_bounds) {
         flow.emplace(demand, ep, T, enc.flow_map, kMilpSendCost);
         mopts.flow = &*flow;
-        mopts.flow_node_depth = options.flow_node_depth;
-        mopts.flow_node_every = options.flow_node_every;
       }
       const auto warm = incumbent_vector(enc, demand, ep, best);
       const milp::MilpSolution sol = milp::solve(enc.problem, mopts, warm);
       local.nodes_explored = sol.nodes_explored;
-      local.lp_iterations = sol.lp_iterations;
-      local.warm_hits = sol.warm_hits;
-      local.warm_fallbacks = sol.warm_fallbacks;
-      local.presolve_prunes = sol.presolve_prunes;
-      local.bound_prunes = sol.bound_prunes;
-      local.lp_prunes = sol.lp_prunes;
       local.flow_prunes = sol.flow_prunes;
-      local.flow_root_bound = sol.flow_root_bound;
       local.flow_lp_iterations = sol.flow_lp_iterations;
       if ((sol.status == milp::MilpStatus::Optimal || sol.status == milp::MilpStatus::Feasible) &&
           !sol.x.empty()) {

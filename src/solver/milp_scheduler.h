@@ -41,10 +41,6 @@ struct MilpSchedulerOptions {
   /// depth/frequency-gated per-node bound refreshes. Changes speed, never
   /// answers (the winning schedule is byte-identical either way).
   bool use_flow_bounds = true;
-  /// Consult the flow bound at nodes of branching depth ≤ this.
-  int flow_node_depth = 6;
-  /// Additionally consult it at every Nth explored node (0 = never).
-  long flow_node_every = 16;
 };
 
 struct SolveStats {
@@ -55,22 +51,8 @@ struct SolveStats {
   double solve_seconds = 0.0;
   long nodes_explored = 0;
   int binaries = 0;
-  /// Simplex pivots across all node LPs of the MILP solve.
-  long lp_iterations = 0;
-  /// Node LPs served by warm dual-simplex re-entry / cold fallbacks.
-  long warm_hits = 0;
-  long warm_fallbacks = 0;
-  /// Nodes pruned by per-node bound propagation before any LP call.
-  long presolve_prunes = 0;
-  /// Nodes pruned by their inherited bound against the incumbent (pre-LP)
-  /// vs. by their own LP relaxation bound (post-solve) — split so benches
-  /// can attribute wins to the bound that closed the node.
-  long bound_prunes = 0;
-  long lp_prunes = 0;
   /// Nodes closed by the multi-commodity flow bound (LP call skipped).
   long flow_prunes = 0;
-  /// Flow bound at the root box (−inf when flow bounds were off/unused).
-  double flow_root_bound = -lp::kInf;
   /// Simplex pivots spent inside the flow relaxation.
   long flow_lp_iterations = 0;
 };

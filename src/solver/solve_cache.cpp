@@ -43,8 +43,7 @@ std::string SubScheduleCache::options_fingerprint(const MilpSchedulerOptions& op
   os << std::hexfloat << "E=" << options.E << ";tl=" << options.time_limit_s
      << ";nl=" << options.node_limit << ";mb=" << options.max_binaries
      << ";g=" << static_cast<int>(options.greedy_only)
-     << ";f=" << static_cast<int>(options.use_flow_bounds) << ";fd=" << options.flow_node_depth
-     << ";fe=" << options.flow_node_every;
+     << ";f=" << static_cast<int>(options.use_flow_bounds);
   return os.str();
 }
 

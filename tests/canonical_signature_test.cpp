@@ -73,7 +73,7 @@ TEST(CanonicalSignature, DegradedPositionChangesDemandKey) {
   // the degraded uplink; in the second the degraded member is a leaf.
   const SubDemand a = demand_of(slow_at_src, {{{0}, {1, 2}}});
   const SubDemand b = demand_of(slow_at_leaf, {{{0}, {1, 2}}});
-  EXPECT_NE(a.isomorphism_key(), b.isomorphism_key());
+  EXPECT_NE(a.canonical().key, b.canonical().key);
 }
 
 // The dual guarantee: when a positional isomorphism *does* exist, the
@@ -86,7 +86,7 @@ TEST(CanonicalSignature, IsomorphicDegradedDemandsShareOneRemappedEntry) {
   // Broadcast from the slow member in both groups — positionally isomorphic.
   const SubDemand a = demand_of(slow_at_0, {{{0}, {1, 2, 3}}});
   const SubDemand b = demand_of(slow_at_2, {{{2}, {0, 1, 3}}});
-  ASSERT_EQ(a.isomorphism_key(), b.isomorphism_key());
+  ASSERT_EQ(a.canonical().key, b.canonical().key);
   EXPECT_EQ(slow_at_0.signature(), slow_at_2.signature());
 
   SubScheduleCache cache(1 << 20);
@@ -139,7 +139,7 @@ TEST(CanonicalSignature, PermutedPieceIdsRemapOnHit) {
   SubDemand a = demand_of(g, {{{0}, {1, 2, 3}}, {{1}, {0, 2, 3}}});
   SubDemand b = a;
   std::swap(b.pieces[0], b.pieces[1]);  // ids travel with the pieces
-  ASSERT_EQ(a.isomorphism_key(), b.isomorphism_key());
+  ASSERT_EQ(a.canonical().key, b.canonical().key);
 
   SubScheduleCache cache(1 << 20);
   SolveStats stats;

@@ -5,6 +5,7 @@
 
 #include "core/merge.h"
 
+#include "runtime/validate.h"
 #include "sim/simulator.h"
 #include "core/subdemand.h"
 #include "sketch/alltoall.h"
@@ -20,13 +21,27 @@ struct Fixture {
   topo::TopologyGroups groups = topo::extract_groups(topo);
 };
 
-sketch::SketchCombination first_combo(const Fixture& f, sketch::RootedPattern pattern) {
+/// The combinations of `pattern` sketches rooted at rank 0, replicated for
+/// every root when `all_roots` is set.
+std::vector<sketch::SketchCombination> combos(const Fixture& f, sketch::RootedPattern pattern,
+                                              bool all_roots = true) {
   const sketch::AllToAllConfig config;
   const auto sketches = sketch::search_sketches(f.groups, 0, pattern, config.search);
   return sketch::combine_prototypes(
-             sketch::select_prototypes(sketches, f.groups, config.max_prototypes), sketches,
-             f.groups, /*all_roots=*/true, config.combine)
-      .front();
+      sketch::select_prototypes(sketches, f.groups, config.max_prototypes), sketches, f.groups,
+      all_roots, config.combine);
+}
+
+sketch::SketchCombination first_combo(const Fixture& f, sketch::RootedPattern pattern) {
+  return combos(f, pattern).front();
+}
+
+std::vector<solver::SubSchedule> solve_greedily(const DemandPlan& plan) {
+  solver::MilpSchedulerOptions opts;
+  opts.greedy_only = true;
+  std::vector<solver::SubSchedule> solved;
+  for (const auto& md : plan.demands) solved.push_back(solver::solve_sub_demand(md.demand, opts));
+  return solved;
 }
 
 TEST(DemandPlan, AllGatherPiecesMatchChunks) {
@@ -94,13 +109,7 @@ TEST(Merge, ForwardScheduleSatisfiesCollective) {
   const auto combo = first_combo(f, sketch::RootedPattern::Broadcast);
   const auto ag = coll::make_allgather(16, 16 << 20);
   const DemandPlan plan = build_demand_plan(combo, ag, f.groups);
-  std::vector<solver::SubSchedule> solved;
-  for (const auto& md : plan.demands) {
-    solver::MilpSchedulerOptions opts;
-    opts.greedy_only = true;
-    solved.push_back(solver::solve_sub_demand(md.demand, opts));
-  }
-  const sim::Schedule sched = merge_schedule(plan, solved, f.groups, false, false, "test");
+  const sim::Schedule sched = merge_schedule(plan, solve_greedily(plan), f.groups, "test");
   const sim::Simulator sim(f.groups);
   EXPECT_GT(sim.time_collective(sched, ag), 0.0);
 }
@@ -111,19 +120,67 @@ TEST(Merge, ReverseProducesReducePieces) {
   const auto twin = coll::make_allgather(16, 16 << 20);
   const auto rs = coll::make_reduce_scatter(16, 16 << 20);
   const DemandPlan plan = build_demand_plan(combo, twin, f.groups);
-  std::vector<solver::SubSchedule> solved;
-  for (const auto& md : plan.demands) {
-    solver::MilpSchedulerOptions opts;
-    opts.greedy_only = true;
-    solved.push_back(solver::solve_sub_demand(md.demand, opts));
-  }
-  const sim::Schedule sched = merge_schedule(plan, solved, f.groups, true, true, "test-rs");
-  for (const auto& p : sched.pieces) {
+  const sim::Schedule fwd = merge_schedule(plan, solve_greedily(plan), f.groups, "test-ag");
+  const sim::Schedule sched = reverse_schedule(fwd, true, 16, "test-rs");
+  std::vector<int> all_ranks(16);
+  for (int r = 0; r < 16; ++r) all_ranks[static_cast<std::size_t>(r)] = r;
+  ASSERT_EQ(sched.pieces.size(), fwd.pieces.size());
+  for (std::size_t i = 0; i < sched.pieces.size(); ++i) {
+    const sim::Piece& p = sched.pieces[i];
     EXPECT_TRUE(p.reduce);
-    EXPECT_EQ(p.contributors.size(), 16u);
+    EXPECT_EQ(p.chunk, fwd.pieces[i].origin);  // reversed flow converges at the forward origin
+    EXPECT_EQ(p.bytes, fwd.pieces[i].bytes);
+    EXPECT_EQ(p.origin, -1);
+    EXPECT_EQ(p.contributors, all_ranks);
   }
+  // Every op flipped, played backwards.
+  ASSERT_EQ(sched.ops.size(), fwd.ops.size());
+  for (std::size_t i = 0; i < sched.ops.size(); ++i) {
+    const sim::TransferOp& f_op = fwd.ops[fwd.ops.size() - 1 - i];
+    EXPECT_EQ(sched.ops[i].piece, f_op.piece);
+    EXPECT_EQ(sched.ops[i].src, f_op.dst);
+    EXPECT_EQ(sched.ops[i].dst, f_op.src);
+  }
+  EXPECT_TRUE(runtime::validate_schedule(sched, rs, f.groups).ok);
   const sim::Simulator sim(f.groups);
   EXPECT_GT(sim.time_collective(sched, rs), 0.0);
+}
+
+TEST(Merge, ReverseMovesGatherOriginsToScatterDestinations) {
+  // Every rooted Scatter combination: the direct one moves each piece in
+  // one hop, relayed ones in several, where the first and last forward
+  // destinations differ.
+  Fixture f;
+  const auto twin = coll::make_scatter(16, 16 << 20, 0);
+  const auto gather = coll::make_gather(16, 16 << 20, 0);
+  const sim::Simulator sim(f.groups);
+  int relayed = 0;
+  for (const auto& combo : combos(f, sketch::RootedPattern::Scatter, /*all_roots=*/false)) {
+    SCOPED_TRACE(combo.describe());
+    const DemandPlan plan = build_demand_plan(combo, twin, f.groups);
+    const sim::Schedule fwd =
+        merge_schedule(plan, solve_greedily(plan), f.groups, "test-scatter");
+    const sim::Schedule sched = reverse_schedule(fwd, false, 16, "test-gather");
+    std::vector<int> last_dst(fwd.pieces.size(), -1);
+    std::vector<int> hops(fwd.pieces.size(), 0);
+    for (const sim::TransferOp& op : fwd.ops) {
+      last_dst[static_cast<std::size_t>(op.piece)] = op.dst;
+      ++hops[static_cast<std::size_t>(op.piece)];
+    }
+    ASSERT_EQ(sched.pieces.size(), fwd.pieces.size());
+    for (std::size_t i = 0; i < sched.pieces.size(); ++i) {
+      const sim::Piece& p = sched.pieces[i];
+      ASSERT_GE(last_dst[i], 0) << "piece " << i << " never moves";
+      if (hops[i] > 1) ++relayed;
+      EXPECT_FALSE(p.reduce);
+      EXPECT_EQ(p.chunk, fwd.pieces[i].chunk);
+      EXPECT_EQ(p.origin, last_dst[i]) << "piece " << i;
+    }
+    const runtime::ValidationReport report = runtime::validate_schedule(sched, gather, f.groups);
+    EXPECT_TRUE(report.ok) << (report.errors.empty() ? "" : report.errors.front());
+    EXPECT_GT(sim.time_collective(sched, gather), 0.0);
+  }
+  EXPECT_GT(relayed, 0) << "no combination relays a piece";
 }
 
 TEST(Merge, SizeMismatchThrows) {
@@ -132,16 +189,7 @@ TEST(Merge, SizeMismatchThrows) {
   const auto ag = coll::make_allgather(16, 1 << 20);
   const DemandPlan plan = build_demand_plan(combo, ag, f.groups);
   std::vector<solver::SubSchedule> wrong(plan.demands.size() + 1);
-  EXPECT_THROW(merge_schedule(plan, wrong, f.groups, false, false, "x"), std::invalid_argument);
-}
-
-TEST(Merge, ReversePiecesHelper) {
-  std::vector<sim::Piece> fwd{{3, 100.0, 7, false, {}}};
-  const auto rev = reverse_pieces(fwd, {0, 1, 2});
-  ASSERT_EQ(rev.size(), 1u);
-  EXPECT_TRUE(rev[0].reduce);
-  EXPECT_EQ(rev[0].chunk, 7);  // reversed flow converges at the forward origin
-  EXPECT_EQ(rev[0].contributors, (std::vector<int>{0, 1, 2}));
+  EXPECT_THROW(merge_schedule(plan, wrong, f.groups, "x"), std::invalid_argument);
 }
 
 }  // namespace

@@ -125,7 +125,7 @@ std::unique_ptr<ScenarioDemands> scenario_demands(topo::Topology topo,
       continue;
     }
     for (auto& md : plan.demands) {
-      if (seen.insert(md.demand.isomorphism_key()).second) {
+      if (seen.insert(md.demand.canonical().key).second) {
         out->demands.push_back(std::move(md.demand));
       }
     }
@@ -155,7 +155,7 @@ int compare_scenarios(const std::vector<std::string>& topos,
         const int ranks = static_cast<int>(t.num_gpus());
         const auto point = scenario_demands(std::move(t), make_collective(kind, ranks, bytes));
         for (const SubDemand& d : point->demands) {
-          for (const double E : {config.E1, config.E2}) {
+          for (const double E : {config.coarse_solver.E, config.fine_solver.E}) {
             SCOPED_TRACE(name + " " + kind + " " + std::to_string(bytes) + " E=" +
                          std::to_string(E));
             const EpochParams ep = derive_epoch_params(*d.group, d.piece_bytes, E);
@@ -204,7 +204,7 @@ int compare_corpus(const std::vector<std::uint64_t>& seeds) {
     const auto point =
         scenario_demands(std::move(rt.topo), make_collective(kind, ranks, drawn.total_bytes()));
     for (const SubDemand& d : point->demands) {
-      for (const double E : {config.E1, config.E2}) {
+      for (const double E : {config.coarse_solver.E, config.fine_solver.E}) {
         SCOPED_TRACE("corpus seed " + std::to_string(seed) + " (" + rt.desc + ") E=" +
                      std::to_string(E));
         const SubSchedule s = expect_same_greedy(d, derive_epoch_params(*d.group, d.piece_bytes, E));

@@ -75,22 +75,15 @@ void expect_same_schedule(const sim::Schedule& got, const sim::Schedule& want,
   }
 }
 
-/// Merges with both versions in every direction — forward, gather reversal
-/// and reduce reversal (contributor seeds) — and compares.
+/// Merges with both versions and compares.
 void expect_same_merge(const DemandPlan& plan, const std::vector<solver::SubSchedule>& solved,
                        const topo::TopologyGroups& groups, const std::string& label) {
-  for (const auto& [reverse, reduce] :
-       {std::pair{false, false}, std::pair{true, false}, std::pair{true, true}}) {
-    const std::string where =
-        label + (reverse ? (reduce ? " reduce-reversed" : " gather-reversed") : " forward");
-    sim::Schedule got, want;
-    const std::string got_error =
-        error_of([&] { got = merge_schedule(plan, solved, groups, reverse, reduce, "m"); });
-    const std::string want_error = error_of(
-        [&] { want = reference::merge_schedule(plan, solved, groups, reverse, reduce, "m"); });
-    ASSERT_EQ(got_error, want_error) << where;
-    expect_same_schedule(got, want, where);
-  }
+  sim::Schedule got, want;
+  const std::string got_error = error_of([&] { got = merge_schedule(plan, solved, groups, "m"); });
+  const std::string want_error =
+      error_of([&] { want = reference::merge_schedule(plan, solved, groups, "m"); });
+  ASSERT_EQ(got_error, want_error) << label;
+  expect_same_schedule(got, want, label);
 }
 
 /// A random plan over `groups`: pieces with few distinct sizes and sub-ops
@@ -217,7 +210,7 @@ TEST(MergeEquivalence, ReorderWithUnsetDimensions) {
 
 TEST(MergeEquivalence, SynthesisCandidates) {
   // Real plans: every candidate combination of a few paper shapes, each
-  // demand solved greedily, merged in all three directions.
+  // demand solved greedily.
   struct Shape {
     const char* fabric;
     coll::CollKind kind;

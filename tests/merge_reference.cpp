@@ -4,8 +4,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "core/merge.h"
-
 namespace syccl::core::reference {
 
 /// Reorders ops by their contention-free estimated start time. The merged
@@ -62,8 +60,7 @@ void reorder_by_estimated_start(sim::Schedule& s, const topo::TopologyGroups& gr
 
 sim::Schedule merge_schedule(const DemandPlan& plan,
                              const std::vector<solver::SubSchedule>& solved,
-                             const topo::TopologyGroups& groups, bool reverse, bool reduce,
-                             std::string name) {
+                             const topo::TopologyGroups& groups, std::string name) {
   if (solved.size() != plan.demands.size()) {
     throw std::invalid_argument("solved sub-schedule count mismatch");
   }
@@ -98,47 +95,16 @@ sim::Schedule merge_schedule(const DemandPlan& plan,
   }
 
   std::stable_sort(ops.begin(), ops.end(), [&](const GlobalOp& a, const GlobalOp& b) {
-    if (a.stage != b.stage) return reverse ? a.stage > b.stage : a.stage < b.stage;
-    if (a.epoch != b.epoch) return reverse ? a.epoch > b.epoch : a.epoch < b.epoch;
+    if (a.stage != b.stage) return a.stage < b.stage;
+    if (a.epoch != b.epoch) return a.epoch < b.epoch;
     if (a.demand_index != b.demand_index) return a.demand_index < b.demand_index;
     return a.order < b.order;
   });
 
   sim::Schedule out;
   out.name = std::move(name);
-  if (reverse && reduce) {
-    const int num_ranks = static_cast<int>(groups.group_of.front().size());
-    std::vector<int> contributors(static_cast<std::size_t>(num_ranks));
-    for (int r = 0; r < num_ranks; ++r) contributors[static_cast<std::size_t>(r)] = r;
-    out.pieces = reverse_pieces(plan.pieces, contributors);
-    for (const auto& g : ops) {
-      sim::TransferOp op = g.op;
-      std::swap(op.src, op.dst);
-      out.ops.push_back(op);
-    }
-  } else if (reverse) {
-    // Gather reversal: each forward piece travelled to exactly one final
-    // destination; reversed it originates there and flows to the root.
-    std::vector<int> final_dst(plan.pieces.size(), -1);
-    for (const auto& g : ops) {
-      // `ops` is already sorted in reversed order, so the first occurrence
-      // of a piece is the forward-last hop — its scatter destination.
-      int& slot = final_dst[static_cast<std::size_t>(g.op.piece)];
-      if (slot < 0) slot = g.op.dst;
-    }
-    out.pieces = plan.pieces;
-    for (std::size_t i = 0; i < out.pieces.size(); ++i) {
-      if (final_dst[i] >= 0) out.pieces[i].origin = final_dst[i];
-    }
-    for (const auto& g : ops) {
-      sim::TransferOp op = g.op;
-      std::swap(op.src, op.dst);
-      out.ops.push_back(op);
-    }
-  } else {
-    out.pieces = plan.pieces;
-    for (const auto& g : ops) out.ops.push_back(g.op);
-  }
+  out.pieces = plan.pieces;
+  for (const auto& g : ops) out.ops.push_back(g.op);
   reorder_by_estimated_start(out, groups);
   return out;
 }

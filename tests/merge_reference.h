@@ -1,8 +1,8 @@
 // Test-only reference for the merge layer: merge_schedule and its
 // estimated-start reorder as they were before the flat rewrite
-// (core/merge.cpp), kept verbatim — std::map availability table, indirect
-// std::stable_sort — so the production versions can be pinned op for op
-// against them.
+// (core/merge.cpp) — std::map availability table, indirect
+// std::stable_sort — forward merge only, so the production versions can be
+// pinned op for op against them.
 #pragma once
 
 #include <string>
@@ -23,7 +23,6 @@ void reorder_by_estimated_start(sim::Schedule& s, const topo::TopologyGroups& gr
 /// reference reorder).
 sim::Schedule merge_schedule(const DemandPlan& plan,
                              const std::vector<solver::SubSchedule>& solved,
-                             const topo::TopologyGroups& groups, bool reverse, bool reduce,
-                             std::string name);
+                             const topo::TopologyGroups& groups, std::string name);
 
 }  // namespace syccl::core::reference

@@ -1,10 +1,8 @@
 // Determinism tests for the MILP branch and bound.
 //
 // Scheduling must be reproducible run to run: the same MilpProblem solved
-// twice yields a byte-identical incumbent, and the performance toggles
-// (warm start, pseudocost branching, presolve) change speed, not answers —
-// on problems with a unique optimum every configuration lands on the same
-// bit pattern.
+// twice yields a byte-identical incumbent, and flow dual bounds change how
+// fast the sub-demand solver proves its answer, not the answer.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -47,31 +45,10 @@ TEST(MilpDeterminism, RepeatedSolvesAreByteIdentical) {
   const MilpSolution second = solve(m);
   ASSERT_EQ(first.status, MilpStatus::Optimal);
   ASSERT_EQ(second.status, MilpStatus::Optimal);
+  EXPECT_NEAR(first.objective, -31.0, 1e-9);
   expect_bytes_equal(first.x, second.x);
   EXPECT_EQ(first.objective, second.objective);
   EXPECT_EQ(first.nodes_explored, second.nodes_explored);
-}
-
-TEST(MilpDeterminism, TogglesChangeSpeedNotAnswers) {
-  const MilpProblem m = unique_knapsack();
-  const MilpSolution reference = solve(m);
-  ASSERT_EQ(reference.status, MilpStatus::Optimal);
-  EXPECT_NEAR(reference.objective, -31.0, 1e-9);
-
-  for (const bool warm : {true, false}) {
-    for (const bool pseudo : {true, false}) {
-      for (const bool presolve : {true, false}) {
-        MilpOptions opts;
-        opts.use_warm_start = warm;
-        opts.use_pseudocost = pseudo;
-        opts.use_presolve = presolve;
-        const MilpSolution s = solve(m, opts);
-        ASSERT_EQ(s.status, MilpStatus::Optimal)
-            << "warm=" << warm << " pseudo=" << pseudo << " presolve=" << presolve;
-        expect_bytes_equal(reference.x, s.x);
-      }
-    }
-  }
 }
 
 TEST(MilpDeterminism, IncumbentSeededSolveIsByteIdentical) {

@@ -423,7 +423,7 @@ TEST_F(ServeDeadline, ExpiredDeadlineServesVerifiedDegradedFallback) {
   EXPECT_TRUE(response.degraded);
   EXPECT_FALSE(response.hit);
   // Degraded ≠ sloppy: the fallback went through the same validator and
-  // simulator as any served schedule (verify_served defaults on).
+  // simulator as any served schedule.
   EXPECT_GT(response.predicted_time, 0.0);
   EXPECT_FALSE(response.schedule.ops.empty());
   EXPECT_GE(count("serve.degraded_hits"), 1);

@@ -115,11 +115,19 @@ TEST(ServeCanonical, OptionsFingerprintTracksResultAffectingFieldsOnly) {
   sim_tuned.sim.max_blocks = base.sim.max_blocks * 2;
   EXPECT_NE(options_fingerprint(sim_tuned), fp);
 
-  // num_threads and use_solve_cache are pinned byte-identical elsewhere;
-  // they must not split the library.
+  // The epoch knobs live in the solver options and split the library.
+  core::SynthesisConfig coarse_e = base;
+  coarse_e.coarse_solver.E = base.coarse_solver.E * 2;
+  EXPECT_NE(options_fingerprint(coarse_e), fp);
+  core::SynthesisConfig fine_e = base;
+  fine_e.fine_solver.E = base.fine_solver.E * 2;
+  EXPECT_NE(options_fingerprint(fine_e), fp);
+  EXPECT_NE(options_fingerprint(coarse_e), options_fingerprint(fine_e));
+
+  // num_threads is pinned byte-identical elsewhere; it must not split the
+  // library.
   core::SynthesisConfig threads = base;
   threads.num_threads = 3;
-  threads.use_solve_cache = !base.use_solve_cache;
   EXPECT_EQ(options_fingerprint(threads), fp);
 }
 

@@ -1,8 +1,8 @@
 // Tests for the process-wide sub-demand solve cache and the parallel
-// candidate-evaluation path: cached synthesis must be byte-identical to
-// uncached synthesis, repeated synthesis must hit the cache, the LRU byte
-// bound must hold, and parallel evaluation must pick the same candidate as a
-// single-threaded run.
+// candidate-evaluation path: synthesis from a warm cache must be
+// byte-identical to synthesis from a cleared one, repeated synthesis must hit
+// the cache, the LRU byte bound must hold, and parallel evaluation must pick
+// the same candidate as a single-threaded run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,7 +21,7 @@
 namespace syccl {
 namespace {
 
-core::SynthesisConfig test_config(bool use_cache, int num_threads = 0) {
+core::SynthesisConfig test_config(int num_threads = 0) {
   core::SynthesisConfig cfg;
   cfg.sketch.search.max_sketches = 32;
   cfg.sketch.max_prototypes = 4;
@@ -30,7 +30,6 @@ core::SynthesisConfig test_config(bool use_cache, int num_threads = 0) {
   // so repeated solves of the same class yield identical schedules.
   cfg.coarse_solver.time_limit_s = 5.0;
   cfg.fine_solver.time_limit_s = 5.0;
-  cfg.use_solve_cache = use_cache;
   cfg.num_threads = num_threads;
   return cfg;
 }
@@ -139,26 +138,33 @@ TEST_F(SolveCache, ConcurrentMissesSolveOnce) {
   EXPECT_EQ(count("solve_cache.hits"), 7);
 }
 
-TEST_F(SolveCache, SweepByteIdenticalWithAndWithoutCache) {
+TEST_F(SolveCache, SweepByteIdenticalFromClearedAndWarmCache) {
   const auto topo = topo::build_h800_cluster(2);
+  core::Synthesizer synth(topo, test_config());
+  const std::uint64_t sizes[] = {1ull << 20, 4ull << 20, 16ull << 20};
+  std::vector<core::SynthesisResult> cold;
+  for (const std::uint64_t bytes : sizes) {
+    solver::SubScheduleCache::instance().clear();
+    cold.push_back(synth.synthesize(coll::make_allgather(16, bytes)));
+    EXPECT_EQ(cold.back().breakdown.cache_hits, 0) << "bytes=" << bytes;
+  }
+  // One pass over the whole sweep warms the cache with every size's
+  // classes; the second pass is served from it.
   solver::SubScheduleCache::instance().clear();
-  core::Synthesizer cached(topo, test_config(true));
-  core::Synthesizer uncached(topo, test_config(false));
-  for (const std::uint64_t bytes : {1ull << 20, 4ull << 20, 16ull << 20}) {
-    const auto coll = coll::make_allgather(16, bytes);
-    const auto rc = cached.synthesize(coll);
-    const auto ru = uncached.synthesize(coll);
-    EXPECT_EQ(rc.chosen, ru.chosen) << "bytes=" << bytes;
-    EXPECT_EQ(rc.predicted_time, ru.predicted_time) << "bytes=" << bytes;
-    EXPECT_EQ(xml_of(rc, 16), xml_of(ru, 16)) << "bytes=" << bytes;
-    EXPECT_EQ(ru.breakdown.cache_hits + ru.breakdown.cache_misses, 0);
+  for (const std::uint64_t bytes : sizes) synth.synthesize(coll::make_allgather(16, bytes));
+  for (std::size_t i = 0; i < std::size(sizes); ++i) {
+    const auto warm = synth.synthesize(coll::make_allgather(16, sizes[i]));
+    EXPECT_EQ(warm.breakdown.num_solver_calls, 0) << "bytes=" << sizes[i];
+    EXPECT_EQ(warm.chosen, cold[i].chosen) << "bytes=" << sizes[i];
+    EXPECT_EQ(warm.predicted_time, cold[i].predicted_time) << "bytes=" << sizes[i];
+    EXPECT_EQ(xml_of(warm, 16), xml_of(cold[i], 16)) << "bytes=" << sizes[i];
   }
 }
 
 TEST_F(SolveCache, SecondIdenticalSynthesisHitsCache) {
   const auto topo = topo::build_h800_cluster(2);
   solver::SubScheduleCache::instance().clear();
-  core::Synthesizer synth(topo, test_config(true));
+  core::Synthesizer synth(topo, test_config());
   const auto coll = coll::make_allgather(16, 4 << 20);
 
   const auto first = synth.synthesize(coll);
@@ -180,7 +186,7 @@ TEST_F(SolveCache, AllReducePhasesShareSolves) {
   // first's solves (ready or in-flight) rather than duplicate them.
   const auto topo = topo::build_h800_cluster(2);
   solver::SubScheduleCache::instance().clear();
-  core::Synthesizer synth(topo, test_config(true));
+  core::Synthesizer synth(topo, test_config());
   const auto r = synth.synthesize(coll::make_allreduce(16, 4 << 20));
   EXPECT_GE(r.breakdown.cache_hits, 1);
   EXPECT_GT(r.predicted_time, 0.0);
@@ -220,11 +226,11 @@ TEST_F(SolveCache, ParallelEvaluationMatchesSingleThread) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     solver::SubScheduleCache::instance().clear();
-    core::Synthesizer serial(c.topo, test_config(true, 1));
+    core::Synthesizer serial(c.topo, test_config(1));
     const auto rs = serial.synthesize(c.coll);
 
     solver::SubScheduleCache::instance().clear();
-    core::Synthesizer parallel(c.topo, test_config(true, 4));
+    core::Synthesizer parallel(c.topo, test_config(4));
     const auto rp = parallel.synthesize(c.coll);
 
     EXPECT_EQ(rs.chosen, rp.chosen);

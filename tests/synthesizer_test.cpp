@@ -268,6 +268,18 @@ TEST(Synthesizer, GoldenDigestDgx16ReduceScatter) {
                 78.13720309e-6);
 }
 
+// The rooted reverse kinds: Gather reverses a Scatter twin (origins move
+// to the scatter destinations), Reduce a Broadcast twin (reduce pieces).
+TEST(Synthesizer, GoldenDigestDgx16Gather) {
+  expect_golden("dgx16", coll::make_gather(16, 1 << 20), {}, 0x15c3d81495f53a98ull,
+                10.02144e-6);
+}
+
+TEST(Synthesizer, GoldenDigestH800x4Reduce) {
+  expect_golden("h800x4", coll::make_reduce(32, 16 << 20), {}, 0x64d03bb6027c4095ull,
+                41.55965333e-6);
+}
+
 TEST(Synthesizer, GoldenDigestA100x32CopiesCompeteForSurvivorSlots) {
   // 18 of a100x32's 24 combinations are copies. With every candidate inside
   // R1, the R2 cut keeps the three fastest, copies included.
