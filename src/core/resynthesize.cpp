@@ -65,7 +65,7 @@ ResynthesisReport resynthesize(const topo::Topology& base, const topo::MutationR
   report.result = synth.synthesize(coll);
   report.elapsed_s = clock.elapsed_seconds();
   report.classes_reused = report.result.breakdown.cache_hits;
-  report.classes_resolved = report.result.breakdown.cache_misses;
+  report.classes_resolved = report.result.breakdown.num_solver_calls;
   return report;
 }
 

@@ -172,7 +172,6 @@ SynthesisResult Synthesizer::synthesize(const coll::Collective& coll) {
       out.breakdown.max_solve_s =
           std::max(out.breakdown.max_solve_s, second.breakdown.max_solve_s);
       out.breakdown.cache_hits += second.breakdown.cache_hits;
-      out.breakdown.cache_misses += second.breakdown.cache_misses;
       out.breakdown.cache_bytes =
           std::max(out.breakdown.cache_bytes, second.breakdown.cache_bytes);
       out.chosen = first.chosen + " ++ " + second.chosen;
@@ -313,7 +312,6 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
     const int n_hits = hits.load();
     breakdown.num_solver_calls += static_cast<int>(todo.size()) - n_hits;
     breakdown.cache_hits += n_hits;
-    breakdown.cache_misses += static_cast<int>(todo.size()) - n_hits;
     for (double t : solve_times) breakdown.max_solve_s = std::max(breakdown.max_solve_s, t);
   };
 

@@ -64,14 +64,13 @@ struct SynthesisBreakdown {
   int num_combinations = 0;
   int num_subdemands = 0;
   /// Solver invocations after isomorphism-class deduplication *and* solve
-  /// caching — i.e. solves that actually ran.
+  /// caching — i.e. solves that actually ran, the solve-cache misses.
   int num_solver_calls = 0;
   /// Longest single sub-demand solve (Fig. 17(c) metric).
   double max_solve_s = 0.0;
-  /// SubScheduleCache traffic of this synthesis. hits + misses =
-  /// deduplicated classes that were needed.
+  /// Deduplicated classes the SubScheduleCache already held. cache_hits +
+  /// num_solver_calls = deduplicated classes that were needed.
   int cache_hits = 0;
-  int cache_misses = 0;
   /// Resident bytes of the process-wide solve cache after this synthesis.
   std::size_t cache_bytes = 0;
 };

@@ -51,8 +51,7 @@ namespace syccl::serve {
 /// Serve-format version; bumped whenever key derivation, the codec or the
 /// library layout changes incompatibly. Part of every scenario key, so a
 /// library written by an older format simply misses instead of mis-serving.
-/// v2: ScheduleBlob carries a `degraded` flag (deadline-fallback entries),
-/// the library index became snapshot + journal.
+/// v2: ScheduleBlob carries a `degraded` flag (deadline-fallback entries).
 inline constexpr std::uint32_t kServeVersion = 2;
 
 /// The canonical form of one topology.

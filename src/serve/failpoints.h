@@ -17,12 +17,8 @@ inline constexpr const char* kServeFailpoints[] = {
     // DiskLibrary entry files: tmp write+fsync, then rename into place.
     "serve.library.entry_write",
     "serve.library.entry_rename",
-    // DiskLibrary index: atomic snapshot rewrite + fsynced journal appends.
-    "serve.library.snapshot_write",
-    "serve.library.snapshot_rename",
-    "serve.library.journal_append",
-    // Parent-directory fsync after renames (the step that makes the rename
-    // itself durable).
+    // Parent-directory fsync after the rename (the step that makes the
+    // rename itself durable).
     "serve.library.dir_fsync",
     // Quarantine of a corrupt entry at open (error = the quarantine/ dir
     // cannot be created).

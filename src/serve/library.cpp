@@ -4,11 +4,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <system_error>
 #include <vector>
@@ -21,10 +21,6 @@ namespace fs = std::filesystem;
 namespace syccl::serve {
 
 namespace {
-
-/// Journal lines accumulated before the library compacts (snapshot +
-/// journal truncate) on its own; opens and flush() always compact.
-constexpr std::size_t kCompactEvery = 512;
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
@@ -105,13 +101,12 @@ void fsync_parent_dir(const fs::path& path) {
 /// Durable atomic file replacement: tmp → write → fsync → rename → dir
 /// fsync. A crash at any point leaves either the old file or the new file
 /// (plus at worst a stale .tmp that the next open sweeps away).
-void write_file_durable(const fs::path& path, std::string_view data, const char* fp_write,
-                        const char* fp_rename) {
+void write_file_durable(const fs::path& path, std::string_view data) {
   const fs::path tmp = path.string() + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) throw_errno("cannot create " + tmp.string());
   try {
-    write_fd_all(fd, data, fp_write);
+    write_fd_all(fd, data, "serve.library.entry_write");
     fsync_fd(fd, tmp.c_str());
   } catch (...) {
     ::close(fd);
@@ -119,48 +114,14 @@ void write_file_durable(const fs::path& path, std::string_view data, const char*
     throw;
   }
   ::close(fd);
-  util::failpoint(fp_rename);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int saved = errno;
+  try {
+    util::failpoint("serve.library.entry_rename");  // error = the rename fails
+    if (::rename(tmp.c_str(), path.c_str()) != 0) throw_errno("cannot rename " + tmp.string());
+  } catch (...) {
     ::unlink(tmp.c_str());
-    errno = saved;
-    throw_errno("cannot rename " + tmp.string());
+    throw;
   }
   fsync_parent_dir(path);
-}
-
-bool is_hex16(const std::string& s) {
-  if (s.size() != 16) return false;
-  for (char c : s) {
-    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-  }
-  return true;
-}
-
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// Replays one index file into `live` (hex -> file). Later lines win; evict
-/// drops. Torn or garbage lines — a crash mid-append, bit rot, hand edits —
-/// are skipped: the entry files are the source of truth and orphan adoption
-/// recovers anything a lost line dropped.
-void replay_index(const fs::path& path, std::map<std::string, std::string>& live) {
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    std::string verb, hex, file, extra;
-    if (!(ls >> verb >> hex)) continue;
-    if (verb == "entry") {
-      if (!(ls >> file) || (ls >> extra) || !is_hex16(hex) || file != hex + ".sched") continue;
-      live[hex] = file;
-    } else if (verb == "evict") {
-      if ((ls >> extra) || !is_hex16(hex)) continue;
-      live.erase(hex);
-    }
-    // anything else: skip
-  }
 }
 
 }  // namespace
@@ -169,79 +130,38 @@ DiskLibrary::DiskLibrary(DiskLibraryConfig config) : config_(std::move(config)) 
   const fs::path dir(config_.dir);
   fs::create_directories(dir);
 
-  // Recover the index: snapshot first, then the legacy v1 append-only
-  // index.txt (only present before the first v2 snapshot), then the journal.
-  std::map<std::string, std::string> live;  // key hex -> file name
-  replay_index(dir / "index.snapshot", live);
-  replay_index(dir / "index.txt", live);
-  replay_index(dir / "index.journal", live);
-
-  // Load every referenced entry eagerly so corruption is discovered (and
-  // quarantined) at open, not mid-request. References whose file vanished
-  // (crash between journal append and entry rename never happens — the
-  // entry file is renamed first — but an evicted-then-crashed journal can
-  // leave one) are dropped.
-  std::set<std::string> accounted;
-  for (const auto& [hex, file] : live) {
-    accounted.insert(file);
-    const fs::path entry_path = dir / file;
-    std::error_code ec;
-    if (!fs::exists(entry_path, ec)) continue;
-    try {
-      std::string encoded = read_file(entry_path);
-      ScheduleBlob blob = decode_blob(encoded);  // validates magic + checksum
-      if (fnv1a_hex(blob.scenario_key) != hex) {
-        throw CodecError("entry file key does not match index");
-      }
-      bytes_ += encoded.size();
-      entries_[blob.scenario_key] = Entry{std::move(encoded), ++tick_, blob.degraded};
-    } catch (const std::exception&) {
-      quarantine_file(file);
-    }
-  }
-
-  // Orphan adoption + stale-tmp sweep: a decodable .sched file the index
-  // never heard of is an acknowledged put() whose journal line was lost to
-  // a crash — adopt it. Undecodable strays quarantine; .tmp leftovers from
-  // interrupted atomic writes are deleted.
+  // One pass in file-name order, so the LRU ticks given at open do not
+  // depend on the order the file system lists the directory. Entries load
+  // eagerly so corruption is discovered (and quarantined) at open, not
+  // mid-request; .tmp leftovers of interrupted writes are deleted.
+  std::vector<fs::path> files;
   for (const auto& dirent : fs::directory_iterator(dir)) {
-    if (!dirent.is_regular_file()) continue;
-    const std::string name = dirent.path().filename().string();
-    if (ends_with(name, ".tmp")) {
+    if (dirent.is_regular_file()) files.push_back(dirent.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const fs::path& path : files) {
+    const std::string name = path.filename().string();
+    if (name.ends_with(".tmp")) {
       std::error_code ec;
-      fs::remove(dirent.path(), ec);
+      fs::remove(path, ec);
       continue;
     }
-    if (!ends_with(name, ".sched") || accounted.count(name) > 0) continue;
+    if (!name.ends_with(".sched")) continue;
     try {
-      std::string encoded = read_file(dirent.path());
-      ScheduleBlob blob = decode_blob(encoded);
-      if (name != fnv1a_hex(blob.scenario_key) + ".sched") {
-        throw CodecError("orphan file name does not match its key");
+      std::string encoded = read_file(path);
+      ScheduleBlob blob = decode_blob(encoded);  // validates magic + checksum
+      if (name != file_for(blob.scenario_key)) {
+        throw CodecError("entry file name does not match its key");
       }
-      if (entries_.count(blob.scenario_key) > 0) continue;  // FNV alias of a live entry
       bytes_ += encoded.size();
       entries_[blob.scenario_key] = Entry{std::move(encoded), ++tick_, blob.degraded};
-      ++orphans_adopted_;
     } catch (const std::exception&) {
       quarantine_file(name);
     }
   }
 
-  journal_fd_ = ::open((dir / "index.journal").c_str(),
-                       O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-
   std::lock_guard<std::mutex> lock(mutex_);
-  try {
-    compact_locked();  // fresh snapshot; resets replay cost and evict buildup
-  } catch (const std::exception&) {
-    ++journal_failures_;  // degraded durability; the library still serves
-  }
   evict_locked();
-}
-
-DiskLibrary::~DiskLibrary() {
-  if (journal_fd_ >= 0) ::close(journal_fd_);
 }
 
 std::optional<ScheduleBlob> DiskLibrary::get(const std::string& scenario_key) {
@@ -263,7 +183,6 @@ std::optional<ScheduleBlob> DiskLibrary::get(const std::string& scenario_key) {
     bytes_ -= it->second.encoded.size();
     entries_.erase(it);
     quarantine_file(file);
-    journal_locked("evict " + fnv1a_hex(scenario_key));
     ++misses_;
     return std::nullopt;
   }
@@ -291,10 +210,8 @@ DiskLibrary::PutResult DiskLibrary::put(const ScheduleBlob& blob) {
     return PutResult::RejectedDowngrade;
   }
 
-  // Entry file first — once this returns, the blob survives any crash (the
-  // index may lose its line, but open() adopts orphans).
-  write_file_durable(dir / file, encoded, "serve.library.entry_write",
-                     "serve.library.entry_rename");
+  // Entry file first — once this returns, the blob survives any crash.
+  write_file_durable(dir / file, encoded);
 
   PutResult result;
   if (it != entries_.end()) {
@@ -302,26 +219,13 @@ DiskLibrary::PutResult DiskLibrary::put(const ScheduleBlob& blob) {
     bytes_ -= it->second.encoded.size();
     bytes_ += encoded.size();
     it->second = Entry{std::move(encoded), ++tick_, blob.degraded};
-    // Same file name: the index already maps this key; no journal traffic.
   } else {
     result = PutResult::Inserted;
     bytes_ += encoded.size();
     entries_[blob.scenario_key] = Entry{std::move(encoded), ++tick_, blob.degraded};
-    journal_locked("entry " + fnv1a_hex(blob.scenario_key) + ' ' + file);
   }
   evict_locked();
   return result;
-}
-
-bool DiskLibrary::flush() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  try {
-    compact_locked();
-    return true;
-  } catch (const std::exception&) {
-    ++journal_failures_;
-    return false;
-  }
 }
 
 DiskLibrary::Stats DiskLibrary::stats() const {
@@ -331,8 +235,6 @@ DiskLibrary::Stats DiskLibrary::stats() const {
   s.misses = misses_;
   s.evictions = evictions_;
   s.quarantined = quarantined_;
-  s.orphans_adopted = orphans_adopted_;
-  s.journal_failures = journal_failures_;
   s.rejected_downgrades = rejected_downgrades_;
   s.entries = entries_.size();
   s.bytes = bytes_;
@@ -346,66 +248,11 @@ void DiskLibrary::evict_locked() {
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
       if (it->second.last_used < victim->second.last_used) victim = it;
     }
-    const std::string hex = fnv1a_hex(victim->first);
     std::error_code ec;
-    fs::remove(dir / (hex + ".sched"), ec);
-    journal_locked("evict " + hex);
+    fs::remove(dir / file_for(victim->first), ec);
     bytes_ -= victim->second.encoded.size();
     entries_.erase(victim);
     ++evictions_;
-  }
-  if (journal_lines_ >= kCompactEvery) {
-    try {
-      compact_locked();
-    } catch (const std::exception&) {
-      ++journal_failures_;
-      journal_lines_ = 0;  // don't retry on every call; the next open compacts
-    }
-  }
-}
-
-void DiskLibrary::compact_locked() {
-  const fs::path dir(config_.dir);
-  std::ostringstream snapshot;
-  for (const auto& [key, entry] : entries_) {
-    const std::string hex = fnv1a_hex(key);
-    snapshot << "entry " << hex << ' ' << hex << ".sched\n";
-  }
-  // Snapshot must land durably *before* the journal is truncated: a crash
-  // between the two replays stale journal lines on top of the new snapshot,
-  // which is idempotent (same mappings, evictions of absent keys).
-  write_file_durable(dir / "index.snapshot", snapshot.str(), "serve.library.snapshot_write",
-                     "serve.library.snapshot_rename");
-  if (journal_fd_ >= 0) {
-    if (::ftruncate(journal_fd_, 0) == 0) {
-      fsync_fd(journal_fd_, "journal truncate");
-    }
-  }
-  journal_lines_ = 0;
-  journal_dirty_tail_ = false;
-  std::error_code ec;
-  fs::remove(dir / "index.txt", ec);  // legacy index is folded into the snapshot
-}
-
-void DiskLibrary::journal_locked(const std::string& line) {
-  if (journal_fd_ < 0) {
-    ++journal_failures_;
-    return;
-  }
-  try {
-    std::string data;
-    if (journal_dirty_tail_) data += '\n';  // seal a torn tail; replay skips it
-    data += line;
-    data += '\n';
-    journal_dirty_tail_ = true;  // cleared only when the full line landed
-    write_fd_all(journal_fd_, data, "serve.library.journal_append");
-    fsync_fd(journal_fd_, "journal");
-    journal_dirty_tail_ = false;
-    ++journal_lines_;
-  } catch (const std::exception&) {
-    // Lost index line, not a lost entry: the .sched file is durable and the
-    // next open adopts it as an orphan. Availability is unaffected.
-    ++journal_failures_;
   }
 }
 
@@ -429,7 +276,7 @@ void DiskLibrary::quarantine_file(const std::string& file_name) {
     if (!ec) return;
   }
   // No quarantine dir (e.g. a file squatting on the name): rename in place —
-  // the suffix keeps it out of every index/orphan scan. If even that fails
+  // the suffix keeps it out of the scan at open. If even that fails
   // the file stays put; it is excluded from entries_ either way.
   fs::rename(path, dir / (file_name + ".quarantined"), ec);
 }

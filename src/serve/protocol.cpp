@@ -81,8 +81,6 @@ std::string stats_json(DiskLibrary& library) {
   lib.set("misses", l.misses);
   lib.set("evictions", l.evictions);
   lib.set("quarantined", l.quarantined);
-  lib.set("orphans_adopted", l.orphans_adopted);
-  lib.set("journal_failures", l.journal_failures);
   lib.set("rejected_downgrades", l.rejected_downgrades);
   obs::Json out = obs::Json::object();
   out.set("broker", std::move(broker));

@@ -79,7 +79,7 @@ class UnixServer {
             double idle_timeout_seconds = 0.0);
 
   /// Starts a graceful drain: stop accepting, let in-flight requests
-  /// finish, then serve() returns (the caller flushes the library).
+  /// finish, then serve() returns.
   /// Async-signal-safe — exactly what a SIGTERM handler may call.
   void begin_drain();
   bool draining() const { return drain_.load(std::memory_order_relaxed); }

@@ -374,8 +374,7 @@ TEST_F(ServeProtocol, PingStatsAndUnknownCommands) {
 
   const obs::Json& l = stats.at("library");
   EXPECT_EQ(keys(l), (std::vector<std::string>{"entries", "bytes", "hits", "misses", "evictions",
-                                                "quarantined", "orphans_adopted",
-                                                "journal_failures", "rejected_downgrades"}));
+                                                "quarantined", "rejected_downgrades"}));
   const DiskLibrary::Stats want = library.stats();
   EXPECT_EQ(l.at("entries").as_number(), static_cast<double>(want.entries));
   EXPECT_EQ(l.at("bytes").as_number(), static_cast<double>(want.bytes));
@@ -383,8 +382,6 @@ TEST_F(ServeProtocol, PingStatsAndUnknownCommands) {
   EXPECT_EQ(l.at("misses").as_number(), static_cast<double>(want.misses));
   EXPECT_EQ(l.at("evictions").as_number(), static_cast<double>(want.evictions));
   EXPECT_EQ(l.at("quarantined").as_number(), static_cast<double>(want.quarantined));
-  EXPECT_EQ(l.at("orphans_adopted").as_number(), static_cast<double>(want.orphans_adopted));
-  EXPECT_EQ(l.at("journal_failures").as_number(), static_cast<double>(want.journal_failures));
   EXPECT_EQ(l.at("rejected_downgrades").as_number(),
             static_cast<double>(want.rejected_downgrades));
   EXPECT_EQ(want.entries, 1u);

@@ -1,7 +1,7 @@
 // Chaos suite for the schedule-compiler service (DESIGN.md §4i): every
 // registered serve failpoint (serve/failpoints.h) fired end-to-end, the
 // library's crash-safety contract proven by killing forked children mid-
-// write, torn-write and index-damage recovery, the deadline → degraded →
+// write, torn-write and damaged-directory recovery, the deadline → degraded →
 // background-upgrade state machine, and the hardened transport (EINTR
 // storms, SIGPIPE-proof sends, idle timeouts, drain).
 //
@@ -15,13 +15,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <map>
+#include <set>
 #include <thread>
+#include <vector>
 
 #include "counting_test.h"
 #include "obs/scenario.h"
@@ -91,6 +96,33 @@ bool crashed_at_failpoint(int status) {
   return WIFEXITED(status) && WEXITSTATUS(status) == util::kFailpointCrashExit;
 }
 
+/// The entry file the library keeps for `scenario_key`.
+fs::path entry_path(const std::string& dir, const std::string& scenario_key) {
+  return fs::path(dir) / (fnv1a_hex(scenario_key) + ".sched");
+}
+
+/// Overwrites two bytes mid-file, so the codec checksum no longer matches.
+void corrupt_middle(const fs::path& file) {
+  std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(fs::file_size(file) / 2));
+  f.put('\xff');
+  f.put('\xff');
+}
+
+std::string file_bytes(const fs::path& file) {
+  std::ifstream in(file, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+/// Names of the directory's immediate children, files and subdirectories.
+std::set<std::string> file_names(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  return names;
+}
+
 // --------------------------------------------------------- crash recovery
 
 TEST(ServeChaos, CrashMidEntryWriteLosesNoAcknowledgedEntry) {
@@ -113,71 +145,87 @@ TEST(ServeChaos, CrashMidEntryWriteLosesNoAcknowledgedEntry) {
   EXPECT_EQ(encode_blob(*got), encode_blob(a));  // byte-exact, not just present
   // b was never acknowledged: a miss is correct, a torn serve would not be.
   EXPECT_FALSE(reopened.get(b.scenario_key).has_value());
-  EXPECT_EQ(reopened.stats().quarantined, 0u);  // the torn .tmp was swept, not adopted
+  EXPECT_EQ(reopened.stats().quarantined, 0u);  // the torn .tmp was swept, not loaded
   for (const auto& entry : fs::directory_iterator(dir)) {
     EXPECT_FALSE(entry.path().extension() == ".tmp") << entry.path();
   }
 }
 
-TEST(ServeChaos, CrashMidJournalAppendIsRecoveredByOrphanAdoption) {
+TEST(ServeChaos, CrashBeforeEntryRenameLeavesNoEntry) {
   RegistryGuard guard;
-  const std::string dir = scratch_dir("crash_journal");
+  const std::string dir = scratch_dir("crash_entry_rename");
   const ScheduleBlob a = sample_blob("|a");
+  const ScheduleBlob b = sample_blob("|b");
 
   const int status = run_in_child([&] {
     DiskLibrary library({dir});
-    // Crash 3 bytes into the journal line — after the entry file is durable.
-    util::Failpoints::instance().enable("serve.library.journal_append", "crash:3");
     library.put(a);
+    // Crash once b's .tmp file is whole and fsynced, before the rename
+    // that would make it an entry.
+    util::Failpoints::instance().enable("serve.library.entry_rename", "crash");
+    library.put(b);
   });
   ASSERT_TRUE(crashed_at_failpoint(status)) << "status " << status;
+  ASSERT_TRUE(fs::exists(entry_path(dir, b.scenario_key).string() + ".tmp"));
 
   DiskLibrary reopened({dir});
-  EXPECT_EQ(reopened.stats().orphans_adopted, 1u);
   const auto got = reopened.get(a.scenario_key);
-  ASSERT_TRUE(got.has_value()) << "put() acknowledged a, the index lost it, "
-                                  "recovery must adopt the entry file";
+  ASSERT_TRUE(got.has_value()) << "acknowledged entry lost in crash";
   EXPECT_EQ(encode_blob(*got), encode_blob(a));
+  // The .tmp decodes, but only the rename makes an entry: it is deleted.
+  EXPECT_FALSE(reopened.get(b.scenario_key).has_value());
+  EXPECT_EQ(reopened.stats().quarantined, 0u);
+  EXPECT_EQ(file_names(dir), std::set<std::string>{fnv1a_hex(a.scenario_key) + ".sched"});
 }
 
-TEST(ServeChaos, CrashMidSnapshotWriteKeepsServingFromTheJournal) {
+TEST(ServeChaos, CrashAfterEntryRenameLeavesAWholeEntry) {
   RegistryGuard guard;
-  const std::string dir = scratch_dir("crash_snapshot");
+  const std::string dir = scratch_dir("crash_dir_fsync");
   const ScheduleBlob a = sample_blob("|a");
-
-  const int status = run_in_child([&] {
-    DiskLibrary library({dir});
-    library.put(a);  // journaled
-    util::Failpoints::instance().enable("serve.library.snapshot_write", "crash:4");
-    library.flush();  // crashes writing index.snapshot.tmp
-  });
-  ASSERT_TRUE(crashed_at_failpoint(status)) << "status " << status;
-
-  // The snapshot rename never happened, the journal was never truncated:
-  // recovery replays the journal line and serves a.
-  DiskLibrary reopened({dir});
-  ASSERT_TRUE(reopened.get(a.scenario_key).has_value());
-}
-
-TEST(ServeChaos, CrashBetweenSnapshotRenameAndJournalTruncateReplaysIdempotently) {
-  RegistryGuard guard;
-  const std::string dir = scratch_dir("crash_truncate");
-  const ScheduleBlob a = sample_blob("|a");
+  const ScheduleBlob b = sample_blob("|b");
 
   const int status = run_in_child([&] {
     DiskLibrary library({dir});
     library.put(a);
-    // dir_fsync fires right after the snapshot rename — the crash window
-    // where both the new snapshot AND the untruncated journal exist.
+    // Crash after b's entry file is fsynced and renamed, before the
+    // directory fsync that would make the rename durable.
     util::Failpoints::instance().enable("serve.library.dir_fsync", "crash");
-    library.flush();
+    library.put(b);
   });
   ASSERT_TRUE(crashed_at_failpoint(status)) << "status " << status;
 
   DiskLibrary reopened({dir});
-  // Snapshot says a, journal repeats a: replay must be idempotent.
-  EXPECT_EQ(reopened.stats().entries, 1u);
-  ASSERT_TRUE(reopened.get(a.scenario_key).has_value());
+  const auto got_a = reopened.get(a.scenario_key);
+  ASSERT_TRUE(got_a.has_value()) << "acknowledged entry lost in crash";
+  EXPECT_EQ(encode_blob(*got_a), encode_blob(a));
+  // b was never acknowledged: served whole or not at all.
+  if (const auto got_b = reopened.get(b.scenario_key)) {
+    EXPECT_EQ(encode_blob(*got_b), encode_blob(b));
+  }
+  EXPECT_EQ(reopened.stats().quarantined, 0u);
+}
+
+TEST(ServeChaos, CrashMidEntryOverwriteKeepsTheOldVersion) {
+  RegistryGuard guard;
+  const std::string dir = scratch_dir("crash_overwrite");
+  const ScheduleBlob a = sample_blob("|a");
+  ScheduleBlob a2 = a;
+  a2.predicted_time = 9.0;
+
+  const int status = run_in_child([&] {
+    DiskLibrary library({dir});
+    library.put(a);
+    util::Failpoints::instance().enable("serve.library.entry_write", "crash:10");
+    library.put(a2);  // same key: the crash lands in the replacement's .tmp
+  });
+  ASSERT_TRUE(crashed_at_failpoint(status)) << "status " << status;
+
+  DiskLibrary reopened({dir});
+  const auto got = reopened.get(a.scenario_key);
+  ASSERT_TRUE(got.has_value()) << "acknowledged version lost in crash";
+  EXPECT_EQ(encode_blob(*got), encode_blob(a));
+  EXPECT_EQ(reopened.stats().quarantined, 0u);
+  EXPECT_EQ(file_names(dir), std::set<std::string>{fnv1a_hex(a.scenario_key) + ".sched"});
 }
 
 // ------------------------------------------------------------- torn writes
@@ -206,65 +254,70 @@ TEST(ServeChaos, TornEntryOverwriteKeepsTheOldVersionServable) {
   EXPECT_EQ(encode_blob(*persisted), encode_blob(a));
 }
 
-TEST(ServeChaos, TornJournalAppendDamagesAtMostItsOwnLine) {
+TEST(ServeChaos, PutThatFailsBeforeTheRenameLeavesNoFileBehind) {
   RegistryGuard guard;
-  const std::string dir = scratch_dir("torn_journal");
+  const std::string dir = scratch_dir("failed_put");
+  DiskLibrary library({dir});
   const ScheduleBlob a = sample_blob("|a");
-  const ScheduleBlob b = sample_blob("|b");
-  {
-    DiskLibrary library({dir});
-    util::Failpoints::instance().enable("serve.library.journal_append", "torn:4");
-    // Index write failures degrade durability, never availability: put()
-    // still succeeds and the entry still serves from this process.
-    EXPECT_EQ(library.put(a), DiskLibrary::PutResult::Inserted);
-    EXPECT_GE(library.stats().journal_failures, 1u);
-    EXPECT_TRUE(library.get(a.scenario_key).has_value());
-    util::Failpoints::instance().clear();
-    EXPECT_EQ(library.put(b), DiskLibrary::PutResult::Inserted);
-  }
+  library.put(a);
+  const std::set<std::string> before = file_names(dir);
 
-  // a's journal line is a torn prefix; b's line follows a sealing newline.
-  // Recovery: b via the journal, a via orphan adoption. Nothing lost.
-  DiskLibrary reopened({dir});
-  EXPECT_EQ(reopened.stats().entries, 2u);
-  EXPECT_EQ(reopened.stats().orphans_adopted, 1u);
-  EXPECT_TRUE(reopened.get(a.scenario_key).has_value());
-  EXPECT_TRUE(reopened.get(b.scenario_key).has_value());
+  for (const char* site : {"serve.library.entry_write", "serve.library.entry_rename"}) {
+    const ScheduleBlob b = sample_blob(std::string("|b|") + site);
+    util::Failpoints::instance().enable(site, "error");
+    EXPECT_THROW(library.put(b), std::runtime_error) << site;
+    util::Failpoints::instance().clear();
+    // Not acknowledged, so not served, and its .tmp is unlinked at once.
+    EXPECT_FALSE(library.get(b.scenario_key).has_value()) << site;
+    EXPECT_EQ(file_names(dir), before) << site;
+  }
+  EXPECT_EQ(library.stats().entries, 1u);
+  EXPECT_EQ(library.stats().bytes, encode_blob(a).size());
 }
 
-// ---------------------------------------------------- index damage recovery
+// ------------------------------------------------------- recovery at open
 
-TEST(ServeRecovery, GarbageAndTruncatedIndexLinesAreSkipped) {
+TEST(ServeRecovery, IndexFilesOfOlderLibrariesAreIgnored) {
   RegistryGuard guard;
-  const std::string dir = scratch_dir("garbage_index");
+  const std::string dir = scratch_dir("old_index");
   const ScheduleBlob a = sample_blob("|a");
   const ScheduleBlob b = sample_blob("|b");
+  const std::string hex_a = fnv1a_hex(a.scenario_key);
+  const std::string hex_b = fnv1a_hex(b.scenario_key);
   {
     DiskLibrary library({dir});
     library.put(a);
     library.put(b);
   }
-  {
-    // Vandalise the journal: truncated verbs, wrong token counts, binary
-    // noise, a trailing line without newline.
-    std::ofstream journal(fs::path(dir) / "index.journal", std::ios::app);
-    journal << "entr\n"
-            << "entry\n"
-            << "entry nothex notafile\n"
-            << "entry 0123456789abcdef\n"
-            << "\x01\x02\x03\n"
-            << "evict\n"
-            << "entry 0123456789abcdef 0123456789abcdef.sched extra\n"
-            << "entry 0123";  // torn tail, no newline
+  // What older libraries kept beside the entry files: a snapshot, a journal
+  // (here damaged, and evicting a) and a v1 index.
+  const std::map<std::string, std::string> index_files = {
+      {"index.snapshot", "entry " + hex_a + ' ' + hex_a + ".sched\nentry " + hex_b + ' ' +
+                             hex_b + ".sched\n"},
+      {"index.journal", "entr\nentry\nentry nothex notafile\nentry 0123456789abcdef\n"
+                        "\x01\x02\x03\nevict\n"
+                        "entry 0123456789abcdef 0123456789abcdef.sched extra\n"
+                        "evict " + hex_a + "\nentry 0123"},
+      {"index.txt", "entry " + hex_a + ' ' + hex_a + ".sched\n"},
+  };
+  for (const auto& [name, content] : index_files) {
+    std::ofstream out(fs::path(dir) / name, std::ios::binary);
+    out << content;
   }
 
   DiskLibrary reopened({dir});
   EXPECT_EQ(reopened.stats().entries, 2u);
-  EXPECT_TRUE(reopened.get(a.scenario_key).has_value());
-  EXPECT_TRUE(reopened.get(b.scenario_key).has_value());
+  for (const ScheduleBlob* blob : {&a, &b}) {
+    const auto got = reopened.get(blob->scenario_key);
+    ASSERT_TRUE(got.has_value()) << blob->scenario_key;
+    EXPECT_EQ(encode_blob(*got), encode_blob(*blob));
+  }
+  for (const auto& [name, content] : index_files) {
+    EXPECT_EQ(file_bytes(fs::path(dir) / name), content) << name << " was rewritten";
+  }
 }
 
-TEST(ServeRecovery, IndexLineWhoseFileIsMissingIsDropped) {
+TEST(ServeRecovery, DeletedEntryFileIsACleanMiss) {
   RegistryGuard guard;
   const std::string dir = scratch_dir("missing_file");
   const ScheduleBlob a = sample_blob("|a");
@@ -272,29 +325,97 @@ TEST(ServeRecovery, IndexLineWhoseFileIsMissingIsDropped) {
     DiskLibrary library({dir});
     library.put(a);
   }
-  fs::remove(fs::path(dir) / (fnv1a_hex(a.scenario_key) + ".sched"));
+  fs::remove(entry_path(dir, a.scenario_key));
 
   DiskLibrary reopened({dir});
   EXPECT_EQ(reopened.stats().entries, 0u);
   EXPECT_FALSE(reopened.get(a.scenario_key).has_value());  // a clean miss
 }
 
-TEST(ServeRecovery, OrphanScheduleFileIsAdoptedWhenTheIndexVanishes) {
+TEST(ServeRecovery, EntryFilesAloneRestoreTheLibrary) {
   RegistryGuard guard;
-  const std::string dir = scratch_dir("orphan");
+  const std::string dir = scratch_dir("entry_files_only");
   const ScheduleBlob a = sample_blob("|a");
+  const ScheduleBlob b = sample_blob("|b");
+  const std::set<std::string> want = {fnv1a_hex(a.scenario_key) + ".sched",
+                                      fnv1a_hex(b.scenario_key) + ".sched"};
   {
     DiskLibrary library({dir});
     library.put(a);
+    library.put(b);
   }
-  fs::remove(fs::path(dir) / "index.snapshot");
-  fs::remove(fs::path(dir) / "index.journal");
+  EXPECT_EQ(file_names(dir), want);
 
   DiskLibrary reopened({dir});
-  EXPECT_EQ(reopened.stats().orphans_adopted, 1u);
-  const auto got = reopened.get(a.scenario_key);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(encode_blob(*got), encode_blob(a));
+  EXPECT_EQ(reopened.stats().entries, 2u);
+  for (const ScheduleBlob* blob : {&a, &b}) {
+    const auto got = reopened.get(blob->scenario_key);
+    ASSERT_TRUE(got.has_value()) << blob->scenario_key;
+    EXPECT_EQ(encode_blob(*got), encode_blob(*blob));
+  }
+  EXPECT_EQ(file_names(dir), want);  // opening a healthy library writes nothing
+}
+
+TEST(ServeRecovery, OpeningAHealthyLibraryWritesNothing) {
+  RegistryGuard guard;
+  const std::string dir = scratch_dir("open_writes_nothing");
+  const ScheduleBlob a = sample_blob("|a");
+  const ScheduleBlob b = sample_blob("|b");
+  {
+    DiskLibrary library({dir});
+    library.put(a);
+    library.put(b);
+  }
+  std::map<std::string, std::string> before;
+  for (const std::string& name : file_names(dir)) before[name] = file_bytes(fs::path(dir) / name);
+
+  // Every site that writes to the directory fails if reached.
+  const std::vector<std::string> write_sites = {
+      "serve.library.entry_write", "serve.library.entry_rename", "serve.library.dir_fsync",
+      "serve.library.quarantine"};
+  std::map<std::string, std::uint64_t> hits_before;
+  for (const std::string& site : write_sites) {
+    hits_before[site] = util::Failpoints::instance().hits(site);
+    util::Failpoints::instance().enable(site, "error");
+  }
+  DiskLibrary reopened({dir});
+  for (const std::string& site : write_sites) {
+    EXPECT_EQ(util::Failpoints::instance().hits(site), hits_before[site]) << site;
+  }
+  util::Failpoints::instance().clear();
+
+  EXPECT_EQ(reopened.stats().entries, 2u);
+  EXPECT_EQ(reopened.stats().quarantined, 0u);
+  std::map<std::string, std::string> after;
+  for (const std::string& name : file_names(dir)) after[name] = file_bytes(fs::path(dir) / name);
+  EXPECT_EQ(after, before);
+}
+
+TEST(ServeRecovery, ReopenLoadsEntriesInFileNameOrder) {
+  RegistryGuard guard;
+  const std::string dir = scratch_dir("open_order");
+  std::vector<ScheduleBlob> blobs = {sample_blob("|a"), sample_blob("|b"), sample_blob("|c")};
+  // Put in descending file-name order, so the entry put first (the least
+  // recently used before the reopen) is not the one with the smallest name.
+  std::sort(blobs.begin(), blobs.end(), [](const ScheduleBlob& x, const ScheduleBlob& y) {
+    return fnv1a_hex(x.scenario_key) > fnv1a_hex(y.scenario_key);
+  });
+  const std::size_t size = encode_blob(blobs[0]).size();
+  {
+    DiskLibrary library({dir});
+    for (const ScheduleBlob& blob : blobs) {
+      ASSERT_EQ(encode_blob(blob).size(), size);
+      library.put(blob);
+    }
+  }
+
+  DiskLibrary reopened({dir, 2 * size});
+  EXPECT_EQ(reopened.stats().evictions, 1u);
+  const ScheduleBlob& smallest = blobs.back();
+  EXPECT_FALSE(reopened.get(smallest.scenario_key).has_value());
+  EXPECT_FALSE(fs::exists(entry_path(dir, smallest.scenario_key)));
+  EXPECT_TRUE(reopened.get(blobs[0].scenario_key).has_value());
+  EXPECT_TRUE(reopened.get(blobs[1].scenario_key).has_value());
 }
 
 TEST(ServeRecovery, UndecodableStrayFileIsQuarantinedNotAdopted) {
@@ -317,6 +438,62 @@ TEST(ServeRecovery, UndecodableStrayFileIsQuarantinedNotAdopted) {
   EXPECT_TRUE(fs::exists(fs::path(dir) / "quarantine" / "deadbeefdeadbeef.sched"));
 }
 
+TEST(ServeRecovery, EntryFileUnderAnotherKeysNameIsQuarantined) {
+  RegistryGuard guard;
+  const std::string dir = scratch_dir("misnamed");
+  const ScheduleBlob a = sample_blob("|a");
+  {
+    DiskLibrary library({dir});
+    library.put(a);
+  }
+  // A whole, decodable blob whose key does not hash to its file name.
+  const std::string misnamed = "0123456789abcdef.sched";
+  ASSERT_NE(misnamed, fnv1a_hex(a.scenario_key) + ".sched");
+  fs::copy_file(entry_path(dir, a.scenario_key), fs::path(dir) / misnamed);
+
+  DiskLibrary reopened({dir});
+  EXPECT_EQ(reopened.stats().entries, 1u);
+  EXPECT_EQ(reopened.stats().quarantined, 1u);
+  const auto got = reopened.get(a.scenario_key);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(encode_blob(*got), encode_blob(a));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / misnamed));
+  EXPECT_TRUE(fs::exists(fs::path(dir) / "quarantine" / misnamed));
+}
+
+TEST(ServeRecovery, FilesThatAreNotEntriesAreLeftAlone) {
+  RegistryGuard guard;
+  const std::string dir = scratch_dir("other_files");
+  const ScheduleBlob a = sample_blob("|a");
+  {
+    DiskLibrary library({dir});
+    library.put(a);
+  }
+  // Neither *.sched nor *.tmp: not loaded, not quarantined, not touched.
+  const std::string entry_copy = file_bytes(entry_path(dir, a.scenario_key));
+  const std::map<std::string, std::string> others = {
+      {"README", "operator notes\n"},
+      {"0123456789abcdef.sched.bak", entry_copy},
+      {"0123456789abcdef.sched.quarantined", "corrupt evidence"},
+  };
+  for (const auto& [name, content] : others) {
+    std::ofstream out(fs::path(dir) / name, std::ios::binary);
+    out << content;
+  }
+  // A directory is not an entry even when its name looks like one.
+  fs::create_directories(fs::path(dir) / "fedcba9876543210.sched");
+
+  DiskLibrary reopened({dir});
+  EXPECT_EQ(reopened.stats().entries, 1u);
+  EXPECT_EQ(reopened.stats().quarantined, 0u);
+  EXPECT_TRUE(reopened.get(a.scenario_key).has_value());
+  for (const auto& [name, content] : others) {
+    EXPECT_EQ(file_bytes(fs::path(dir) / name), content) << name;
+  }
+  EXPECT_TRUE(fs::is_directory(fs::path(dir) / "fedcba9876543210.sched"));
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "quarantine"));
+}
+
 TEST(ServeRecovery, QuarantineSubdirFailureFallsBackToInPlaceRename) {
   RegistryGuard guard;
   const std::string dir = scratch_dir("quarantine_fail");
@@ -327,13 +504,7 @@ TEST(ServeRecovery, QuarantineSubdirFailureFallsBackToInPlaceRename) {
     library.put(a);
     library.put(b);
   }
-  const fs::path entry = fs::path(dir) / (fnv1a_hex(a.scenario_key) + ".sched");
-  {
-    std::fstream f(entry, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(fs::file_size(entry) / 2));
-    f.put('\xff');
-    f.put('\xff');
-  }
+  corrupt_middle(entry_path(dir, a.scenario_key));
 
   util::Failpoints::instance().enable("serve.library.quarantine", "error");
   DiskLibrary reopened({dir});  // must open and keep serving regardless
@@ -346,25 +517,40 @@ TEST(ServeRecovery, QuarantineSubdirFailureFallsBackToInPlaceRename) {
   EXPECT_TRUE(fs::exists(fs::path(dir) / (fnv1a_hex(a.scenario_key) + ".sched.quarantined")));
 }
 
-TEST(ServeRecovery, LegacyIndexTxtIsReplayedThenRetired) {
+TEST(ServeRecovery, QuarantinedFilesStayOutOfLaterOpens) {
   RegistryGuard guard;
-  const std::string dir = scratch_dir("legacy");
+  const std::string dir = scratch_dir("quarantine_reopen");
   const ScheduleBlob a = sample_blob("|a");
-  const std::string hex = fnv1a_hex(a.scenario_key);
+  const ScheduleBlob b = sample_blob("|b");
+  const ScheduleBlob c = sample_blob("|c");
   {
-    // Hand-build a v1 layout: entry file + append-only index.txt, no
-    // snapshot, no journal.
-    std::ofstream entry(fs::path(dir) / (hex + ".sched"), std::ios::binary);
-    entry << encode_blob(a);
-    std::ofstream index(fs::path(dir) / "index.txt");
-    index << "entry " << hex << ' ' << hex << ".sched\n";
+    DiskLibrary library({dir});
+    library.put(a);
+    library.put(b);
+    library.put(c);
   }
+  // a goes to quarantine/, b (the subdir failing) to <name>.quarantined.
+  corrupt_middle(entry_path(dir, a.scenario_key));
+  { DiskLibrary library({dir}); }
+  corrupt_middle(entry_path(dir, b.scenario_key));
+  util::Failpoints::instance().enable("serve.library.quarantine", "error");
+  { DiskLibrary library({dir}); }
+  util::Failpoints::instance().clear();
+  const fs::path kept_a = fs::path(dir) / "quarantine" / (fnv1a_hex(a.scenario_key) + ".sched");
+  const fs::path kept_b = entry_path(dir, b.scenario_key).string() + ".quarantined";
+  const std::string evidence_a = file_bytes(kept_a);
+  const std::string evidence_b = file_bytes(kept_b);
+  ASSERT_FALSE(evidence_a.empty());
+  ASSERT_FALSE(evidence_b.empty());
 
-  DiskLibrary library({dir});
-  ASSERT_TRUE(library.get(a.scenario_key).has_value());
-  // The open compacted: v1 index folded into the snapshot and removed.
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "index.txt"));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "index.snapshot"));
+  DiskLibrary reopened({dir});
+  EXPECT_EQ(reopened.stats().entries, 1u);
+  EXPECT_EQ(reopened.stats().quarantined, 0u);  // nothing is quarantined twice
+  EXPECT_FALSE(reopened.get(a.scenario_key).has_value());
+  EXPECT_FALSE(reopened.get(b.scenario_key).has_value());
+  EXPECT_TRUE(reopened.get(c.scenario_key).has_value());
+  EXPECT_EQ(file_bytes(kept_a), evidence_a);  // the evidence is kept as it was
+  EXPECT_EQ(file_bytes(kept_b), evidence_b);
 }
 
 TEST(ServeRecovery, InMemoryEntryThatStopsDecodingIsQuarantinedOnGet) {
@@ -727,12 +913,9 @@ TEST_P(ServeChaosSweep, RequestIsAnsweredAndLibraryReopensClean) {
     }
     if (name == "serve.library.quarantine") {
       // ...and corrupt it, so reopening must quarantine under the fault.
-      const fs::path entry = fs::path(dir) / (fnv1a_hex(key) + ".sched");
+      const fs::path entry = entry_path(dir, key);
       ASSERT_TRUE(fs::exists(entry));
-      std::fstream f(entry, std::ios::in | std::ios::out | std::ios::binary);
-      f.seekp(static_cast<std::streamoff>(fs::file_size(entry) / 2));
-      f.put('\xff');
-      f.put('\xff');
+      corrupt_middle(entry);
     }
   }
 
@@ -757,10 +940,6 @@ TEST_P(ServeChaosSweep, RequestIsAnsweredAndLibraryReopensClean) {
       // availability.
       EXPECT_TRUE(response.ok) << response.error;
       EXPECT_FALSE(response.payload.empty());
-    }
-    if (name == "serve.library.snapshot_write" || name == "serve.library.snapshot_rename") {
-      // Snapshot faults fire on compaction, not on the request path.
-      EXPECT_FALSE(library.flush());
     }
   }
   EXPECT_GE(util::Failpoints::instance().hits(name.c_str()), 1u)

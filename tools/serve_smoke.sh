@@ -8,7 +8,7 @@
 #
 # Phase 2 — crash recovery: restart the server on the same library, SIGKILL
 # it while a synthesis request is in flight (a kill -9 mid-load, the case the
-# crash-safe index exists for), then restart once more and require a
+# crash-safe entry files exist for), then restart once more and require a
 # rank-permuted re-request of the phase-1 scenario to be answered as a hit
 # from the recovered library.
 set -e
@@ -60,10 +60,10 @@ kill -9 "$SERVE_PID"
 wait "$CLIENT_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 
-# Restart on the killed library: recovery must reopen it (snapshot + journal
-# replay, orphan adoption, quarantine — whatever the crash left behind) and
-# still hold the phase-1 entry. A permuted re-request must be served from it:
-# same canonical key, no fresh synthesis.
+# Restart on the killed library: recovery must reopen it (load the entry
+# files, delete stale .tmp files, quarantine whatever the crash left broken)
+# and still hold the phase-1 entry. A permuted re-request must be served
+# from it: same canonical key, no fresh synthesis.
 rm -f "$SOCK"
 "$SERVE" --socket "$SOCK" --library "$LIB" --max-requests 1 &
 SERVE_PID=$!

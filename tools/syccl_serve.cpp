@@ -8,9 +8,9 @@
 //   syccl_serve --selfcheck --library /tmp/lib                   # no socket
 //
 // SIGTERM/SIGINT start a graceful drain: stop accepting, finish in-flight
-// requests, flush the library index, exit 0. SIGPIPE is ignored (a vanished
-// client is that connection's problem). --failpoint injects named faults
-// (util/failpoint.h; also via $SYCCL_FAILPOINTS) for chaos testing.
+// requests, exit 0. SIGPIPE is ignored (a vanished client is that
+// connection's problem). --failpoint injects named faults (util/failpoint.h;
+// also via $SYCCL_FAILPOINTS) for chaos testing.
 //
 // --selfcheck runs the full pipeline in-process — synthesize a small
 // scenario, re-request it under a permuted rank labelling, require a library
@@ -201,7 +201,6 @@ int main(int argc, char** argv) {
     std::cout << "syccl_serve: library " << args.library_dir << " (" << stats.entries
               << " entries, " << stats.bytes << " bytes";
     if (stats.quarantined > 0) std::cout << ", " << stats.quarantined << " quarantined";
-    if (stats.orphans_adopted > 0) std::cout << ", " << stats.orphans_adopted << " adopted";
     std::cout << ")\n";
 
     if (args.selfcheck) return selfcheck(broker);
@@ -217,11 +216,6 @@ int main(int argc, char** argv) {
     const int handled =
         server.serve(broker, library, args.max_requests, args.idle_timeout_seconds);
     g_server = nullptr;
-    // Drain epilogue: fold the journal into a fresh snapshot so the next
-    // open replays nothing.
-    if (!library.flush()) {
-      std::cerr << "syccl_serve: warning: final index flush failed\n";
-    }
     std::cout << "syccl_serve: exiting after " << handled << " requests"
               << (server.draining() ? " (drained)" : "") << "\n";
   } catch (const std::exception& e) {

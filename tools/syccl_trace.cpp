@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
             << result.sim.link_events.size() << " link events)\n"
             << "  synthesis: " << b.total_s << " s total, " << b.num_combinations
             << " combinations, " << b.num_solver_calls << " solver calls, "
-            << b.cache_hits << "/" << b.cache_hits + b.cache_misses << " cache hits\n";
+            << b.cache_hits << "/" << b.cache_hits + b.num_solver_calls << " cache hits\n";
   if (args.spec.tenants > 1) {
     std::cout << "  contention: " << args.spec.tenants << " tenants, makespan "
               << result.contention.makespan * 1e6 << " us\n";
