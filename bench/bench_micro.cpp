@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): throughput of the substrates under the
-// synthesizer — simulator, group extraction, sketch search, greedy and MILP
-// sub-demand solvers, the sub-schedule checker, LP simplex, schedule merging
+// synthesizer — simulator, group extraction, sketch search, the greedy
+// sub-demand solver, the sub-schedule checker, LP simplex, schedule merging
 // and candidate simulation.
 #include <benchmark/benchmark.h>
 
@@ -16,7 +16,6 @@
 #include "sketch/alltoall.h"
 #include "sketch/search.h"
 #include "solver/greedy.h"
-#include "solver/milp_scheduler.h"
 #include "solver/solve_cache.h"
 #include "solver/tau.h"
 #include "topo/builders.h"
@@ -105,9 +104,7 @@ struct MergeShape {
         /*all_roots=*/true, config.combine);
     plan = core::build_demand_plan(combos.front(), coll, groups);
     solver::SubScheduleCache cache;
-    solver::MilpSchedulerOptions options;
-    options.E = 3.0;
-    options.greedy_only = true;
+    const solver::SolveOptions options{3.0};
     for (const auto& md : plan.demands) solved.push_back(cache.get_or_solve(md.demand, options));
   }
 };
@@ -211,57 +208,11 @@ BENCHMARK(BM_CheckSubSchedule)
     ->Args({512, 5})
     ->Unit(benchmark::kMicrosecond);
 
-void BM_MilpSubDemandBroadcast(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto topo = topo::build_single_server(n);
-  const auto groups = topo::extract_groups(topo);
-  const auto& gt = groups.dims[0].groups[0];
-  solver::SubDemand demand;
-  demand.group = &gt;
-  demand.piece_bytes = 1 << 16;
-  solver::DemandPiece p;
-  p.id = 0;
-  p.srcs = {0};
-  for (int d = 1; d < n; ++d) p.dsts.push_back(d);
-  demand.pieces.push_back(std::move(p));
-  solver::MilpSchedulerOptions opts;
-  opts.time_limit_s = 0.5;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver::solve_sub_demand(demand, opts).num_epochs);
-  }
-}
-BENCHMARK(BM_MilpSubDemandBroadcast)->Arg(4)->Arg(6)->Arg(8);
-
-void BM_MilpEncode(benchmark::State& state) {
-  // The encode step in isolation (variable tables + constraint emission);
-  // the satellite target of the flat-key Encoding rewrite.
-  const int n = static_cast<int>(state.range(0));
-  const auto topo = topo::build_single_server(n);
-  const auto groups = topo::extract_groups(topo);
-  const auto& gt = groups.dims[0].groups[0];
-  solver::SubDemand demand;
-  demand.group = &gt;
-  demand.piece_bytes = 1 << 16;
-  solver::DemandPiece p;
-  p.id = 0;
-  p.srcs = {0};
-  for (int d = 1; d < n; ++d) p.dsts.push_back(d);
-  demand.pieces.push_back(std::move(p));
-  const auto ep = solver::derive_epoch_params(gt, demand.piece_bytes, 1.0);
-  const int horizon = solver::solve_greedy(demand, ep).num_epochs;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver::encode_sub_demand_binaries(demand, 1.0, horizon));
-  }
-}
-BENCHMARK(BM_MilpEncode)->Arg(4)->Arg(8)->Arg(16);
-
 core::SynthesisConfig synth_bench_config() {
   core::SynthesisConfig cfg;
   cfg.sketch.search.max_sketches = 32;
   cfg.sketch.max_prototypes = 4;
   cfg.sketch.combine.max_outputs = 10;
-  cfg.coarse_solver.time_limit_s = 0.1;
-  cfg.fine_solver.time_limit_s = 0.2;
   return cfg;
 }
 

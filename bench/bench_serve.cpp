@@ -1,6 +1,8 @@
 // Schedule-compiler service bench (BENCH_serve.json): measures the broker's
 // warm-hit path against cold synthesis and the canonical key's coverage of
-// isomorphic re-requests.
+// isomorphic re-requests, at production settings (the default
+// SynthesisConfig) on the paper's headline point: AllGather 1 MiB on 512
+// H800 GPUs (h800x64).
 //
 // Gates:
 //   1. A warm hit (canonicalize + library fetch + rank remap + validate +
@@ -14,22 +16,31 @@
 //      synthesis it stands in for, and the background full synthesis must
 //      land and upgrade the library entry (a later request hits full-budget).
 //
+// The JSON line is written before any gate is checked, so a failing run
+// still records its numbers. Both libraries live in a fresh temporary
+// directory that is removed at exit.
+//
 // Registered under the ctest configuration/label `perf` (`ctest -C perf`).
+#include <stdlib.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <numeric>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/scenario.h"
 #include "serve/broker.h"
 #include "serve/library.h"
 #include "solver/solve_cache.h"
-#include "topo/builders.h"
 #include "topo/mutate.h"
 #include "util/stopwatch.h"
 
@@ -37,66 +48,58 @@ using namespace syccl;
 
 namespace {
 
-/// Same deterministic budgets as bench_resynth: the B&B admits the size-8
-/// all-to-all classes instead of the greedy fallback, putting cold synthesis
-/// in the seconds range — the kind of work a schedule library amortises.
-core::SynthesisConfig bench_config() {
-  core::SynthesisConfig cfg;
-  cfg.sketch.search.max_sketches = 16;
-  cfg.sketch.max_prototypes = 2;
-  cfg.sketch.combine.max_outputs = 4;
-  for (auto* opts : {&cfg.coarse_solver, &cfg.fine_solver}) {
-    opts->max_binaries = 4000;
-    opts->node_limit = 3;
-    opts->time_limit_s = 1e6;
+/// A fresh directory for this run, removed (with everything in it) on exit.
+struct RunDir {
+  std::filesystem::path path;
+  RunDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "bench_serve_XXXXXX").string();
+    if (::mkdtemp(pattern.data()) == nullptr) throw std::runtime_error("mkdtemp failed");
+    path = pattern;
   }
-  return cfg;
+  ~RunDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  RunDir(const RunDir&) = delete;
+  RunDir& operator=(const RunDir&) = delete;
+};
+
+serve::DiskLibraryConfig library_config(const std::filesystem::path& dir) {
+  serve::DiskLibraryConfig config;
+  config.dir = dir.string();
+  return config;
 }
 
 }  // namespace
 
 int main() {
-  topo::MultiRailSpec spec;
-  spec.num_servers = 2;
-  spec.gpus_per_server = 8;
-  spec.with_spine = false;
-  const topo::Topology base = topo::build_multi_rail(spec);
-  const std::uint64_t bytes = 16 << 20;
+  const RunDir run;
+  const topo::Topology base = obs::build_scenario_topology("h800x64");
+  const std::uint64_t bytes = 1 << 20;
 
-  const std::filesystem::path dir = "bench_serve_library";
-  std::filesystem::remove_all(dir);
-  serve::DiskLibraryConfig lib_cfg;
-  lib_cfg.dir = dir.string();
-  serve::DiskLibrary library(lib_cfg);
-
-  serve::BrokerConfig cfg;
-  cfg.synthesis = bench_config();
+  serve::DiskLibrary library(library_config(run.path / "library"));
+  const serve::BrokerConfig cfg;
   serve::Broker broker(library, cfg);
 
   serve::ServeRequest request;
   request.topology = base;
-  request.kind = coll::CollKind::AllToAll;
+  request.kind = coll::CollKind::AllGather;
   request.total_bytes = bytes;
 
   // Cold: first request synthesizes.
   util::Stopwatch cold_clock;
   const serve::ServeResponse cold = broker.handle(request);
   const double cold_s = cold_clock.elapsed_seconds();
-  if (cold.hit) {
-    std::fprintf(stderr, "FAIL: cold request hit a fresh library\n");
-    return 1;
-  }
 
   // Warm: identical re-requests must all hit; median latency over 20.
   std::vector<double> warm(20);
+  int warm_hits = 0;
   for (double& w : warm) {
     util::Stopwatch clock;
     const serve::ServeResponse r = broker.handle(request);
     w = clock.elapsed_seconds();
-    if (!r.hit || r.scenario_key != cold.scenario_key) {
-      std::fprintf(stderr, "FAIL: identical warm re-request missed the library\n");
-      return 1;
-    }
+    if (r.hit && r.scenario_key == cold.scenario_key) ++warm_hits;
   }
   std::sort(warm.begin(), warm.end());
   const double warm_s = warm[warm.size() / 2];
@@ -120,11 +123,7 @@ int main() {
   // the cold synthesis measured above. The broker must answer with the
   // minimal-budget fallback right after the deadline and upgrade the entry
   // once the full synthesis (still running on the pool) lands.
-  const std::filesystem::path ddir = "bench_serve_library_degraded";
-  std::filesystem::remove_all(ddir);
-  serve::DiskLibraryConfig dlib_cfg;
-  dlib_cfg.dir = ddir.string();
-  serve::DiskLibrary dlibrary(dlib_cfg);
+  serve::DiskLibrary dlibrary(library_config(run.path / "library_degraded"));
   // The solve cache is process-global and already warm from the cold run
   // above; warm, the "full" synthesis here would finish inside any deadline
   // and nothing would degrade. Cleared, this section's full synthesis costs
@@ -141,17 +140,13 @@ int main() {
   util::Stopwatch fallback_clock;
   const serve::ServeResponse degraded = dbroker.handle(deadline_request);
   const double fallback_elapsed = fallback_clock.elapsed_seconds();
-  if (!degraded.degraded || degraded.hit) {
-    std::fprintf(stderr, "FAIL: deadline request was not served degraded (degraded=%d hit=%d)\n",
-                 degraded.degraded, degraded.hit);
-    return 1;
-  }
+  const bool served_degraded = degraded.degraded && !degraded.hit;
   // Latency the fallback itself cost, beyond the deadline the caller chose.
   const double fallback_s = std::max(fallback_elapsed - deadline_s, 1e-9);
 
   util::Stopwatch upgrade_clock;
   bool upgraded = false;
-  while (upgrade_clock.elapsed_seconds() < cold_s * 20.0 + 60.0) {
+  while (served_degraded && upgrade_clock.elapsed_seconds() < cold_s * 20.0 + 60.0) {
     if (upgrades.value() > upgrades_before) {
       upgraded = true;
       break;
@@ -164,22 +159,39 @@ int main() {
 
   const double speedup = warm_s > 0 ? cold_s / warm_s : 0.0;
   const double fallback_speedup = fallback_s > 0 ? cold_s / fallback_s : 0.0;
-  const double hit_rate = 100.0 * iso_hits / iso_requests;
 
-  char line[1024];
-  std::snprintf(line, sizeof(line),
-                "{\"bench\":\"serve_warm_hit_multirail2x8_alltoall\",\"bytes\":%llu,"
-                "\"cold_s\":%.6f,\"warm_hit_s\":%.6f,\"speedup\":%.1f,"
-                "\"iso_requests\":%d,\"iso_hits\":%d,\"iso_hit_rate\":%.1f,"
-                "\"degraded\":{\"deadline_s\":%.3f,\"fallback_s\":%.6f,"
-                "\"fallback_speedup\":%.1f,\"upgrade_wait_s\":%.3f,"
-                "\"upgraded_hit\":%s}}",
-                static_cast<unsigned long long>(bytes), cold_s, warm_s, speedup,
-                iso_requests, iso_hits, hit_rate, deadline_s, fallback_s, fallback_speedup,
-                upgrade_wait_s, upgraded_hit ? "true" : "false");
-  benchutil::emit_json("serve", line);
+  obs::Json degraded_json = obs::Json::object();
+  degraded_json.set("deadline_s", deadline_s);
+  degraded_json.set("served_degraded", served_degraded);
+  degraded_json.set("fallback_s", fallback_s);
+  degraded_json.set("fallback_speedup", fallback_speedup);
+  degraded_json.set("upgrade_wait_s", upgrade_wait_s);
+  degraded_json.set("upgraded_hit", upgraded_hit);
+  obs::Json json = obs::Json::object();
+  json.set("bench", "serve_warm_hit_h800x64_allgather");
+  json.set("bytes", bytes);
+  json.set("cold_s", cold_s);
+  json.set("cold_hit", cold.hit);
+  json.set("warm_hit_s", warm_s);
+  json.set("warm_requests", static_cast<int>(warm.size()));
+  json.set("warm_hits", warm_hits);
+  json.set("speedup", speedup);
+  json.set("iso_requests", iso_requests);
+  json.set("iso_hits", iso_hits);
+  json.set("iso_hit_rate", 100.0 * iso_hits / iso_requests);
+  json.set("degraded", std::move(degraded_json));
+  benchutil::emit_json("serve", json.dump());
 
   // ---- Gates (acceptance criteria) ----
+  if (cold.hit) {
+    std::fprintf(stderr, "FAIL: cold request hit a fresh library\n");
+    return 1;
+  }
+  if (warm_hits != static_cast<int>(warm.size())) {
+    std::fprintf(stderr, "FAIL: only %d/%zu identical warm re-requests hit the library\n",
+                 warm_hits, warm.size());
+    return 1;
+  }
   if (iso_hits != iso_requests) {
     std::fprintf(stderr, "FAIL: only %d/%d isomorphic re-requests hit the library\n",
                  iso_hits, iso_requests);
@@ -187,6 +199,11 @@ int main() {
   }
   if (speedup < 100.0) {
     std::fprintf(stderr, "FAIL: warm hit only %.1fx faster than cold synthesis\n", speedup);
+    return 1;
+  }
+  if (!served_degraded) {
+    std::fprintf(stderr, "FAIL: deadline request was not served degraded (degraded=%d hit=%d)\n",
+                 degraded.degraded, degraded.hit);
     return 1;
   }
   if (fallback_speedup < 20.0) {

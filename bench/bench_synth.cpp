@@ -23,8 +23,6 @@ core::SynthesisConfig bench_config() {
   cfg.sketch.search.max_sketches = 32;
   cfg.sketch.max_prototypes = 4;
   cfg.sketch.combine.max_outputs = 10;
-  cfg.coarse_solver.time_limit_s = 0.1;
-  cfg.fine_solver.time_limit_s = 0.2;
   // SYCCL_SYNTH_THREADS=1 isolates the parallel-evaluation share (compare
   // cold_s against the default run).
   if (const char* t = std::getenv("SYCCL_SYNTH_THREADS")) cfg.num_threads = std::atoi(t);

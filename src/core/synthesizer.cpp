@@ -289,7 +289,7 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
     span.annotate("copies", static_cast<double>(copies));
   }
 
-  auto solve_classes = [&](const solver::MilpSchedulerOptions& opts,
+  auto solve_classes = [&](const solver::SolveOptions& opts,
                            const std::vector<bool>& needed,
                            std::vector<solver::SubSchedule>& out) {
     std::vector<int> todo;
@@ -515,7 +515,7 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
 
   // Fold the per-call breakdown into the process-wide metrics registry so
   // phase totals aggregate across synthesize() calls (one reporting path
-  // with the solver/cache/milp layers). Once per synthesis — name lookups
+  // with the solver and cache layers). Once per synthesis — name lookups
   // here are not on a hot path.
   {
     auto& reg = obs::MetricsRegistry::instance();

@@ -22,7 +22,7 @@
 #include "sim/schedule.h"
 #include "sim/simulator.h"
 #include "sketch/alltoall.h"
-#include "solver/milp_scheduler.h"
+#include "solver/greedy.h"
 #include "topo/topology.h"
 #include "util/thread_pool.h"
 
@@ -40,11 +40,9 @@ struct SynthesisConfig {
   sketch::AllToAllConfig sketch;
 
   /// Per-sub-demand solver settings of the two passes; E is the epoch knob
-  /// (§5.3 paper defaults: E₁ = 3.0 coarse, E₂ = 0.5 fine). The
-  /// binary-count gates keep the dense-simplex B&B inside its practical
-  /// size range; larger merged demands fall back to the greedy incumbent.
-  solver::MilpSchedulerOptions coarse_solver{3.0, 0.25, 500, 250, false};
-  solver::MilpSchedulerOptions fine_solver{0.5, 1.0, 2000, 550, false};
+  /// (§5.3 paper defaults: E₁ = 3.0 coarse, E₂ = 0.5 fine).
+  solver::SolveOptions coarse_solver{3.0};
+  solver::SolveOptions fine_solver{0.5};
 
   /// Simulator options used for candidate ranking.
   sim::SimOptions sim;

@@ -179,21 +179,16 @@ CaseResult run_differential_case(std::uint64_t seed, const CaseOptions& options)
     core::SynthesisConfig cfg;
     cfg.sketch.max_prototypes = 3;
     cfg.sketch.combine.max_outputs = 6;
-    cfg.coarse_solver.time_limit_s = 0.05;
-    cfg.fine_solver.time_limit_s = 0.1;
     cfg.num_threads = 2;
-    // Seed-parity toggle so the `--synth-every` sweep exercises both the
-    // flow-bounded and the plain branch-and-bound solver paths.
-    cfg.coarse_solver.use_flow_bounds = seed % 2 == 0;
-    cfg.fine_solver.use_flow_bounds = seed % 2 == 0;
     core::Synthesizer synth(rt.topo, cfg);
     try {
       const auto result = synth.synthesize(coll);
       check_schedule(result.schedule, "synthesizer", coll, rt.topo, groups, sim_opts, options, out);
     } catch (const std::exception&) {
-      // Under the deliberately tiny fuzz time budget the synthesizer can
-      // fail to produce any valid candidate. That is a synthesis-coverage
-      // matter, not a simulator/validator divergence — skip, don't fail.
+      // On some generated fabrics the synthesizer fails with a typed error
+      // (for example no replicable sketch family on a failed NIC). That is a
+      // synthesis-coverage matter, not a simulator/validator divergence —
+      // skip, don't fail.
     }
   }
 

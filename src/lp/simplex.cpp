@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/stopwatch.h"
-
 namespace syccl::lp {
 
 namespace {
@@ -54,17 +52,11 @@ class Tableau {
 /// plus scalar value). Only columns with allowed[c] == true may enter.
 /// Returns Optimal / Unbounded / IterationLimit.
 Status run_simplex(Tableau& t, std::vector<double>& z, double& zval,
-                   const std::vector<bool>& allowed, long& iters_left,
-                   const util::Stopwatch& clock, double deadline_s) {
+                   const std::vector<bool>& allowed, long& iters_left) {
   const int rows = t.rows();
   const int cols = t.cols();
   long stall = 0;
-  long since_check = 0;
   while (iters_left-- > 0) {
-    if (deadline_s > 0 && ++since_check >= 16) {
-      since_check = 0;
-      if (clock.elapsed_seconds() > deadline_s) return Status::IterationLimit;
-    }
     // Entering column: Dantzig rule, Bland's rule when stalling.
     int pc = -1;
     if (stall < 2000) {
@@ -132,8 +124,7 @@ int Problem::add_var(double lo, double hi, double cost) {
   return id;
 }
 
-Solution solve(const Problem& problem, long max_iters, double deadline_s) {
-  util::Stopwatch clock;
+Solution solve(const Problem& problem, long max_iters) {
   const long initial_iters = max_iters;
   const int n = problem.num_vars;
   std::vector<double> lower = problem.lower;
@@ -245,7 +236,7 @@ Solution solve(const Problem& problem, long max_iters, double deadline_s) {
         zval -= f * t.rhs(r);
       }
     }
-    const Status s1 = run_simplex(t, z, zval, allowed, iters_left, clock, deadline_s);
+    const Status s1 = run_simplex(t, z, zval, allowed, iters_left);
     if (s1 == Status::IterationLimit) {
       return Solution{Status::IterationLimit, 0.0, {}, initial_iters - iters_left};
     }
@@ -278,7 +269,7 @@ Solution solve(const Problem& problem, long max_iters, double deadline_s) {
       zval -= f * t.rhs(r);
     }
   }
-  const Status s2 = run_simplex(t, z, zval, allowed, iters_left, clock, deadline_s);
+  const Status s2 = run_simplex(t, z, zval, allowed, iters_left);
   if (s2 == Status::Unbounded) return Solution{Status::Unbounded, 0.0, {}, initial_iters - iters_left};
   if (s2 == Status::IterationLimit) {
     return Solution{Status::IterationLimit, 0.0, {}, initial_iters - iters_left};

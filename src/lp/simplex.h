@@ -1,10 +1,10 @@
 // Dense two-phase primal simplex LP solver.
 //
-// This is the LP substrate under the MILP branch-and-bound (src/milp) that
-// replaces the commercial solver used by the paper. Sub-demand models are
-// small by construction (SyCCL's whole point, §5.1), so a dense tableau is
-// adequate; we favour simplicity and numerical robustness (Bland's rule
-// fallback) over speed.
+// The one LP engine of the repository: it solves the sketch-combination
+// allocation LP (sketch/combine) and the multi-commodity-flow lower bound
+// (baselines/flow_bound). Both are small, so a dense tableau is adequate; we
+// favour simplicity and numerical robustness (Bland's rule fallback) over
+// speed.
 //
 // Problem form:  minimize cᵀx  subject to per-row relations and variable
 // bounds l ≤ x ≤ u (u may be +inf). Internally variables are shifted to
@@ -48,14 +48,9 @@ struct Solution {
   long iterations = 0;
 };
 
-/// Solves the LP. `max_iters` bounds total pivot count across both phases;
-/// `deadline_s` (if positive) bounds wall-clock time — exceeding either
-/// returns Status::IterationLimit.
-///
-/// This is the cold two-phase primal path. Repeated solves of the same
-/// constraint matrix under changing bounds (branch and bound) should go
-/// through lp::SimplexSolver (lp/simplex_solver.h), which re-enters from the
-/// previous basis via dual simplex and falls back to this routine.
-Solution solve(const Problem& problem, long max_iters = 200000, double deadline_s = 0.0);
+/// Solves the LP with the two-phase primal simplex. `max_iters` bounds the
+/// total pivot count across both phases; exceeding it returns
+/// Status::IterationLimit.
+Solution solve(const Problem& problem, long max_iters = 200000);
 
 }  // namespace syccl::lp

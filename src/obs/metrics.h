@@ -3,12 +3,12 @@
 //
 // Process totals live here and nowhere else: each event is counted once, by
 // the instrument its owner increments (serve.* in the broker, solve_cache.*
-// in the solve cache, milp.* in branch and bound, solver.*, synth.* and
-// sim.* in their layers), so one `to_json()` shows every solve, every cache
-// lookup and every synthesis of the process. The structs that remain —
-// per-call results (solver::SolveStats, core::SynthesisBreakdown,
-// milp::MilpSolution) and per-instance state (serve::DiskLibrary::Stats,
-// SubScheduleCache::Stats) — answer their own callers, not copy totals.
+// in the solve cache, solver.*, synth.* and sim.* in their layers), so one
+// `to_json()` shows every solve, every cache lookup and every synthesis of
+// the process. The structs that remain — per-call results
+// (solver::SolveStats, core::SynthesisBreakdown) and per-instance state
+// (serve::DiskLibrary::Stats, SubScheduleCache::Stats) — answer their own
+// callers, not copy totals.
 //
 // Cost model: instruments are plain atomics. `counter.add` is one relaxed
 // fetch_add; `histogram.observe` is a frexp plus three relaxed RMWs (bucket,

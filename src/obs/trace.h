@@ -5,7 +5,7 @@
 // span records the depth at which it opened, so exporters can reconstruct
 // the call tree (Chrome trace infers nesting from time containment on the
 // same track, which these records satisfy by construction). Spans carry
-// optional numeric annotations ("binaries" = 412, "cache_hit" = 1) that
+// optional numeric annotations ("epochs" = 12, "cache_hit" = 1) that
 // surface as args in the Chrome trace viewer.
 //
 // Disabled-path contract: tracing is off by default, and a span guard on the

@@ -66,8 +66,6 @@ struct ServeMetrics {
 
 core::SynthesisConfig fallback_synthesis_config(core::SynthesisConfig config) {
   config.two_step = false;
-  config.coarse_solver.greedy_only = true;
-  config.fine_solver.greedy_only = true;
   config.sketch.search.max_sketches = 2;
   config.sketch.max_prototypes = 1;
   config.sketch.combine.max_outputs = 2;

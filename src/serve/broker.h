@@ -61,9 +61,9 @@ class BrokerError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Minimal-budget derivative of `config` for deadline fallbacks: greedy-only
-/// solving (no MILP, no fine pass), one prototype sketch, single-candidate
-/// filter, one worker thread. Orders of magnitude cheaper than the full
+/// Minimal-budget derivative of `config` for deadline fallbacks: no fine
+/// pass, two sketches, one prototype, two combinations, a single-candidate
+/// filter and one worker thread. Orders of magnitude cheaper than the full
 /// budget; the schedules are correct but not competitive, which is exactly
 /// what the `degraded` flag communicates.
 core::SynthesisConfig fallback_synthesis_config(core::SynthesisConfig config);

@@ -364,6 +364,7 @@ void apply_rank_map(sim::Schedule& schedule, const std::vector<int>& map) {
   for (auto& p : schedule.pieces) {
     if (p.origin >= 0) p.origin = remap(p.origin);
     for (int& c : p.contributors) c = remap(c);
+    std::sort(p.contributors.begin(), p.contributors.end());
   }
   for (auto& op : schedule.ops) {
     op.src = remap(op.src);
@@ -383,6 +384,19 @@ void apply_rank_map(sim::Schedule& schedule, const std::vector<int>& map,
     }
     return map[static_cast<std::size_t>(rank)];
   };
+  if (from.reduce()) {
+    // Reduce-kind schedules name each piece's block by its destination rank
+    // (core::reverse_schedule), and an AllReduce's AllGather phase names
+    // each chunk by its source rank, so these chunk ids are ranks.
+    apply_rank_map(schedule, map);
+    for (auto& p : schedule.pieces) {
+      if (p.chunk < 0 || p.chunk >= n) {
+        throw std::invalid_argument("apply_rank_map: piece chunk out of range");
+      }
+      p.chunk = map[static_cast<std::size_t>(p.chunk)];
+    }
+    return;
+  }
   const auto key_of = [](int src, std::vector<int> dsts) {
     std::sort(dsts.begin(), dsts.end());
     std::ostringstream os;

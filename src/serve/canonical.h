@@ -67,7 +67,10 @@ struct CanonicalTopology {
 };
 
 /// Canonicalises an extracted decomposition. Deterministic; O(n² · dims) in
-/// the worst refinement case, microseconds at cluster sizes.
+/// the worst refinement case, and symmetric fabrics are that case: each
+/// doubling of the rank count costs about 4×. Measured on h800 fabrics
+/// (Release build, 4-vCPU container): 1.0 ms at 16 ranks, 2.6 ms at 64,
+/// 10 ms at 128, 38 ms at 256 and 150 ms at 512.
 CanonicalTopology canonicalize(const topo::TopologyGroups& groups);
 
 /// Power-of-two size bucket (ceiling), floored at 1 KiB: every request size
@@ -91,9 +94,9 @@ std::string scenario_key(const CanonicalTopology& canon, coll::CollKind kind,
                          const std::string& options_fp);
 
 /// Relabels every rank of `schedule` in place: rank r becomes map[r]
-/// (piece origins, reduce contributors and op endpoints; dims are
-/// structural and invariant under isomorphism). Throws std::invalid_argument
-/// on an out-of-range rank.
+/// (piece origins, reduce contributors, kept ascending, and op endpoints;
+/// dims are structural and invariant under isomorphism). Throws
+/// std::invalid_argument on an out-of-range rank.
 void apply_rank_map(sim::Schedule& schedule, const std::vector<int>& map);
 
 /// Rank-relabels `schedule` AND remaps its piece chunk ids. Chunk ids index
@@ -103,8 +106,11 @@ void apply_rank_map(sim::Schedule& schedule, const std::vector<int>& map);
 /// Chunk c of `from` (the collective in the schedule's current labelling)
 /// becomes the chunk of `to` (the same collective under `map`) whose source
 /// and demand set are the images of c's; chunks with identical images are
-/// interchangeable and matched in order. Throws std::invalid_argument when
-/// `to` is not a relabelling of `from`.
+/// interchangeable and matched in order. Reduce collectives
+/// (`from.reduce()`) are the exception: their schedules' chunk ids are
+/// ranks (a reduced block is named by its destination, an AllReduce's
+/// AllGather-phase chunk by its source), so they map through `map` itself.
+/// Throws std::invalid_argument when `to` is not a relabelling of `from`.
 void apply_rank_map(sim::Schedule& schedule, const std::vector<int>& map,
                     const coll::Collective& from, const coll::Collective& to);
 

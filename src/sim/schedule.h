@@ -29,7 +29,8 @@ struct Piece {
   /// contributor holds its own partial).
   int origin = -1;
   bool reduce = false;
-  /// Ranks whose partials must be merged (reduce pieces only).
+  /// Ranks whose partials must be merged (reduce pieces only), ascending:
+  /// the simulator binary-searches them.
   std::vector<int> contributors;
 };
 

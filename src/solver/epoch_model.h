@@ -7,9 +7,8 @@
 // integer number of epochs (bandwidth constraint) and arrives after
 // ⌈(α+βs)/τ⌉ epochs (latency constraint).
 //
-// Two solvers operate on this model: the greedy list scheduler
-// (solver/greedy.h, the fast incumbent) and the MILP scheduler
-// (solver/milp_scheduler.h, the accurate one).
+// The greedy list scheduler (solver/greedy.h) solves sub-demands on this
+// model.
 #pragma once
 
 #include <vector>

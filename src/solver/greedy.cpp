@@ -6,7 +6,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "solver/port_window.h"
+#include "solver/tau.h"
+#include "util/stopwatch.h"
 
 namespace syccl::solver {
 
@@ -167,6 +171,30 @@ SubSchedule solve_greedy(const SubDemand& demand, const EpochParams& params) {
   out.num_epochs = completion;
   check_sub_schedule(demand, out);
   return out;
+}
+
+SubSchedule solve_sub_demand(const SubDemand& demand, const SolveOptions& options,
+                             SolveStats* stats) {
+  SYCCL_TRACE_SPAN(span, "solve_sub_demand", "solver");
+  util::Stopwatch clock;
+  demand.validate();
+  SubSchedule schedule =
+      solve_greedy(demand, derive_epoch_params(*demand.group, demand.piece_bytes, options.E));
+  const double seconds = clock.elapsed_seconds();
+
+  // References hoisted: solves run on the synthesis hot path, so the
+  // steady-state cost is a handful of relaxed atomics.
+  {
+    auto& reg = obs::MetricsRegistry::instance();
+    static obs::Counter& solves = reg.counter("solver.solves");
+    static obs::Histogram& solve_seconds = reg.histogram("solver.solve_seconds");
+    solves.add(1);
+    solve_seconds.observe(seconds);
+  }
+  span.annotate("epochs", schedule.num_epochs);
+
+  if (stats != nullptr) *stats = SolveStats{false, seconds};
+  return schedule;
 }
 
 }  // namespace syccl::solver

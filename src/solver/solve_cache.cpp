@@ -36,14 +36,10 @@ SubScheduleCache& SubScheduleCache::instance() {
   return cache;
 }
 
-std::string SubScheduleCache::options_fingerprint(const MilpSchedulerOptions& options) {
-  // hexfloat keeps the digest exact; every field below can change the solved
-  // schedule (E via τ, limits via incumbent survival, gates via MILP skips).
+std::string SubScheduleCache::options_fingerprint(const SolveOptions& options) {
+  // hexfloat keeps the digest exact; E changes the solved schedule via τ.
   std::ostringstream os;
-  os << std::hexfloat << "E=" << options.E << ";tl=" << options.time_limit_s
-     << ";nl=" << options.node_limit << ";mb=" << options.max_binaries
-     << ";g=" << static_cast<int>(options.greedy_only)
-     << ";f=" << static_cast<int>(options.use_flow_bounds);
+  os << std::hexfloat << "E=" << options.E;
   return os.str();
 }
 
@@ -69,8 +65,7 @@ void SubScheduleCache::evict_locked(Shard& shard) {
   }
 }
 
-SubSchedule SubScheduleCache::get_or_solve(const SubDemand& demand,
-                                           const MilpSchedulerOptions& options,
+SubSchedule SubScheduleCache::get_or_solve(const SubDemand& demand, const SolveOptions& options,
                                            SolveStats* stats) {
   SYCCL_TRACE_SPAN(span, "solve_cache.lookup", "cache");
   // Entries are stored in *canonical* coordinates (CanonicalDemand): the key
@@ -136,7 +131,7 @@ SubSchedule SubScheduleCache::get_or_solve(const SubDemand& demand,
   }
 
   // Resident-footprint gauges. Only on the miss path, where the preceding
-  // solve (milliseconds at least) dwarfs the 16-shard stats() walk.
+  // solve dwarfs the 16-shard stats() walk.
   {
     const Stats s = this->stats();  // `stats` names the out-param here
     auto& reg = obs::MetricsRegistry::instance();

@@ -4,8 +4,8 @@
 // synthesis, but size sweeps, the RS/AG phases of AllReduce and repeated
 // `synthesize()` calls re-solve the same isomorphism classes from scratch.
 // This cache memoises `solve_sub_demand` results process-wide, keyed on
-// (SubDemand::canonical().key, MilpSchedulerOptions fingerprint) — the
-// fingerprint includes E, so coarse and fine passes occupy distinct entries.
+// (SubDemand::canonical().key, SolveOptions fingerprint) — the fingerprint
+// is E, so coarse and fine passes occupy distinct entries.
 //
 // Entries are stored in canonical coordinates: keys are invariant under
 // member/piece relabelling (the group's canonical form plus the demand in
@@ -28,7 +28,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "solver/milp_scheduler.h"
+#include "solver/greedy.h"
 
 namespace syccl::solver {
 
@@ -52,14 +52,14 @@ class SubScheduleCache {
   static SubScheduleCache& instance();
 
   /// Deterministic digest of every option that can change a solve result.
-  static std::string options_fingerprint(const MilpSchedulerOptions& options);
+  static std::string options_fingerprint(const SolveOptions& options);
 
   /// Returns the cached schedule for (demand, options), solving on a miss.
   /// Concurrent misses on the same key solve once. `stats` (optional)
   /// reports the underlying solve; on a hit it is zeroed with
   /// `cache_hit = true`. If the solve throws, the entry is dropped and the
   /// exception propagates to every waiter.
-  SubSchedule get_or_solve(const SubDemand& demand, const MilpSchedulerOptions& options,
+  SubSchedule get_or_solve(const SubDemand& demand, const SolveOptions& options,
                            SolveStats* stats = nullptr);
 
   /// Drops every ready entry (tests, topology changes). In-flight solves

@@ -4,7 +4,7 @@
 // 1/r integer, Fig. 18(a)) and come close to the latency constraint
 // (⌈(α+βs)/τ⌉ epochs should waste little time, Fig. 18(b)). The knob E sets
 // the target number of epochs per transmission: larger E → larger τ → fewer
-// MILP variables but coarser schedules.
+// epochs to schedule but coarser schedules.
 #pragma once
 
 #include "solver/epoch_model.h"

@@ -3,9 +3,7 @@
 // Production fabrics are not static — links degrade (flapping optics, ECN
 // storms), NICs die, cables get pulled. These helpers derive a *new*
 // Topology from an existing one plus a fault, returning both the mutated
-// topology and a TopologyDelta describing exactly what changed. The delta is
-// what incremental re-synthesis (core/resynthesize.h) consumes to decide
-// which groups must be re-solved.
+// topology and a TopologyDelta describing exactly which links changed.
 //
 // Topology stores links in an append-only vector (link id == index), so
 // removals rebuild the graph: node ids are preserved verbatim, surviving

@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "solver/epoch_model.h"
-#include "solver/milp_scheduler.h"
+#include "solver/greedy.h"
 #include "solver/solve_cache.h"
 #include "topo/groups.h"
 
@@ -56,12 +56,6 @@ SubDemand demand_of(const topo::GroupTopology& g,
   return d;
 }
 
-MilpSchedulerOptions greedy_opts() {
-  MilpSchedulerOptions o;
-  o.greedy_only = true;
-  return o;
-}
-
 // The headline regression: same β multiset, degradation at different
 // positions, demand anchored differently relative to the slow link. The
 // multiset signature keyed these identically, so the cache would serve the
@@ -91,11 +85,11 @@ TEST(CanonicalSignature, IsomorphicDegradedDemandsShareOneRemappedEntry) {
 
   SubScheduleCache cache(1 << 20);
   SolveStats stats;
-  const SubSchedule sa = cache.get_or_solve(a, greedy_opts(), &stats);
+  const SubSchedule sa = cache.get_or_solve(a, SolveOptions{}, &stats);
   EXPECT_FALSE(stats.cache_hit);
   EXPECT_NO_THROW(check_sub_schedule(a, sa));
 
-  const SubSchedule sb = cache.get_or_solve(b, greedy_opts(), &stats);
+  const SubSchedule sb = cache.get_or_solve(b, SolveOptions{}, &stats);
   EXPECT_TRUE(stats.cache_hit);
   // The remapped schedule must be valid *for b's labelling* — under the
   // pre-fix identity transfer it would broadcast from member 0, never
@@ -123,12 +117,12 @@ TEST(CanonicalSignature, SharedPortScheduleTransferRespectsCapacity) {
 
   SubScheduleCache cache(1 << 20);
   SolveStats stats;
-  const SubSchedule sa = cache.get_or_solve(a, greedy_opts(), &stats);
+  const SubSchedule sa = cache.get_or_solve(a, SolveOptions{}, &stats);
   EXPECT_NO_THROW(check_sub_schedule(a, sa));
 
-  const SubSchedule sb = cache.get_or_solve(b, greedy_opts(), &stats);
+  const SubSchedule sb = cache.get_or_solve(b, SolveOptions{}, &stats);
   EXPECT_NO_THROW(check_sub_schedule(b, sb));
-  const SubSchedule direct = solve_sub_demand(b, greedy_opts());
+  const SubSchedule direct = solve_sub_demand(b);
   EXPECT_EQ(sb.num_epochs, direct.num_epochs);
 }
 
@@ -143,9 +137,9 @@ TEST(CanonicalSignature, PermutedPieceIdsRemapOnHit) {
 
   SubScheduleCache cache(1 << 20);
   SolveStats stats;
-  const SubSchedule sa = cache.get_or_solve(a, greedy_opts(), &stats);
+  const SubSchedule sa = cache.get_or_solve(a, SolveOptions{}, &stats);
   EXPECT_NO_THROW(check_sub_schedule(a, sa));
-  const SubSchedule sb = cache.get_or_solve(b, greedy_opts(), &stats);
+  const SubSchedule sb = cache.get_or_solve(b, SolveOptions{}, &stats);
   EXPECT_TRUE(stats.cache_hit);
   EXPECT_NO_THROW(check_sub_schedule(b, sb));
   EXPECT_EQ(sb.num_epochs, sa.num_epochs);

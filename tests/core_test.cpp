@@ -10,7 +10,7 @@
 #include "core/subdemand.h"
 #include "sketch/alltoall.h"
 #include "sketch/replicate.h"
-#include "solver/milp_scheduler.h"
+#include "solver/greedy.h"
 #include "topo/builders.h"
 
 namespace syccl::core {
@@ -37,10 +37,8 @@ sketch::SketchCombination first_combo(const Fixture& f, sketch::RootedPattern pa
 }
 
 std::vector<solver::SubSchedule> solve_greedily(const DemandPlan& plan) {
-  solver::MilpSchedulerOptions opts;
-  opts.greedy_only = true;
   std::vector<solver::SubSchedule> solved;
-  for (const auto& md : plan.demands) solved.push_back(solver::solve_sub_demand(md.demand, opts));
+  for (const auto& md : plan.demands) solved.push_back(solver::solve_sub_demand(md.demand));
   return solved;
 }
 

@@ -1,6 +1,6 @@
 // Base fixture for tests that assert metrics-registry counts.
 //
-// Serve, solve-cache and MILP events are counted only in the process-wide
+// Serve, solve-cache and solver events are counted only in the process-wide
 // obs::MetricsRegistry, and the sanitizer and chaos ctest configurations run
 // many tests in one process. Resetting the registry before each test keeps
 // the counts a test asserts its own.

@@ -238,9 +238,7 @@ TEST(MergeEquivalence, SynthesisCandidates) {
         sketch::select_prototypes(sketches, groups, config.max_prototypes), sketches, groups,
         all_roots, config.combine);
     solver::SubScheduleCache cache;
-    solver::MilpSchedulerOptions options;
-    options.E = 3.0;
-    options.greedy_only = true;
+    const solver::SolveOptions options{3.0};
     for (std::size_t c = 0; c < combos.size(); ++c) {
       const DemandPlan plan = build_demand_plan(combos[c], coll, groups);
       std::vector<solver::SubSchedule> solved;

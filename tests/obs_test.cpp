@@ -12,12 +12,14 @@
 #include <thread>
 #include <vector>
 
-#include "milp/branch_and_bound.h"
 #include "obs/chrome_trace.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/scenario.h"
 #include "obs/trace.h"
+#include "solver/greedy.h"
+#include "topo/builders.h"
+#include "topo/groups.h"
 
 namespace syccl::obs {
 namespace {
@@ -339,28 +341,25 @@ TEST(ChromeTrace, FoldsTracerSnapshotIntoTracks) {
   trace_clear();
 }
 
-TEST(ObsMilp, SolveFoldsSolutionCountersIntoRegistry) {
+TEST(ObsSolver, SolveFoldsItsStatsIntoRegistry) {
   auto& reg = MetricsRegistry::instance();
   reg.reset();
 
-  // The knapsack from milp_test: small, but guaranteed to branch.
-  milp::MilpProblem m;
-  const int a = m.lp.add_var(0, 1, -10);
-  const int b = m.lp.add_var(0, 1, -13);
-  const int c = m.lp.add_var(0, 1, -7);
-  m.lp.add_constraint({{{a, 3.0}, {b, 4.0}, {c, 2.0}}, lp::Relation::LessEq, 6.0});
-  m.is_integer = {true, true, true};
-  const milp::MilpSolution s = milp::solve(m);
-  ASSERT_EQ(s.status, milp::MilpStatus::Optimal);
+  const topo::Topology topo = topo::build_single_server(4);
+  const topo::TopologyGroups groups = topo::extract_groups(topo);
+  solver::SubDemand demand;
+  demand.group = &groups.dims[0].groups[0];
+  demand.piece_bytes = 1 << 20;
+  demand.pieces.push_back(solver::DemandPiece{0, {0}, {1, 2, 3}});
+  solver::SolveStats stats;
+  solver::solve_sub_demand(demand, {}, &stats);
 
   // One reporting path: registry totals must equal the returned stats.
-  EXPECT_EQ(reg.counter("milp.solves").value(), 1);
-  EXPECT_EQ(reg.counter("milp.nodes_explored").value(), s.nodes_explored);
-  EXPECT_EQ(reg.counter("milp.lp_iterations").value(), s.lp_iterations);
-  EXPECT_EQ(reg.counter("milp.warm_hits").value(), s.warm_hits);
-  EXPECT_EQ(reg.counter("milp.warm_fallbacks").value(), s.warm_fallbacks);
-  EXPECT_EQ(reg.counter("milp.presolve_prunes").value(), s.presolve_prunes);
-  EXPECT_GT(s.nodes_explored, 0);
+  EXPECT_EQ(reg.counter("solver.solves").value(), 1);
+  const Histogram& seconds = reg.histogram("solver.solve_seconds");
+  EXPECT_EQ(seconds.count(), 1);
+  EXPECT_DOUBLE_EQ(seconds.sum(), stats.solve_seconds);
+  EXPECT_FALSE(stats.cache_hit);
 }
 
 TEST(ObsScenario, UnknownNamesThrow) {
@@ -384,8 +383,6 @@ TEST(ObsScenario, TracedDgx16AllReduceEmitsConsistentArtifacts) {
   // identical to the full-size run.
   spec.config.sketch.max_prototypes = 3;
   spec.config.sketch.combine.max_outputs = 6;
-  spec.config.coarse_solver.time_limit_s = 0.05;
-  spec.config.fine_solver.time_limit_s = 0.1;
 
   const ScenarioResult result = run_traced_scenario(spec);
   EXPECT_FALSE(tracing_enabled());  // the guard restored the disabled state

@@ -51,8 +51,6 @@ core::SynthesisConfig sweep_config() {
   core::SynthesisConfig cfg;
   cfg.sketch.max_prototypes = 3;
   cfg.sketch.combine.max_outputs = 6;
-  cfg.coarse_solver.time_limit_s = 0.05;
-  cfg.fine_solver.time_limit_s = 0.1;
   return cfg;
 }
 

@@ -7,9 +7,11 @@
 #include <chrono>
 #include <filesystem>
 #include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
+#include "core/synthesizer.h"
 #include "counting_test.h"
 #include "obs/json.h"
 #include "obs/scenario.h"
@@ -301,6 +303,99 @@ TEST_F(ServeBroker, SendRecvIsRejected) {
   request.kind = coll::CollKind::SendRecv;
   EXPECT_THROW(broker.handle(request), std::invalid_argument);
 }
+
+// Reduce-kind collectives under relabelling. Their schedules carry reduce
+// contributor lists, which the simulator binary-searches, and name each
+// reduced block by its destination rank instead of by an index into the
+// collective's chunk list. A relabel that left the contributors unsorted
+// or matched chunk ids against the chunk list failed every permuted
+// re-request's re-simulation, and could not store a Reduce rooted at the
+// last rank at all.
+struct RelabelCase {
+  const char* fabric;
+  coll::CollKind kind;
+  bool last_rank_root = false;
+};
+
+class ServeBrokerRelabel : public CountingTest,
+                           public ::testing::WithParamInterface<RelabelCase> {};
+
+TEST_P(ServeBrokerRelabel, PermutedReRequestsHitAndReprice) {
+  const RelabelCase param = GetParam();
+  DiskLibrary library({scratch_dir(std::string("relabel_") + param.fabric + "_" +
+                                   coll::kind_name(param.kind))});
+  Broker broker(library);
+
+  ServeRequest original;
+  original.topology = obs::build_scenario_topology(param.fabric);
+  original.kind = param.kind;
+  original.total_bytes = 1 << 20;
+  const int n = static_cast<int>(original.topology.num_gpus());
+  if (param.last_rank_root) original.root = n - 1;
+  const ServeResponse cold = broker.handle(original);
+  EXPECT_FALSE(cold.hit);
+
+  // The round trip through canonical rank space is lossless: a
+  // same-labelling hit serves exactly what the synthesizer produced.
+  const ServeResponse same = broker.handle(original);
+  EXPECT_TRUE(same.hit);
+  core::Synthesizer synthesizer(original.topology, broker.config().synthesis);
+  const core::SynthesisResult fresh = synthesizer.synthesize(
+      make_serve_collective(original.kind, n, original.total_bytes, original.root));
+  EXPECT_EQ(runtime::to_xml(same.schedule, n), runtime::to_xml(fresh.schedule, n));
+
+  // A rooted request shares the entry only when its root lands on the same
+  // canonical rank (serve/canonical.h), so rooted cases draw relabellings
+  // until one does.
+  const auto canonical_rank = [](const ServeRequest& request) {
+    return canonicalize(topo::extract_groups(request.topology))
+        .perm[static_cast<std::size_t>(request.root)];
+  };
+  const int canonical_root = canonical_rank(original);
+  std::vector<int> perm(static_cast<std::size_t>(n));
+  std::iota(perm.begin(), perm.end(), 0);
+  std::mt19937 gen(7);
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE(i);
+    ServeRequest permuted = original;
+    for (int draw = 0; draw < 1000; ++draw) {
+      std::shuffle(perm.begin(), perm.end(), gen);
+      permuted.topology = topo::permute_gpu_ranks(original.topology, perm);
+      permuted.root = perm[static_cast<std::size_t>(original.root)];
+      if (!param.last_rank_root || canonical_rank(permuted) == canonical_root) break;
+    }
+    const ServeResponse served = broker.handle(permuted);
+    EXPECT_TRUE(served.hit);
+    EXPECT_EQ(served.scenario_key, cold.scenario_key);
+
+    const topo::TopologyGroups groups = topo::extract_groups(permuted.topology);
+    const coll::Collective coll =
+        make_serve_collective(permuted.kind, n, permuted.total_bytes, permuted.root);
+    const runtime::ValidationReport report =
+        runtime::validate_schedule(served.schedule, coll, groups);
+    EXPECT_TRUE(report.ok) << (report.errors.empty() ? "" : report.errors.front());
+    EXPECT_NEAR(served.predicted_time, cold.predicted_time, 1e-12 + 1e-9 * cold.predicted_time);
+  }
+  EXPECT_EQ(count("serve.verify_failures"), 0);
+  EXPECT_EQ(count("serve.misses"), 1);
+  EXPECT_EQ(count("serve.hits"), 5);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ReduceKinds, ServeBrokerRelabel,
+    ::testing::Values(RelabelCase{"dgx16", coll::CollKind::AllReduce},
+                      RelabelCase{"h800x4", coll::CollKind::AllReduce},
+                      RelabelCase{"a100x16", coll::CollKind::AllReduce},
+                      RelabelCase{"dgx16", coll::CollKind::ReduceScatter},
+                      RelabelCase{"h800x4", coll::CollKind::ReduceScatter},
+                      RelabelCase{"a100x16", coll::CollKind::ReduceScatter},
+                      RelabelCase{"dgx16", coll::CollKind::Reduce, true},
+                      RelabelCase{"h800x4", coll::CollKind::Reduce, true},
+                      RelabelCase{"a100x16", coll::CollKind::Reduce, true}),
+    [](const ::testing::TestParamInfo<RelabelCase>& info) {
+      return std::string(info.param.fabric) + "_" + coll::kind_name(info.param.kind) +
+             (info.param.last_rank_root ? "_last_rank_root" : "");
+    });
 
 // ----------------------------------------------------------------- protocol
 

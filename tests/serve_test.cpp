@@ -168,16 +168,56 @@ TEST(ServeCanonical, ApplyRankMapRemapsEveryEndpoint) {
     if (p.origin >= 0) {
       EXPECT_LT(p.origin, 3);
     }
-    // Contributors were {0,1,2} in some order; still a permutation of ranks.
-    std::vector<int> c = p.contributors;
-    std::sort(c.begin(), c.end());
-    EXPECT_EQ(c, (std::vector<int>{0, 1, 2}));
+    // Contributors stay ascending: the simulator binary-searches them.
+    EXPECT_EQ(p.contributors, (std::vector<int>{0, 1, 2}));
   }
 
   sim::Schedule bad;
   bad.pieces = sim::pieces_for(coll::make_broadcast(4, 4096, 0));
   bad.add_op(0, 0, 3);
   EXPECT_THROW(apply_rank_map(bad, {0, 1, 2}), std::invalid_argument);
+}
+
+// Reduce-kind schedules name each reduced block by its destination rank
+// (core::reverse_schedule), not by an index into the collective's chunk
+// list, so the chunk-aware overload maps their chunk ids through the rank
+// map — including the last rank, which a Reduce's n−1-chunk list cannot
+// index.
+TEST(ServeCanonical, ApplyRankMapNamesReducedBlocksByRank) {
+  const int n = 4;
+  const std::vector<int> map = {3, 0, 2, 1};
+  const auto reduce_piece = [n](int block) {
+    sim::Piece p;
+    p.chunk = block;
+    p.bytes = 1024.0;
+    p.reduce = true;
+    p.contributors.resize(static_cast<std::size_t>(n));
+    std::iota(p.contributors.begin(), p.contributors.end(), 0);
+    return p;
+  };
+
+  sim::Schedule reduce;
+  reduce.pieces.push_back(reduce_piece(n - 1));
+  reduce.add_op(0, 0, n - 1);
+  apply_rank_map(reduce, map, coll::make_reduce(n, 4096, n - 1),
+                 coll::make_reduce(n, 4096, map[n - 1]));
+  EXPECT_EQ(reduce.pieces[0].chunk, map[n - 1]);
+  EXPECT_EQ(reduce.pieces[0].contributors, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(reduce.ops[0].dst, map[n - 1]);
+
+  sim::Schedule scatter;
+  for (int d = 0; d < n; ++d) scatter.pieces.push_back(reduce_piece(d));
+  apply_rank_map(scatter, map, coll::make_reduce_scatter(n, 4096),
+                 coll::make_reduce_scatter(n, 4096));
+  for (int d = 0; d < n; ++d) {
+    EXPECT_EQ(scatter.pieces[static_cast<std::size_t>(d)].chunk, map[static_cast<std::size_t>(d)]);
+  }
+
+  sim::Schedule out_of_range;
+  out_of_range.pieces.push_back(reduce_piece(n));
+  EXPECT_THROW(apply_rank_map(out_of_range, map, coll::make_reduce_scatter(n, 4096),
+                              coll::make_reduce_scatter(n, 4096)),
+               std::invalid_argument);
 }
 
 // -------------------------------------------------------------------- codec

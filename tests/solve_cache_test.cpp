@@ -13,6 +13,7 @@
 
 #include "core/synthesizer.h"
 #include "counting_test.h"
+#include "runtime/validate.h"
 #include "runtime/xml.h"
 #include "solver/solve_cache.h"
 #include "topo/builders.h"
@@ -26,10 +27,6 @@ core::SynthesisConfig test_config(int num_threads = 0) {
   cfg.sketch.search.max_sketches = 32;
   cfg.sketch.max_prototypes = 4;
   cfg.sketch.combine.max_outputs = 10;
-  // Generous wall-clock limits keep the (deterministic) node limit binding,
-  // so repeated solves of the same class yield identical schedules.
-  cfg.coarse_solver.time_limit_s = 5.0;
-  cfg.fine_solver.time_limit_s = 5.0;
   cfg.num_threads = num_threads;
   return cfg;
 }
@@ -53,15 +50,11 @@ solver::SubDemand make_broadcast_demand(const topo::GroupTopology& gt, double pi
 }
 
 TEST_F(SolveCache, OptionsFingerprintSeparatesKnobs) {
-  solver::MilpSchedulerOptions a;
-  solver::MilpSchedulerOptions b = a;
+  solver::SolveOptions a;
+  solver::SolveOptions b = a;
   EXPECT_EQ(solver::SubScheduleCache::options_fingerprint(a),
             solver::SubScheduleCache::options_fingerprint(b));
   b.E = a.E * 2;
-  EXPECT_NE(solver::SubScheduleCache::options_fingerprint(a),
-            solver::SubScheduleCache::options_fingerprint(b));
-  b = a;
-  b.greedy_only = !a.greedy_only;
   EXPECT_NE(solver::SubScheduleCache::options_fingerprint(a),
             solver::SubScheduleCache::options_fingerprint(b));
 }
@@ -71,7 +64,7 @@ TEST_F(SolveCache, HitReturnsIdenticalScheduleWithoutSolving) {
   const auto groups = topo::extract_groups(topo);
   solver::SubScheduleCache cache;
   const auto demand = make_broadcast_demand(groups.dims[0].groups[0], 1 << 20);
-  solver::MilpSchedulerOptions opts;
+  solver::SolveOptions opts;
 
   solver::SolveStats s1, s2;
   const auto first = cache.get_or_solve(demand, opts, &s1);
@@ -102,8 +95,7 @@ TEST_F(SolveCache, LruBoundEvicts) {
   const auto groups = topo::extract_groups(topo);
   // A budget far below what ~200 distinct entries need forces eviction.
   solver::SubScheduleCache cache(4096);
-  solver::MilpSchedulerOptions opts;
-  opts.greedy_only = true;
+  solver::SolveOptions opts;
   for (int k = 0; k < 200; ++k) {
     const auto demand =
         make_broadcast_demand(groups.dims[0].groups[0], (1 << 16) + k * 997.0);
@@ -119,7 +111,7 @@ TEST_F(SolveCache, ConcurrentMissesSolveOnce) {
   const auto groups = topo::extract_groups(topo);
   solver::SubScheduleCache cache;
   const auto demand = make_broadcast_demand(groups.dims[0].groups[0], 1 << 20);
-  solver::MilpSchedulerOptions opts;
+  solver::SolveOptions opts;
 
   std::atomic<int> solved{0};
   std::vector<std::thread> threads;
@@ -158,6 +150,42 @@ TEST_F(SolveCache, SweepByteIdenticalFromClearedAndWarmCache) {
     EXPECT_EQ(warm.chosen, cold[i].chosen) << "bytes=" << sizes[i];
     EXPECT_EQ(warm.predicted_time, cold[i].predicted_time) << "bytes=" << sizes[i];
     EXPECT_EQ(xml_of(warm, 16), xml_of(cold[i], 16)) << "bytes=" << sizes[i];
+  }
+}
+
+// After a fault, the cache still holds the healthy fabric's classes. The
+// groups the fault left alone keep their canonical signatures and are served
+// from it; the schedule is byte-identical to a cold synthesis on the faulty
+// fabric.
+TEST_F(SolveCache, FaultyFabricFromWarmCacheMatchesColdSynthesis) {
+  topo::MultiRailSpec spec;
+  spec.num_servers = 2;
+  spec.gpus_per_server = 2;
+  const topo::Topology healthy = topo::build_multi_rail(spec);
+  const auto coll = coll::make_allgather(4, 1 << 20);
+  const std::vector<std::pair<std::string, topo::Topology>> faults = {
+      {"gpu1.0 NVLink degraded 8x",
+       topo::degrade_duplex(healthy, topo::node_by_name(healthy, "gpu1.0"),
+                            topo::node_by_name(healthy, "nvswitch1"), 1.0, 8.0)
+           .topo},
+      {"nic0.1 failed", topo::fail_nic(healthy, topo::node_by_name(healthy, "nic0.1")).topo},
+  };
+  for (const auto& [name, faulty] : faults) {
+    SCOPED_TRACE(name);
+    solver::SubScheduleCache::instance().clear();
+    core::Synthesizer(healthy, test_config(2)).synthesize(coll);
+    const auto warm = core::Synthesizer(faulty, test_config(2)).synthesize(coll);
+
+    solver::SubScheduleCache::instance().clear();
+    const auto cold = core::Synthesizer(faulty, test_config(2)).synthesize(coll);
+    EXPECT_GT(warm.breakdown.cache_hits, 0);
+    EXPECT_LT(warm.breakdown.num_solver_calls, cold.breakdown.num_solver_calls);
+    EXPECT_EQ(warm.chosen, cold.chosen);
+    EXPECT_EQ(warm.predicted_time, cold.predicted_time);
+    EXPECT_EQ(xml_of(warm, 4), xml_of(cold, 4));
+    const runtime::ValidationReport report =
+        runtime::validate_schedule(cold.schedule, coll, topo::extract_groups(faulty));
+    EXPECT_TRUE(report.ok) << (report.errors.empty() ? "" : report.errors.front());
   }
 }
 

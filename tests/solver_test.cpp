@@ -1,10 +1,9 @@
-// Tests for the epoch model, τ derivation, greedy scheduler and MILP
-// scheduler on hand-checkable sub-demands.
+// Tests for the epoch model, τ derivation, the greedy scheduler and the
+// solve_sub_demand entry point on hand-checkable sub-demands.
 #include <gtest/gtest.h>
 
 #include "solver/epoch_model.h"
 #include "solver/greedy.h"
-#include "solver/milp_scheduler.h"
 #include "solver/tau.h"
 #include "topo/builders.h"
 #include "topo/groups.h"
@@ -89,6 +88,7 @@ TEST(EpochModel, ValidateRejectsBadDemands) {
   SubDemand d = broadcast_demand(f.group(), 100.0);
   d.pieces[0].dsts.push_back(99);
   EXPECT_THROW(d.validate(), std::invalid_argument);
+  EXPECT_THROW(solve_sub_demand(d), std::invalid_argument);
   SubDemand e = broadcast_demand(f.group(), 0.0);
   EXPECT_THROW(e.validate(), std::invalid_argument);
 }
@@ -131,8 +131,7 @@ TEST(Greedy, BroadcastStreamsInAlphaDominatedRegime) {
 
 TEST(Greedy, BroadcastRelaysInBandwidthDominatedRegime) {
   // βs ≫ α with occupancy 2: relaying through early receivers beats pure
-  // streaming. Greedy must at least stay within the streaming bound; the
-  // MILP (next suite) is allowed to relay below it.
+  // streaming. Greedy must at least stay within the streaming bound.
   GroupFixture f(4, {1e-6, 1e9});
   SubDemand d = broadcast_demand(f.group(), 1e6);  // βs = 1 ms >> α
   const EpochParams ep = derive_epoch_params(f.group(), d.piece_bytes, 0.5);
@@ -186,7 +185,18 @@ TEST(Greedy, RespectsCapacityGreaterThanOne) {
   EXPECT_LE(s.num_epochs, 2 * ep.lat_epochs);
 }
 
-TEST(MilpScheduler, MatchesGreedyOnBroadcast) {
+void expect_same_schedule(const SubSchedule& a, const SubSchedule& b) {
+  EXPECT_EQ(a.num_epochs, b.num_epochs);
+  ASSERT_EQ(a.ops.size(), b.ops.size());
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    EXPECT_EQ(a.ops[i].piece, b.ops[i].piece);
+    EXPECT_EQ(a.ops[i].src, b.ops[i].src);
+    EXPECT_EQ(a.ops[i].dst, b.ops[i].dst);
+    EXPECT_EQ(a.ops[i].start_epoch, b.ops[i].start_epoch);
+  }
+}
+
+TEST(SolveSubDemand, BroadcastReachesStreamingOptimum) {
   GroupFixture f(4);
   SubDemand d = broadcast_demand(f.group(), 100.0);
   SolveStats stats;
@@ -198,26 +208,25 @@ TEST(MilpScheduler, MatchesGreedyOnBroadcast) {
   EXPECT_EQ(s.num_epochs, (4 - 2) + ep.lat_epochs);
 }
 
-TEST(MilpScheduler, ImprovesSuboptimalGreedyOrMatches) {
-  // AllGather on 4: greedy is already near-optimal; the MILP must never be
-  // worse and must validate.
-  GroupFixture f(4);
-  SubDemand d = allgather_demand(f.group(), 1e5);
-  const EpochParams ep = derive_epoch_params(f.group(), d.piece_bytes, 1.0);
-  const SubSchedule greedy = solve_greedy(d, ep);
-  MilpSchedulerOptions opts;
-  opts.time_limit_s = 3.0;
-  SolveStats stats;
-  const SubSchedule milp = solve_sub_demand(d, opts, &stats);
-  check_sub_schedule(d, milp);
-  EXPECT_LE(milp.num_epochs, greedy.num_epochs);
+TEST(SolveSubDemand, IsGreedyAtTheDerivedEpochParams) {
+  for (const int n : {4, 8}) {
+    for (const double E : {0.5, 1.0, 3.0}) {
+      SCOPED_TRACE(std::to_string(n) + " members, E = " + std::to_string(E));
+      GroupFixture f(n);
+      SubDemand d = allgather_demand(f.group(), n == 4 ? 1e5 : 1e6);
+      const SubSchedule s = solve_sub_demand(d, SolveOptions{E});
+      check_sub_schedule(d, s);
+      expect_same_schedule(s, solve_greedy(d, derive_epoch_params(f.group(), d.piece_bytes, E)));
+    }
+  }
 }
 
-TEST(MilpScheduler, BeatsGreedyWhereItCan) {
-  // Regression guard: without a case where the MILP strictly improves on
-  // greedy, a change that silently disabled it would pass every test. A
-  // homogeneous 3-member star (α = 2 µs, 100 GB/s, distinct port ids), two
-  // crossing pieces: 1 → {0, 2} and 0 → {1, 2}.
+TEST(SolveSubDemand, CrossingPiecesOnAThreeMemberStar) {
+  // The one shape where an exact MILP is known to beat greedy: a homogeneous
+  // 3-member star (α = 2 µs, 100 GB/s, distinct port ids), two crossing
+  // pieces 1 → {0, 2} and 0 → {1, 2}. Greedy finishes in 28 epochs, the
+  // optimum is 25. No sketch produces this sub-demand; the test pins what
+  // the solver returns on it.
   topo::GroupTopology star;
   for (int i = 0; i < 3; ++i) {
     star.ranks.push_back(i);
@@ -233,52 +242,22 @@ TEST(MilpScheduler, BeatsGreedyWhereItCan) {
   ASSERT_EQ(ep.lat_epochs, 22);
   ASSERT_EQ(ep.capacity, 1);
   ASSERT_EQ(ep.occupancy, 3);
-  EXPECT_EQ(solve_greedy(d, ep).num_epochs, 28);
-
-  MilpSchedulerOptions opts;
-  opts.E = 0.5;
-  std::vector<SubSchedule> solved;
-  for (const bool flow : {true, false}) {
-    SCOPED_TRACE(flow ? "flow bounds on" : "flow bounds off");
-    opts.use_flow_bounds = flow;
-    SolveStats stats;
-    solved.push_back(solve_sub_demand(d, opts, &stats));
-    check_sub_schedule(d, solved.back());
-    EXPECT_EQ(solved.back().num_epochs, 25);
-    EXPECT_TRUE(stats.used_milp);
-    EXPECT_TRUE(stats.milp_improved);
-    EXPECT_EQ(stats.binaries, 84);
-  }
-  // Flow bounds change speed, never the schedule.
-  ASSERT_EQ(solved[0].ops.size(), solved[1].ops.size());
-  for (std::size_t i = 0; i < solved[0].ops.size(); ++i) {
-    EXPECT_EQ(solved[0].ops[i].piece, solved[1].ops[i].piece);
-    EXPECT_EQ(solved[0].ops[i].src, solved[1].ops[i].src);
-    EXPECT_EQ(solved[0].ops[i].dst, solved[1].ops[i].dst);
-    EXPECT_EQ(solved[0].ops[i].start_epoch, solved[1].ops[i].start_epoch);
-  }
+  const SubSchedule s = solve_sub_demand(d, SolveOptions{0.5});
+  check_sub_schedule(d, s);
+  EXPECT_EQ(s.num_epochs, 28);
+  expect_same_schedule(s, solve_greedy(d, ep));
 }
 
-TEST(MilpScheduler, GreedyOnlyFlagSkipsMilp) {
+TEST(SolveSubDemand, StatsReportAFreshSolve) {
   GroupFixture f(6);
   SubDemand d = broadcast_demand(f.group(), 1000.0);
-  MilpSchedulerOptions opts;
-  opts.greedy_only = true;
   SolveStats stats;
-  const SubSchedule s = solve_sub_demand(d, opts, &stats);
+  stats.cache_hit = true;
+  stats.solve_seconds = -1.0;
+  const SubSchedule s = solve_sub_demand(d, {}, &stats);
   check_sub_schedule(d, s);
-  EXPECT_FALSE(stats.used_milp);
-}
-
-TEST(MilpScheduler, SizeGateFallsBackToGreedy) {
-  GroupFixture f(8);
-  SubDemand d = allgather_demand(f.group(), 1e6);
-  MilpSchedulerOptions opts;
-  opts.max_binaries = 10;  // force the gate
-  SolveStats stats;
-  const SubSchedule s = solve_sub_demand(d, opts, &stats);
-  check_sub_schedule(d, s);
-  EXPECT_FALSE(stats.used_milp);
+  EXPECT_FALSE(stats.cache_hit);
+  EXPECT_GE(stats.solve_seconds, 0.0);
 }
 
 TEST(EpochModel, RemapSubSchedule) {

@@ -29,8 +29,6 @@ SynthesisConfig fast_config() {
   cfg.sketch.search.max_sketches = 32;
   cfg.sketch.max_prototypes = 4;
   cfg.sketch.combine.max_outputs = 10;
-  cfg.coarse_solver.time_limit_s = 0.1;
-  cfg.fine_solver.time_limit_s = 0.2;
   return cfg;
 }
 

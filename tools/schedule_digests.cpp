@@ -8,9 +8,8 @@
 // `<topo> <coll> <bytes> 0x<digest> <predicted_us>`, or
 // `<topo> <coll> <bytes> error: <message>` when synthesis throws. The
 // process-wide solve cache is cleared before every point, so each line is a
-// cold synthesis regardless of what ran before it. A last line on stderr
-// counts the sub-demand solves of the whole run, the MILP runs among them
-// and the MILP results that beat the greedy incumbent.
+// cold synthesis regardless of what ran before it. A last line on stderr,
+// `solves N`, counts the sub-demand solves of the whole run.
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -129,8 +128,6 @@ int main(int argc, char** argv) {
     }
   }
   auto& reg = syccl::obs::MetricsRegistry::instance();
-  std::cerr << "solves " << reg.counter("solver.solves").value() << ", milp "
-            << reg.counter("solver.milp_used").value() << ", milp improved "
-            << reg.counter("solver.milp_improved").value() << "\n";
+  std::cerr << "solves " << reg.counter("solver.solves").value() << "\n";
   return 0;
 }
