@@ -90,8 +90,10 @@ std::vector<Commodity> build_commodities(const coll::Collective& coll,
   return out;
 }
 
-/// α-aware shortest-path time from the commodity root to its farthest leaf:
-/// every hop of a message costs at least α + β·bytes.
+/// Latency floor: the least Σα over the paths from the commodity root to its
+/// farthest leaf. Only α is a per-hop floor: a message streams through its
+/// path cut-through, block by block, and a chunk may be split across paths,
+/// so β·bytes is charged per link, by the load floor and the LP, not per hop.
 double path_bound_of(const Commodity& k, const topo::Topology& topo) {
   constexpr double kUnreached = std::numeric_limits<double>::infinity();
   std::vector<double> dist(topo.num_nodes(), kUnreached);
@@ -107,7 +109,7 @@ double path_bound_of(const Commodity& k, const topo::Topology& topo) {
     for (topo::LinkId lid : links) {
       const topo::Link& l = topo.link(lid);
       const topo::NodeId to = k.transposed ? l.src : l.dst;
-      const double nd = d + l.alpha + l.beta * k.bytes;
+      const double nd = d + l.alpha;
       if (nd < dist[static_cast<std::size_t>(to)]) {
         dist[static_cast<std::size_t>(to)] = nd;
         heap.push({nd, to});
@@ -126,7 +128,8 @@ double path_bound_of(const Commodity& k, const topo::Topology& topo) {
 }
 
 /// Per-GPU injection/delivery floor: the bytes a GPU must emit (or absorb)
-/// cross its attached links, whose aggregate rate is Σ 1/β.
+/// cross its attached links, whose aggregate rate is Σ 1/β, and the last of
+/// them still pays its link's α once off the wire — at least the least α.
 double load_bound_of(const std::vector<Commodity>& commodities, const topo::Topology& topo) {
   std::vector<double> in_load(topo.num_nodes(), 0.0), out_load(topo.num_nodes(), 0.0);
   for (const Commodity& k : commodities) {
@@ -140,24 +143,21 @@ double load_bound_of(const std::vector<Commodity>& commodities, const topo::Topo
       out_load[static_cast<std::size_t>(k.root)] += k.bytes;
     }
   }
+  const auto floor_of = [&](const std::vector<topo::LinkId>& links, double load) {
+    double rate = 0.0;
+    double alpha = std::numeric_limits<double>::infinity();
+    for (topo::LinkId lid : links) {
+      const topo::Link& l = topo.link(lid);
+      alpha = std::min(alpha, l.alpha);
+      if (l.beta > 0.0) rate += 1.0 / l.beta;
+    }
+    return load > 0.0 && rate > 0.0 ? alpha + load / rate : 0.0;
+  };
   double worst = 0.0;
   for (topo::NodeId v = 0; v < static_cast<topo::NodeId>(topo.num_nodes()); ++v) {
-    const auto rate_of = [&](const std::vector<topo::LinkId>& links) {
-      double rate = 0.0;
-      for (topo::LinkId lid : links) {
-        const double beta = topo.link(lid).beta;
-        if (beta > 0.0) rate += 1.0 / beta;
-      }
-      return rate;
-    };
-    const double in_rate = rate_of(topo.in_links(v));
-    const double out_rate = rate_of(topo.out_links(v));
-    if (in_load[static_cast<std::size_t>(v)] > 0.0 && in_rate > 0.0) {
-      worst = std::max(worst, in_load[static_cast<std::size_t>(v)] / in_rate);
-    }
-    if (out_load[static_cast<std::size_t>(v)] > 0.0 && out_rate > 0.0) {
-      worst = std::max(worst, out_load[static_cast<std::size_t>(v)] / out_rate);
-    }
+    const std::size_t i = static_cast<std::size_t>(v);
+    worst = std::max(worst, floor_of(topo.in_links(v), in_load[i]));
+    worst = std::max(worst, floor_of(topo.out_links(v), out_load[i]));
   }
   return worst;
 }
@@ -225,11 +225,16 @@ FlowBoundResult flow_lower_bound(const coll::Collective& coll, const topo::Topol
       }
     }
     // Per-link serialization: everything crossing ℓ transmits back to back.
+    // z is in units of the load floor so that the wire times are near 1:
+    // the simplex's tolerances are absolute, and wire times in seconds are
+    // small enough to read as zero.
+    const double unit = res.load_bound > 0.0 ? res.load_bound : 1.0;
     for (int l = 0; l < num_links; ++l) {
       lp::Constraint c;
       const double beta = topo.link(l).beta;
       for (int k = 0; k < res.commodities; ++k) {
-        c.terms.push_back({fvar(k, l), commodities[static_cast<std::size_t>(k)].bytes * beta});
+        c.terms.push_back(
+            {fvar(k, l), commodities[static_cast<std::size_t>(k)].bytes * beta / unit});
       }
       c.terms.push_back({z, -1.0});
       c.rel = lp::Relation::LessEq;
@@ -242,7 +247,7 @@ FlowBoundResult flow_lower_bound(const coll::Collective& coll, const topo::Topol
     if (sol.status == lp::Status::Optimal) {
       res.used_lp = true;
       res.lp_cols = static_cast<int>(cols);
-      res.seconds = std::max(res.seconds, sol.objective);
+      res.seconds = std::max(res.seconds, sol.objective * unit);
     }
   }
   span.annotate("seconds", res.seconds);

@@ -22,8 +22,9 @@
 // minimize z. The LP bound is maxed with two combinatorial floors that also
 // serve as the fallback when the LP would exceed `max_lp_cols` columns:
 // per-GPU injection/delivery load over the harmonic capacity of its attached
-// links, and the α-aware shortest-path time of the farthest (commodity,
-// leaf) pair.
+// links plus their least α, and the least Σα path latency of the farthest
+// (commodity, leaf) pair (β·bytes is no per-hop floor: messages stream
+// through a path cut-through and chunks may be split across paths).
 #pragma once
 
 #include "coll/collective.h"
@@ -52,7 +53,7 @@ struct FlowBoundResult {
   /// LP columns (commodity-link flow variables), 0 when the LP was skipped.
   int lp_cols = 0;
   /// The two combinatorial floors, for gap reporting: port-load bound and
-  /// α-aware shortest-path bound.
+  /// shortest-path latency (Σα) bound.
   double load_bound = 0.0;
   double path_bound = 0.0;
 };
