@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark): throughput of the substrates under the
 // synthesizer — simulator, group extraction, sketch search, the greedy
 // sub-demand solver, the sub-schedule checker, LP simplex, schedule merging
-// and candidate simulation.
+// and candidate simulation — and of the library-hit stages: canonicalisation,
+// relabelling and validation.
 #include <benchmark/benchmark.h>
 
 #include <stdexcept>
@@ -11,6 +12,8 @@
 #include "core/subdemand.h"
 #include "core/synthesizer.h"
 #include "lp/simplex.h"
+#include "runtime/validate.h"
+#include "serve/canonical.h"
 #include "sim/schedule.h"
 #include "sim/simulator.h"
 #include "sketch/alltoall.h"
@@ -20,6 +23,7 @@
 #include "solver/tau.h"
 #include "topo/builders.h"
 #include "topo/groups.h"
+#include "topo/mutate.h"
 
 namespace {
 
@@ -58,7 +62,65 @@ void BM_GroupExtraction(benchmark::State& state) {
     benchmark::DoNotOptimize(topo::extract_groups(topo).num_dims());
   }
 }
-BENCHMARK(BM_GroupExtraction)->Arg(2)->Arg(8)->Arg(16);
+BENCHMARK(BM_GroupExtraction)->Arg(2)->Arg(8)->Arg(16)->Arg(64);
+
+/// serve::canonicalize on an h800 fabric of state.range(0) servers (16, 128
+/// and 512 ranks), rank-permuted so ties break against a shuffled labelling.
+void BM_Canonicalize(benchmark::State& state) {
+  const int servers = static_cast<int>(state.range(0));
+  std::vector<int> perm(static_cast<std::size_t>(servers * 8));
+  for (std::size_t i = 0; i < perm.size(); ++i) {
+    perm[i] = static_cast<int>((i * 37 + 5) % perm.size());
+  }
+  const auto groups =
+      topo::extract_groups(topo::permute_gpu_ranks(topo::build_h800_cluster(servers), perm));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::canonicalize(groups).hash.size());
+  }
+}
+BENCHMARK(BM_Canonicalize)->Arg(2)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
+
+/// The h800x16 AllGather 1 MiB library hit (128 ranks, 16,256 ops): the
+/// synthesized schedule, and the collective under a rank permutation.
+struct HitShape {
+  topo::Topology topo = topo::build_h800_cluster(16);
+  topo::TopologyGroups groups = topo::extract_groups(topo);
+  coll::Collective coll = coll::make_allgather(128, 1 << 20);
+  sim::Schedule schedule = core::Synthesizer(topo).synthesize(coll).schedule;
+  std::vector<int> map;
+
+  HitShape() {
+    for (int r = 0; r < 128; ++r) map.push_back((r * 45 + 7) % 128);
+  }
+  std::int64_t num_ops() const { return static_cast<std::int64_t>(schedule.ops.size()); }
+};
+
+const HitShape& hit_shape() {
+  static const HitShape shape;
+  return shape;
+}
+
+void BM_RelabelHit(benchmark::State& state) {
+  const HitShape& shape = hit_shape();
+  for (auto _ : state) {
+    sim::Schedule s = shape.schedule;
+    serve::apply_rank_map(s, shape.map, shape.coll, shape.coll);
+    benchmark::DoNotOptimize(s.ops.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * shape.num_ops());
+}
+BENCHMARK(BM_RelabelHit)->Unit(benchmark::kMillisecond);
+
+void BM_ValidateHit(benchmark::State& state) {
+  const HitShape& shape = hit_shape();
+  for (auto _ : state) {
+    const auto report = runtime::validate_schedule(shape.schedule, shape.coll, shape.groups);
+    benchmark::DoNotOptimize(report.ok);
+  }
+  state.SetItemsProcessed(state.iterations() * shape.num_ops());
+}
+BENCHMARK(BM_ValidateHit)->Unit(benchmark::kMillisecond);
 
 void BM_SketchSearch(benchmark::State& state) {
   const auto topo = topo::build_h800_cluster(static_cast<int>(state.range(0)));

@@ -1,7 +1,6 @@
 #include "coll/collective.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -35,13 +34,23 @@ Collective::Collective(CollKind kind, int num_ranks, std::uint64_t total_bytes,
 
 void Collective::validate() const {
   if (num_ranks_ < 1) throw std::invalid_argument("collective needs >= 1 rank");
+  std::vector<int> sorted;
   for (const Chunk& c : chunks_) {
     if (c.src < 0 || c.src >= num_ranks_) throw std::invalid_argument("chunk src out of range");
-    std::set<int> seen;
-    for (int d : c.dsts) {
-      if (d < 0 || d >= num_ranks_) throw std::invalid_argument("chunk dst out of range");
-      if (d == c.src) throw std::invalid_argument("chunk dst equals src");
-      if (!seen.insert(d).second) throw std::invalid_argument("duplicate chunk dst");
+    // A dst is faulty if out of range, equal to src, or a repeat; the first
+    // fault in dst order names the error. So a repeat counts only before the
+    // first dst that is faulty by itself.
+    const auto bad = std::find_if(c.dsts.begin(), c.dsts.end(), [&](int d) {
+      return d < 0 || d >= num_ranks_ || d == c.src;
+    });
+    sorted.assign(c.dsts.begin(), bad);
+    if (!std::is_sorted(sorted.begin(), sorted.end())) std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      throw std::invalid_argument("duplicate chunk dst");
+    }
+    if (bad != c.dsts.end()) {
+      throw std::invalid_argument(*bad == c.src ? "chunk dst equals src"
+                                                : "chunk dst out of range");
     }
   }
 }

@@ -49,6 +49,21 @@ void Histogram::observe(double value) {
   }
 }
 
+double Histogram::quantile(double q) const {
+  // Counts are read bucket by bucket, so the rank comes from their own total
+  // rather than count_, which concurrent observers may have moved.
+  std::int64_t counts[kNumBuckets];
+  std::int64_t total = 0;
+  for (int b = 0; b < kNumBuckets; ++b) total += counts[b] = bucket_count(b);
+  if (total == 0) return 0.0;
+  const double q_total = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
+  const auto rank = std::max<std::int64_t>(1, static_cast<std::int64_t>(std::ceil(q_total)));
+  std::int64_t seen = 0;
+  int b = 0;
+  while (b < kNumBuckets - 1 && (seen += counts[b]) < rank) ++b;
+  return bucket_lower_bound(b + 1);
+}
+
 double Histogram::sum() const {
   const std::uint64_t bits = sum_bits_.load(std::memory_order_relaxed);
   double sum;

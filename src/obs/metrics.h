@@ -66,6 +66,12 @@ class Histogram {
 
   void observe(double value);
 
+  /// Nearest-rank q-quantile at bucket resolution: the upper edge of the
+  /// bucket holding the ceil(q * count)-th smallest observation (at least
+  /// the first), so it never under-reports a value below the top bucket.
+  /// 0 when empty; q is clamped to [0, 1].
+  double quantile(double q) const;
+
   std::int64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const;
   std::int64_t bucket_count(int index) const {

@@ -1,21 +1,63 @@
 #include "runtime/validate.h"
 
-#include <algorithm>
-#include <map>
-#include <set>
-#include <sstream>
+#include <cstdint>
+#include <numeric>
+#include <string>
 
 #include "sim/analyze.h"
+#include "util/text.h"
 
 namespace syccl::runtime {
 
 namespace {
 
 std::string fmt_op(std::size_t index, const sim::TransferOp& op) {
-  std::ostringstream os;
-  os << "op #" << index << " (piece " << op.piece << ", " << op.src << "->" << op.dst << ")";
-  return os.str();
+  std::string out;
+  util::append(out, "op #", index, " (piece ", op.piece, ", ", op.src, "->", op.dst, ')');
+  return out;
 }
+
+/// Rows of one bit per rank.
+class BitRows {
+ public:
+  BitRows(std::size_t rows, int num_ranks)
+      : num_ranks_(num_ranks),
+        words_((static_cast<std::size_t>(num_ranks) + 63) / 64),
+        bits_(rows * words_, 0) {}
+
+  /// Out-of-range ranks are never set.
+  bool test(std::size_t row, int rank) const {
+    if (rank < 0 || rank >= num_ranks_) return false;
+    const auto r = static_cast<std::size_t>(rank);
+    return (bits_[row * words_ + r / 64] >> (r % 64) & 1) != 0;
+  }
+  void set(std::size_t row, int rank) {
+    const auto r = static_cast<std::size_t>(rank);
+    bits_[row * words_ + r / 64] |= std::uint64_t{1} << (r % 64);
+  }
+  /// Whether row `a` holds every bit of row `b`.
+  bool includes(std::size_t a, std::size_t b) const {
+    for (std::size_t w = 0; w < words_; ++w) {
+      if ((bits_[b * words_ + w] & ~bits_[a * words_ + w]) != 0) return false;
+    }
+    return true;
+  }
+  /// Whether row `a` holds every rank of `ranks`.
+  bool includes(std::size_t a, const std::vector<int>& ranks) const {
+    for (int r : ranks) {
+      if (!test(a, r)) return false;
+    }
+    return true;
+  }
+  void merge(std::size_t a, std::size_t b) {
+    for (std::size_t w = 0; w < words_; ++w) bits_[a * words_ + w] |= bits_[b * words_ + w];
+  }
+
+ private:
+  int num_ranks_;
+  std::size_t words_;
+  std::vector<std::uint64_t> bits_;
+};
 
 }  // namespace
 
@@ -24,11 +66,24 @@ ValidationReport validate_schedule(const sim::Schedule& schedule, const coll::Co
   ValidationReport report;
   report.traffic_per_dim.assign(static_cast<std::size_t>(groups.num_dims()), 0.0);
   const int num_ranks = static_cast<int>(groups.group_of.front().size());
+  const std::size_t num_pieces = schedule.pieces.size();
 
-  // Availability per (piece, rank); reduce contributor sets per (piece, rank).
-  std::set<std::pair<int, int>> have;
-  std::map<std::pair<int, int>, std::set<int>> contrib;
-  for (std::size_t pi = 0; pi < schedule.pieces.size(); ++pi) {
+  // Availability: row = piece. Reduce contributor sets: row = (reduce piece,
+  // rank), numbered from contrib_base[piece]. An absent set is an empty row.
+  BitRows have(num_pieces, num_ranks);
+  std::vector<std::size_t> contrib_base(num_pieces, 0);
+  std::size_t contrib_rows = 0;
+  for (std::size_t pi = 0; pi < num_pieces; ++pi) {
+    if (!schedule.pieces[pi].reduce) continue;
+    contrib_base[pi] = contrib_rows;
+    contrib_rows += static_cast<std::size_t>(num_ranks);
+  }
+  BitRows contrib(contrib_rows, num_ranks);
+  const auto contrib_row = [&](int piece, int rank) {
+    return contrib_base[static_cast<std::size_t>(piece)] + static_cast<std::size_t>(rank);
+  };
+
+  for (std::size_t pi = 0; pi < num_pieces; ++pi) {
     const sim::Piece& p = schedule.pieces[pi];
     if (p.reduce) {
       for (int c : p.contributors) {
@@ -36,21 +91,21 @@ ValidationReport validate_schedule(const sim::Schedule& schedule, const coll::Co
           report.errors.push_back("piece contributor rank out of range");
           continue;
         }
-        have.insert({static_cast<int>(pi), c});
-        contrib[{static_cast<int>(pi), c}].insert(c);
+        have.set(pi, c);
+        contrib.set(contrib_row(static_cast<int>(pi), c), c);
       }
     } else {
       if (p.origin < 0 || p.origin >= num_ranks) {
         report.errors.push_back("piece origin rank out of range");
         continue;
       }
-      have.insert({static_cast<int>(pi), p.origin});
+      have.set(pi, p.origin);
     }
   }
 
   for (std::size_t oi = 0; oi < schedule.ops.size(); ++oi) {
     const sim::TransferOp& op = schedule.ops[oi];
-    if (op.piece < 0 || static_cast<std::size_t>(op.piece) >= schedule.pieces.size()) {
+    if (op.piece < 0 || static_cast<std::size_t>(op.piece) >= num_pieces) {
       report.errors.push_back(fmt_op(oi, op) + ": unknown piece");
       continue;
     }
@@ -68,50 +123,64 @@ ValidationReport validate_schedule(const sim::Schedule& schedule, const coll::Co
                               std::to_string(dim));
       continue;
     }
-    if (have.count({op.piece, op.src}) == 0) {
+    const auto piece = static_cast<std::size_t>(op.piece);
+    if (!have.test(piece, op.src)) {
       report.errors.push_back(fmt_op(oi, op) + ": source does not hold the piece yet");
       continue;
     }
-    const sim::Piece& p = schedule.pieces[static_cast<std::size_t>(op.piece)];
-    if (!p.reduce && have.count({op.piece, op.dst}) != 0) {
+    const sim::Piece& p = schedule.pieces[piece];
+    const bool dst_has = have.test(piece, op.dst);
+    if (!p.reduce && dst_has) {
       report.warnings.push_back(fmt_op(oi, op) + ": redundant delivery (bandwidth waste)");
     }
     if (p.reduce) {
-      auto& dst_set = contrib[{op.piece, op.dst}];
-      const auto& src_set = contrib[{op.piece, op.src}];
+      const std::size_t dst_row = contrib_row(op.piece, op.dst);
+      const std::size_t src_row = contrib_row(op.piece, op.src);
       // A reduce delivery whose source set adds no contributor the
       // destination does not already hold is pure bandwidth waste (and a
       // double-count hazard for non-idempotent reductions).
-      if (have.count({op.piece, op.dst}) != 0 &&
-          std::includes(dst_set.begin(), dst_set.end(), src_set.begin(), src_set.end())) {
+      if (dst_has && contrib.includes(dst_row, src_row)) {
         report.warnings.push_back(fmt_op(oi, op) +
                                   ": redundant delivery (no new contributors)");
       }
-      dst_set.insert(src_set.begin(), src_set.end());
+      contrib.merge(dst_row, src_row);
     }
-    have.insert({op.piece, op.dst});
+    have.set(piece, op.dst);
     report.traffic_per_dim[static_cast<std::size_t>(dim)] += p.bytes;
     report.total_traffic += p.bytes;
   }
 
-  // Demand coverage.
+  // Demand coverage. The pieces carrying each demanded chunk id (a chunk, or
+  // for reduce collectives a destination rank), ascending:
+  // pieces_of[first[id] .. first[id + 1]).
   const double chunk_bytes = coll.chunk_bytes();
-  const sim::DemandIndex demand_index = sim::build_demand_index(schedule, coll);
-  auto covered = [&](int chunk, int dst, const std::vector<int>* need_contrib) {
-    const auto it = demand_index.pieces_by_chunk.find(chunk);
-    if (it == demand_index.pieces_by_chunk.end()) return false;
+  const int num_ids = coll.reduce() ? coll.num_ranks() : coll.num_chunks();
+  const auto demanded = [&](const sim::Piece& p) { return p.chunk >= 0 && p.chunk < num_ids; };
+  std::vector<std::size_t> first(static_cast<std::size_t>(num_ids) + 1, 0);
+  for (const sim::Piece& p : schedule.pieces) {
+    if (demanded(p)) ++first[static_cast<std::size_t>(p.chunk) + 1];
+  }
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<int> pieces_of(first.back());
+  std::vector<std::size_t> next(first.begin(), first.end() - 1);
+  for (std::size_t pi = 0; pi < num_pieces; ++pi) {
+    const sim::Piece& p = schedule.pieces[pi];
+    if (demanded(p)) pieces_of[next[static_cast<std::size_t>(p.chunk)]++] = static_cast<int>(pi);
+  }
+  const auto covered = [&](int chunk, int dst, const std::vector<int>* need_contrib) {
+    const std::size_t lo = first[static_cast<std::size_t>(chunk)];
+    const std::size_t hi = first[static_cast<std::size_t>(chunk) + 1];
+    if (lo == hi) return false;
     double bytes = 0.0;
-    for (int pi : it->second) {
-      if (have.count({pi, dst}) == 0) continue;
-      if (need_contrib != nullptr) {
-        const auto cit = contrib.find({pi, dst});
-        if (cit == contrib.end() ||
-            !std::includes(cit->second.begin(), cit->second.end(), need_contrib->begin(),
-                           need_contrib->end())) {
-          continue;
-        }
+    for (std::size_t k = lo; k < hi; ++k) {
+      const int pi = pieces_of[k];
+      const sim::Piece& p = schedule.pieces[static_cast<std::size_t>(pi)];
+      if (!have.test(static_cast<std::size_t>(pi), dst)) continue;
+      if (need_contrib != nullptr &&
+          (!p.reduce || !contrib.includes(contrib_row(pi, dst), *need_contrib))) {
+        continue;
       }
-      bytes += schedule.pieces[static_cast<std::size_t>(pi)].bytes;
+      bytes += p.bytes;
     }
     return bytes + 1e-6 >= chunk_bytes;
   };
@@ -126,7 +195,7 @@ ValidationReport validate_schedule(const sim::Schedule& schedule, const coll::Co
       }
     }
   } else {
-    for (const auto& [dst, cs] : demand_index.reduce_demands) {
+    for (const auto& [dst, cs] : sim::reduce_demands(coll)) {
       if (!covered(dst, dst, &cs)) {
         report.errors.push_back("reduce demand unmet at rank " + std::to_string(dst));
       }

@@ -112,10 +112,15 @@ ServeResponse Broker::handle(const ServeRequest& request) {
   const auto request_start = std::chrono::steady_clock::now();
   metrics.requests.add();
 
-  const topo::TopologyGroups groups = topo::extract_groups(request.topology);
-  const auto canon_start = std::chrono::steady_clock::now();
-  const CanonicalTopology canon = canonicalize(groups);
-  metrics.canon_seconds.observe(seconds_since(canon_start));
+  topo::TopologyGroups groups;
+  CanonicalTopology canon;
+  {
+    SYCCL_TRACE_SPAN(canon_span, "serve.canonicalize", "serve");
+    groups = topo::extract_groups(request.topology);
+    const auto canon_start = std::chrono::steady_clock::now();
+    canon = canonicalize(groups);
+    metrics.canon_seconds.observe(seconds_since(canon_start));
+  }
 
   const std::uint64_t bucket = size_bucket(request.total_bytes);
   if (is_rooted(request.kind) && (request.root < 0 || request.root >= canon.num_ranks)) {
@@ -134,24 +139,36 @@ ServeResponse Broker::handle(const ServeRequest& request) {
   const auto serve_blob = [&](const ScheduleBlob& blob) {
     ServeResponse response;
     response.scenario_key = key;
-    response.schedule = blob.schedule;
     response.degraded = blob.degraded;
-    const coll::Collective canon_coll = make_serve_collective(
-        request.kind, canon.num_ranks, request.total_bytes, canonical_root);
-    apply_rank_map(response.schedule, invert_permutation(canon.perm), canon_coll, coll);
-    // chunk_bytes is linear in total_bytes for every collective, so piece
-    // bytes rescale exactly from the synthesis bucket to the caller's size.
-    const double scale =
-        static_cast<double>(request.total_bytes) / static_cast<double>(blob.bucket_bytes);
-    for (auto& piece : response.schedule.pieces) piece.bytes *= scale;
-    // Every served schedule, hit or miss, passes the structural validator;
-    // the re-simulation below prices it under the caller's labelling.
-    const runtime::ValidationReport report =
-        runtime::validate_schedule(response.schedule, coll, groups);
-    if (!report.ok) {
-      throw BrokerError("served schedule failed validation: " +
-                        (report.errors.empty() ? "unknown" : report.errors.front()));
+    {
+      SYCCL_TRACE_SPAN(relabel_span, "serve.relabel", "serve");
+      response.schedule = blob.schedule;
+      // An unrooted collective is the same in both labellings.
+      const std::optional<coll::Collective> rooted_canon =
+          is_rooted(request.kind) ? std::optional(make_serve_collective(
+                                        request.kind, canon.num_ranks, request.total_bytes,
+                                        canonical_root))
+                                  : std::nullopt;
+      apply_rank_map(response.schedule, invert_permutation(canon.perm),
+                     rooted_canon ? *rooted_canon : coll, coll);
+      // chunk_bytes is linear in total_bytes for every collective, so piece
+      // bytes rescale exactly from the synthesis bucket to the caller's size.
+      const double scale =
+          static_cast<double>(request.total_bytes) / static_cast<double>(blob.bucket_bytes);
+      for (auto& piece : response.schedule.pieces) piece.bytes *= scale;
     }
+    {
+      // Every served schedule, hit or miss, passes the structural validator;
+      // the re-simulation below prices it under the caller's labelling.
+      SYCCL_TRACE_SPAN(validate_span, "serve.validate", "serve");
+      const runtime::ValidationReport report =
+          runtime::validate_schedule(response.schedule, coll, groups);
+      if (!report.ok) {
+        throw BrokerError("served schedule failed validation: " +
+                          (report.errors.empty() ? "unknown" : report.errors.front()));
+      }
+    }
+    SYCCL_TRACE_SPAN(resim_span, "serve.resimulate", "serve");
     const sim::Simulator simulator(groups, config_.synthesis.sim);
     response.predicted_time = simulator.time_collective(response.schedule, coll);
     return response;
@@ -173,7 +190,10 @@ ServeResponse Broker::handle(const ServeRequest& request) {
     return response;
   };
 
-  const std::optional<ScheduleBlob> stored = library_.get(key);
+  const std::optional<ScheduleBlob> stored = [&] {
+    SYCCL_TRACE_SPAN(fetch_span, "serve.fetch", "serve");
+    return library_.get(key);
+  }();
   if (stored) {
     try {
       return answer_hit(*stored);

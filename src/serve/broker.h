@@ -37,7 +37,10 @@
 // .misses/.joins/.rejects/.verify_failures/.degraded_hits/.upgrades,
 // histograms serve.canon_seconds/.synth_seconds/.request_seconds). The
 // counters are process totals over every broker; the STATS verb
-// (serve/protocol.h) reports them.
+// (serve/protocol.h) reports them with the histograms' p50 and p99. Traced,
+// a request records serve.request with the stages of its answer directly
+// below it: serve.canonicalize (group extraction and canonicalisation),
+// serve.fetch, serve.relabel, serve.validate and serve.resimulate.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,15 @@
 #include "serve/canonical.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
 #include "solver/solve_cache.h"
+#include "util/text.h"
 
 namespace syccl::serve {
 
@@ -28,29 +31,59 @@ long long quant_beta(double b) { return std::llround(b * 1e21); }
 /// contention model sees, so topologies that aggregate identically but route
 /// differently hash apart.
 std::string hop_rendering(const topo::GroupTopology& g, int local) {
-  std::ostringstream os;
-  const auto render = [&os](const std::vector<topo::PathHop>& hops) {
-    os << "[";
-    for (const auto& h : hops) os << quant_alpha(h.alpha) << "/" << quant_beta(h.beta) << ",";
-    os << "]";
+  std::string out;
+  const auto render = [&out](const char* tag, const std::vector<topo::PathHop>& hops) {
+    util::append(out, tag, '[');
+    for (const auto& h : hops) {
+      util::append(out, quant_alpha(h.alpha), '/', quant_beta(h.beta), ',');
+    }
+    out += ']';
   };
-  os << "u";
-  render(g.up_hops[static_cast<std::size_t>(local)]);
-  os << "d";
-  render(g.down_hops[static_cast<std::size_t>(local)]);
-  return os.str();
-}
-
-/// Assigns dense ids to strings by sorted order; returns ids per input.
-std::vector<int> compress(const std::vector<std::string>& strings) {
-  std::map<std::string, int> rank;
-  for (const auto& s : strings) rank.emplace(s, 0);
-  int next = 0;
-  for (auto& [s, r] : rank) r = next++;
-  std::vector<int> out(strings.size());
-  for (std::size_t i = 0; i < strings.size(); ++i) out[i] = rank.at(strings[i]);
+  render("u", g.up_hops[static_cast<std::size_t>(local)]);
+  render("d", g.down_hops[static_cast<std::size_t>(local)]);
   return out;
 }
+
+/// Appends "c,c,...,": the colours of `ranks`, ascending.
+void put_colours(std::string& out, const std::vector<int>& ranks, const std::vector<int>& color,
+                 std::vector<int>& scratch) {
+  scratch.clear();
+  for (int r : ranks) scratch.push_back(color[static_cast<std::size_t>(r)]);
+  std::sort(scratch.begin(), scratch.end());
+  for (int c : scratch) util::append(out, c, ',');
+}
+
+/// Chunk keys as flat integer rows, (source, sorted destinations) each,
+/// compared lexicographically.
+class ChunkKeys {
+ public:
+  /// Appends the key of a chunk; sorts `dsts` in place.
+  void add(int src, std::vector<int>& dsts) {
+    std::sort(dsts.begin(), dsts.end());
+    data_.push_back(src);
+    data_.insert(data_.end(), dsts.begin(), dsts.end());
+    start_.push_back(data_.size());
+  }
+  void clear() {
+    data_.clear();
+    start_.assign(1, 0);
+  }
+  bool less(int a, const ChunkKeys& other, int b) const {
+    return std::lexicographical_compare(begin(a), end(a), other.begin(b), other.end(b));
+  }
+  bool equal(int a, const ChunkKeys& other, int b) const {
+    return std::equal(begin(a), end(a), other.begin(b), other.end(b));
+  }
+
+ private:
+  std::vector<int>::const_iterator begin(int k) const {
+    return data_.begin() + static_cast<std::ptrdiff_t>(start_[static_cast<std::size_t>(k)]);
+  }
+  std::vector<int>::const_iterator end(int k) const { return begin(k + 1); }
+
+  std::vector<int> data_;
+  std::vector<std::size_t> start_{0};
+};
 
 }  // namespace
 
@@ -65,15 +98,16 @@ std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed) {
 }
 
 std::string fnv1a_hex(const std::string& text) {
-  std::ostringstream os;
-  os << std::hex << fnv1a(text.data(), text.size());
-  return os.str();
+  char buf[16];
+  const std::uint64_t h = fnv1a(text.data(), text.size());
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), h, 16).ptr);
 }
 
 CanonicalTopology canonicalize(const topo::TopologyGroups& groups) {
   CanonicalTopology out;
   if (groups.group_of.empty()) throw std::invalid_argument("canonicalize: no dimensions");
   const int num_ranks = static_cast<int>(groups.group_of.front().size());
+  const auto n = static_cast<std::size_t>(num_ranks);
   out.num_ranks = num_ranks;
 
   // Label-invariant member descriptors, built from the raw star abstraction.
@@ -84,43 +118,32 @@ CanonicalTopology canonicalize(const topo::TopologyGroups& groups) {
   // contributes its quantised port α/β, its physical hop ladder, and the
   // sizes of its up/down port-sharing blocks; which members share a port is
   // propagated through refinement via port-mate colour multisets.
-  const int num_dims = groups.num_dims();
-  std::vector<std::vector<std::string>> member_desc(static_cast<std::size_t>(num_dims));
-  std::vector<std::vector<std::string>> ladder(static_cast<std::size_t>(num_dims));
+  const auto num_dims = static_cast<std::size_t>(groups.num_dims());
+  std::vector<std::vector<std::string>> member_desc(num_dims, std::vector<std::string>(n));
+  std::vector<std::vector<std::string>> ladder(num_dims, std::vector<std::string>(n));
   // Per dim, per rank: the co-members (global ranks) sharing this member's
   // physical up/down serialisation port.
-  std::vector<std::vector<std::vector<int>>> up_mates(static_cast<std::size_t>(num_dims));
-  std::vector<std::vector<std::vector<int>>> down_mates(static_cast<std::size_t>(num_dims));
-  for (int d = 0; d < num_dims; ++d) {
-    member_desc[static_cast<std::size_t>(d)].resize(static_cast<std::size_t>(num_ranks));
-    ladder[static_cast<std::size_t>(d)].resize(static_cast<std::size_t>(num_ranks));
-    up_mates[static_cast<std::size_t>(d)].resize(static_cast<std::size_t>(num_ranks));
-    down_mates[static_cast<std::size_t>(d)].resize(static_cast<std::size_t>(num_ranks));
-    for (const auto& g : groups.dims[static_cast<std::size_t>(d)].groups) {
-      for (int i = 0; i < g.size(); ++i) {
-        const int r = g.ranks[static_cast<std::size_t>(i)];
-        for (int j = 0; j < g.size(); ++j) {
+  std::vector<std::vector<std::vector<int>>> up_mates(num_dims, std::vector<std::vector<int>>(n));
+  std::vector<std::vector<std::vector<int>>> down_mates(num_dims,
+                                                        std::vector<std::vector<int>>(n));
+  for (std::size_t d = 0; d < num_dims; ++d) {
+    for (const auto& g : groups.dims[d].groups) {
+      for (std::size_t i = 0; i < g.ranks.size(); ++i) {
+        const auto r = static_cast<std::size_t>(g.ranks[i]);
+        for (std::size_t j = 0; j < g.ranks.size(); ++j) {
           if (j == i) continue;
-          const int mate = g.ranks[static_cast<std::size_t>(j)];
-          if (g.up[static_cast<std::size_t>(i)].port_id >= 0 &&
-              g.up[static_cast<std::size_t>(j)].port_id == g.up[static_cast<std::size_t>(i)].port_id) {
-            up_mates[static_cast<std::size_t>(d)][static_cast<std::size_t>(r)].push_back(mate);
+          if (g.up[i].port_id >= 0 && g.up[j].port_id == g.up[i].port_id) {
+            up_mates[d][r].push_back(g.ranks[j]);
           }
-          if (g.down[static_cast<std::size_t>(i)].port_id >= 0 &&
-              g.down[static_cast<std::size_t>(j)].port_id == g.down[static_cast<std::size_t>(i)].port_id) {
-            down_mates[static_cast<std::size_t>(d)][static_cast<std::size_t>(r)].push_back(mate);
+          if (g.down[i].port_id >= 0 && g.down[j].port_id == g.down[i].port_id) {
+            down_mates[d][r].push_back(g.ranks[j]);
           }
         }
-        ladder[static_cast<std::size_t>(d)][static_cast<std::size_t>(r)] = hop_rendering(g, i);
-        std::ostringstream ds;
-        ds << "n" << g.size() << ";u" << quant_alpha(g.up[static_cast<std::size_t>(i)].alpha)
-           << "/" << quant_beta(g.up[static_cast<std::size_t>(i)].beta) << "+"
-           << up_mates[static_cast<std::size_t>(d)][static_cast<std::size_t>(r)].size() << ";d"
-           << quant_alpha(g.down[static_cast<std::size_t>(i)].alpha) << "/"
-           << quant_beta(g.down[static_cast<std::size_t>(i)].beta) << "+"
-           << down_mates[static_cast<std::size_t>(d)][static_cast<std::size_t>(r)].size() << ";L"
-           << ladder[static_cast<std::size_t>(d)][static_cast<std::size_t>(r)];
-        member_desc[static_cast<std::size_t>(d)][static_cast<std::size_t>(r)] = ds.str();
+        ladder[d][r] = hop_rendering(g, static_cast<int>(i));
+        util::append(member_desc[d][r], 'n', g.size(), ";u", quant_alpha(g.up[i].alpha), '/',
+                     quant_beta(g.up[i].beta), '+', up_mates[d][r].size(), ";d",
+                     quant_alpha(g.down[i].alpha), '/', quant_beta(g.down[i].beta), '+',
+                     down_mates[d][r].size(), ";L", ladder[d][r]);
       }
     }
   }
@@ -130,86 +153,77 @@ CanonicalTopology canonicalize(const topo::TopologyGroups& groups) {
   // of equal signature by their member-colour multisets, which in turn
   // separates their members. Group order ids restart from the signatures
   // every round, so the fixed point does not depend on the iteration count.
-  std::vector<int> color(static_cast<std::size_t>(num_ranks), 0);
-  std::vector<int> pinned(static_cast<std::size_t>(num_ranks), -1);
-  std::vector<std::vector<int>> group_order(static_cast<std::size_t>(num_dims));
+  //
+  // A colour is the rank of a rank string among the sorted distinct
+  // strings, and the strings embed earlier colours in decimal, so colours
+  // follow the strings' byte order ("c10;" sorts before "c1;", and a pinned
+  // rank's "p…" string after every "c…" one). That order reaches the
+  // rendering through the permutation, so the strings are built exactly,
+  // into per-rank buffers reused across rounds.
+  std::vector<int> color(n, 0);
+  std::vector<int> pinned(n, -1);
+  std::vector<std::vector<int>> group_order(num_dims);
+  std::vector<std::vector<std::string>> group_keys(num_dims);
+  std::vector<std::string> strings(n);
+  std::vector<int> order, scratch;
   const auto rank_strings = [&](bool with_colors) {
-    std::vector<std::string> strings(static_cast<std::size_t>(num_ranks));
-    for (int r = 0; r < num_ranks; ++r) {
-      std::ostringstream os;
-      if (pinned[static_cast<std::size_t>(r)] >= 0) {
-        os << "p" << pinned[static_cast<std::size_t>(r)] << ";";
-      }
-      if (with_colors) os << "c" << color[static_cast<std::size_t>(r)] << ";";
-      for (int d = 0; d < num_dims; ++d) {
-        const int gi = groups.group_of[static_cast<std::size_t>(d)][static_cast<std::size_t>(r)];
+    for (std::size_t r = 0; r < n; ++r) {
+      std::string& s = strings[r];
+      s.clear();
+      if (pinned[r] >= 0) util::append(s, 'p', pinned[r], ';');
+      if (with_colors) util::append(s, 'c', color[r], ';');
+      for (std::size_t d = 0; d < num_dims; ++d) {
+        const int gi = groups.group_of[d][r];
         if (gi < 0) {
-          os << "d" << d << ":-;";
+          util::append(s, 'd', d, ":-;");
           continue;
         }
-        os << "d" << d << ":";
-        if (with_colors && !group_order[static_cast<std::size_t>(d)].empty()) {
-          os << "g" << group_order[static_cast<std::size_t>(d)][static_cast<std::size_t>(gi)];
+        util::append(s, 'd', d, ':');
+        if (with_colors && !group_order[d].empty()) {
+          util::append(s, 'g', group_order[d][static_cast<std::size_t>(gi)]);
         } else {
-          os << "m" << member_desc[static_cast<std::size_t>(d)][static_cast<std::size_t>(r)];
+          util::append(s, 'm', member_desc[d][r]);
         }
         if (with_colors) {
           // Port-sharing incidence: the sorted colours of the members this
           // rank serialises with, per direction. This is what lets refinement
           // see *which* co-members share a rail, not just how many.
-          const auto mate_colors = [&](const std::vector<int>& mates) {
-            std::vector<int> cs;
-            cs.reserve(mates.size());
-            for (int m : mates) cs.push_back(color[static_cast<std::size_t>(m)]);
-            std::sort(cs.begin(), cs.end());
-            os << "[";
-            for (int c : cs) os << c << ",";
-            os << "]";
-          };
-          os << "U";
-          mate_colors(up_mates[static_cast<std::size_t>(d)][static_cast<std::size_t>(r)]);
-          os << "D";
-          mate_colors(down_mates[static_cast<std::size_t>(d)][static_cast<std::size_t>(r)]);
+          s += "U[";
+          put_colours(s, up_mates[d][r], color, scratch);
+          s += "]D[";
+          put_colours(s, down_mates[d][r], color, scratch);
+          s += ']';
         }
-        os << ";";
+        s += ';';
       }
-      strings[static_cast<std::size_t>(r)] = os.str();
     }
-    return strings;
+    return util::dense_rank(strings, order, color);
   };
 
-  const auto refine_to_fixpoint = [&]() {
-    int num_colors = *std::max_element(color.begin(), color.end()) + 1;
+  const auto refine_to_fixpoint = [&](int num_colors) {
     for (int round = 0; round <= num_ranks; ++round) {
       // Order groups within each dimension by their sorted member-colour
       // multiset (colours already encode every member's structural
       // descriptor): isomorphic groups containing differently-coloured
       // members pull apart, deterministically across relabellings.
-      for (int d = 0; d < num_dims; ++d) {
-        const auto& dim = groups.dims[static_cast<std::size_t>(d)];
-        std::vector<std::string> keys(dim.groups.size());
-        for (std::size_t gi = 0; gi < dim.groups.size(); ++gi) {
-          std::vector<int> member_colors;
-          for (int r : dim.groups[gi].ranks) {
-            member_colors.push_back(color[static_cast<std::size_t>(r)]);
-          }
-          std::sort(member_colors.begin(), member_colors.end());
-          std::ostringstream os;
-          for (int c : member_colors) os << c << ",";
-          keys[gi] = os.str();
+      for (std::size_t d = 0; d < num_dims; ++d) {
+        const auto& dim_groups = groups.dims[d].groups;
+        std::vector<std::string>& keys = group_keys[d];
+        keys.resize(dim_groups.size());
+        for (std::size_t gi = 0; gi < dim_groups.size(); ++gi) {
+          keys[gi].clear();
+          put_colours(keys[gi], dim_groups[gi].ranks, color, scratch);
         }
-        group_order[static_cast<std::size_t>(d)] = compress(keys);
+        util::dense_rank(keys, order, group_order[d]);
       }
-      color = compress(rank_strings(true));
-      const int refined = *std::max_element(color.begin(), color.end()) + 1;
+      const int refined = rank_strings(true);
       if (refined == num_colors) break;
       num_colors = refined;
     }
     return num_colors;
   };
 
-  color = compress(rank_strings(false));
-  int num_colors = refine_to_fixpoint();
+  int num_colors = refine_to_fixpoint(rank_strings(false));
 
   // Individualisation–refinement: while some colour class is still tied,
   // refinement alone cannot see past the symmetry, so pin one representative
@@ -225,23 +239,16 @@ CanonicalTopology canonicalize(const topo::TopologyGroups& groups) {
   // may hash apart — a conservative cache miss, never a false share: equal
   // renderings always exhibit a concrete isomorphism.
   int pin_counter = 0;
+  std::vector<int> class_size;
   while (num_colors < num_ranks) {
-    int target_color = -1;
-    int representative = -1;
-    std::vector<int> class_size(static_cast<std::size_t>(num_colors), 0);
-    for (int r = 0; r < num_ranks; ++r) ++class_size[static_cast<std::size_t>(color[static_cast<std::size_t>(r)])];
-    for (int c = 0; c < num_colors && target_color < 0; ++c) {
-      if (class_size[static_cast<std::size_t>(c)] > 1) target_color = c;
-    }
-    for (int r = 0; r < num_ranks; ++r) {
-      if (color[static_cast<std::size_t>(r)] == target_color) {
-        representative = r;
-        break;
-      }
-    }
+    class_size.assign(static_cast<std::size_t>(num_colors), 0);
+    for (int c : color) ++class_size[static_cast<std::size_t>(c)];
+    const int target_color = static_cast<int>(
+        std::find_if(class_size.begin(), class_size.end(), [](int k) { return k > 1; }) -
+        class_size.begin());
+    const auto representative = std::find(color.begin(), color.end(), target_color) - color.begin();
     pinned[static_cast<std::size_t>(representative)] = pin_counter++;
-    color = compress(rank_strings(true));
-    const int split = refine_to_fixpoint();
+    const int split = refine_to_fixpoint(rank_strings(true));
     if (split <= num_colors) {
       throw std::logic_error("canonicalize: individualisation failed to split a class");
     }
@@ -249,42 +256,35 @@ CanonicalTopology canonicalize(const topo::TopologyGroups& groups) {
   }
 
   // Canonical rank order = final colour (all classes are singletons now).
-  std::vector<int> ord(static_cast<std::size_t>(num_ranks));
-  for (int r = 0; r < num_ranks; ++r) ord[static_cast<std::size_t>(r)] = r;
-  std::sort(ord.begin(), ord.end(), [&](int a, int b) {
-    return color[static_cast<std::size_t>(a)] < color[static_cast<std::size_t>(b)];
-  });
-  out.perm.assign(static_cast<std::size_t>(num_ranks), -1);
-  for (int k = 0; k < num_ranks; ++k) out.perm[static_cast<std::size_t>(ord[static_cast<std::size_t>(k)])] = k;
+  out.perm = color;
 
   // Render the decomposition under the canonical permutation. Groups are
   // listed by their smallest canonical member (groups partition the ranks of
   // a dimension, so that is a total order); members in canonical-position
   // order as canonical ranks plus their physical hop ladders.
-  std::ostringstream os;
-  os << "syccl-canon/v" << kServeVersion << ";ranks=" << num_ranks << ";dims=" << num_dims
-     << ";\n";
-  for (int d = 0; d < num_dims; ++d) {
-    const auto& dim = groups.dims[static_cast<std::size_t>(d)];
-    os << "dim" << d << "{tier=" << dim.tier << ";cap=" << dim.capacity_dim
-       << ";share=" << std::llround(dim.bandwidth_share * 1e6) << ";\n";
-    std::vector<std::pair<int, std::size_t>> order;  // (min canonical member, group index)
+  std::string& os = out.rendering;
+  util::append(os, "syccl-canon/v", kServeVersion, ";ranks=", num_ranks, ";dims=", num_dims,
+               ";\n");
+  std::vector<int> members;
+  for (std::size_t d = 0; d < num_dims; ++d) {
+    const auto& dim = groups.dims[d];
+    util::append(os, "dim", d, "{tier=", dim.tier, ";cap=", dim.capacity_dim,
+                 ";share=", std::llround(dim.bandwidth_share * 1e6), ";\n");
+    std::vector<std::pair<int, std::size_t>> group_order_by_min;  // (min canonical member, group)
     for (std::size_t gi = 0; gi < dim.groups.size(); ++gi) {
       int lo = num_ranks;
-      for (int r : dim.groups[gi].ranks) {
-        lo = std::min(lo, out.perm[static_cast<std::size_t>(r)]);
-      }
-      order.emplace_back(lo, gi);
+      for (int r : dim.groups[gi].ranks) lo = std::min(lo, out.perm[static_cast<std::size_t>(r)]);
+      group_order_by_min.emplace_back(lo, gi);
     }
-    std::sort(order.begin(), order.end());
-    for (const auto& [lo, gi] : order) {
+    std::sort(group_order_by_min.begin(), group_order_by_min.end());
+    for (const auto& [lo, gi] : group_order_by_min) {
       const auto& g = dim.groups[gi];
-      os << " group{n=" << g.size() << ";members=";
+      util::append(os, " group{n=", g.size(), ";members=");
       // Members in canonical-rank order. Physical port ids are renumbered by
       // first appearance along that order, so the port-sharing blocks (which
       // members serialise together) render identically for any relabelling
       // that reaches the same canonical order.
-      std::vector<int> members(g.ranks);
+      members = g.ranks;
       std::sort(members.begin(), members.end(), [&](int a, int b) {
         return out.perm[static_cast<std::size_t>(a)] < out.perm[static_cast<std::size_t>(b)];
       });
@@ -295,21 +295,17 @@ CanonicalTopology canonicalize(const topo::TopologyGroups& groups) {
         return ids.emplace(raw, static_cast<int>(ids.size())).first->second;
       };
       for (int r : members) {
-        const int i = g.local_of(r);
-        os << out.perm[static_cast<std::size_t>(r)] << ":u"
-           << quant_alpha(g.up[static_cast<std::size_t>(i)].alpha) << "/"
-           << quant_beta(g.up[static_cast<std::size_t>(i)].beta) << "@p"
-           << canon_port(up_port_id, g.up[static_cast<std::size_t>(i)].port_id) << ";d"
-           << quant_alpha(g.down[static_cast<std::size_t>(i)].alpha) << "/"
-           << quant_beta(g.down[static_cast<std::size_t>(i)].beta) << "@p"
-           << canon_port(down_port_id, g.down[static_cast<std::size_t>(i)].port_id) << ";L"
-           << ladder[static_cast<std::size_t>(d)][static_cast<std::size_t>(r)] << ",";
+        const auto i = static_cast<std::size_t>(g.local_of(r));
+        util::append(os, out.perm[static_cast<std::size_t>(r)], ":u", quant_alpha(g.up[i].alpha),
+                     '/', quant_beta(g.up[i].beta), "@p", canon_port(up_port_id, g.up[i].port_id),
+                     ";d", quant_alpha(g.down[i].alpha), '/', quant_beta(g.down[i].beta), "@p",
+                     canon_port(down_port_id, g.down[i].port_id), ";L",
+                     ladder[d][static_cast<std::size_t>(r)], ',');
       }
-      os << "}\n";
+      os += "}\n";
     }
-    os << "}\n";
+    os += "}\n";
   }
-  out.rendering = os.str();
   out.hash = fnv1a_hex(out.rendering);
   return out;
 }
@@ -397,33 +393,39 @@ void apply_rank_map(sim::Schedule& schedule, const std::vector<int>& map,
     }
     return;
   }
-  const auto key_of = [](int src, std::vector<int> dsts) {
-    std::sort(dsts.begin(), dsts.end());
-    std::ostringstream os;
-    os << src << "|";
-    for (int d : dsts) os << d << ",";
-    return os.str();
-  };
-  // Slots: each (src, dsts) image class of `to`, ids in ascending order.
-  std::map<std::string, std::vector<int>> slots;
-  for (int j = 0; j < to.num_chunks(); ++j) {
-    const coll::Chunk& c = to.chunks()[static_cast<std::size_t>(j)];
-    slots[key_of(c.src, c.dsts)].push_back(j);
+  // Slots: the chunks of `to` sorted by (source, sorted destinations) key;
+  // stable, so chunks with equal keys stay in ascending id order. Each chunk
+  // of `from` takes the next untaken slot of its image's key.
+  ChunkKeys slot_keys;
+  std::vector<int> dsts;
+  for (const coll::Chunk& c : to.chunks()) {
+    dsts = c.dsts;
+    slot_keys.add(c.src, dsts);
   }
-  std::map<std::string, std::size_t> taken;
+  std::vector<int> slots(static_cast<std::size_t>(to.num_chunks()));
+  std::iota(slots.begin(), slots.end(), 0);
+  std::stable_sort(slots.begin(), slots.end(),
+                   [&](int a, int b) { return slot_keys.less(a, slot_keys, b); });
+  std::vector<int> taken(slots.size(), 0);  // per run of equal keys, at its first slot
+  ChunkKeys image;
   std::vector<int> chunk_map(static_cast<std::size_t>(from.num_chunks()), -1);
   for (int i = 0; i < from.num_chunks(); ++i) {
     const coll::Chunk& c = from.chunks()[static_cast<std::size_t>(i)];
-    std::vector<int> dsts;
-    dsts.reserve(c.dsts.size());
+    dsts.clear();
     for (int d : c.dsts) dsts.push_back(remap(d));
-    const std::string key = key_of(remap(c.src), std::move(dsts));
-    const auto it = slots.find(key);
-    std::size_t& used = taken[key];
-    if (it == slots.end() || used >= it->second.size()) {
+    image.clear();
+    image.add(remap(c.src), dsts);
+    const auto run = std::lower_bound(slots.begin(), slots.end(), 0, [&](int slot, int) {
+      return slot_keys.less(slot, image, 0);
+    });
+    const auto first = static_cast<std::size_t>(run - slots.begin());
+    const std::size_t next =
+        first < slots.size() ? first + static_cast<std::size_t>(taken[first]) : first;
+    if (next >= slots.size() || !slot_keys.equal(slots[next], image, 0)) {
       throw std::invalid_argument("apply_rank_map: target is not a relabelling of source");
     }
-    chunk_map[static_cast<std::size_t>(i)] = it->second[used++];
+    chunk_map[static_cast<std::size_t>(i)] = slots[next];
+    ++taken[first];
   }
   apply_rank_map(schedule, map);
   for (auto& p : schedule.pieces) {

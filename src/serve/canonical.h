@@ -67,10 +67,11 @@ struct CanonicalTopology {
 };
 
 /// Canonicalises an extracted decomposition. Deterministic; O(n² · dims) in
-/// the worst refinement case, and symmetric fabrics are that case: each
-/// doubling of the rank count costs about 4×. Measured on h800 fabrics
-/// (Release build, 4-vCPU container): 1.0 ms at 16 ranks, 2.6 ms at 64,
-/// 10 ms at 128, 38 ms at 256 and 150 ms at 512.
+/// the worst refinement case, and symmetric fabrics are that case: an h800
+/// fabric of S servers needs max(S, 8) − 1 pins, and each pin re-sorts all
+/// n rank strings. Measured on rank-permuted h800 fabrics (Release build,
+/// 4-vCPU container, bench_micro BM_Canonicalize): 0.15 ms at 16 ranks,
+/// 2.4 ms at 128 and 32 ms at 512.
 CanonicalTopology canonicalize(const topo::TopologyGroups& groups);
 
 /// Power-of-two size bucket (ceiling), floored at 1 KiB: every request size

@@ -65,13 +65,20 @@ std::optional<std::string> read_counted_payload(Stream& stream,
 }
 
 /// The STATS reply: the process-wide serve.* counters every broker counts
-/// into, and this connection's library.
+/// into, p50 and p99 of its latency histograms (seconds, at bucket
+/// resolution: see obs::Histogram::quantile), and this connection's library.
 std::string stats_json(DiskLibrary& library) {
   auto& reg = obs::MetricsRegistry::instance();
   obs::Json broker = obs::Json::object();
   for (const char* name : {"requests", "hits", "misses", "joins", "rejects", "verify_failures",
                            "degraded_hits", "upgrades"}) {
     broker.set(name, reg.counter(std::string("serve.") + name).value());
+  }
+  obs::Json latency = obs::Json::object();
+  for (const char* name : {"request", "canon", "synth"}) {
+    const obs::Histogram& h = reg.histogram(std::string("serve.") + name + "_seconds");
+    latency.set(std::string(name) + "_p50_s", h.quantile(0.5));
+    latency.set(std::string(name) + "_p99_s", h.quantile(0.99));
   }
   const DiskLibrary::Stats l = library.stats();
   obs::Json lib = obs::Json::object();
@@ -84,6 +91,7 @@ std::string stats_json(DiskLibrary& library) {
   lib.set("rejected_downgrades", l.rejected_downgrades);
   obs::Json out = obs::Json::object();
   out.set("broker", std::move(broker));
+  out.set("latency", std::move(latency));
   out.set("library", std::move(lib));
   return out.dump();
 }

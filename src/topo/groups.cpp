@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <set>
-#include <sstream>
+#include <numeric>
 #include <stdexcept>
+
+#include "util/text.h"
 
 namespace syccl::topo {
 
@@ -73,6 +74,29 @@ std::vector<LinkId> up_path(const Topology& topo, const std::vector<int>& dist, 
   return path;
 }
 
+/// The span of switch `sw`: ranks of the GPUs with an up-going path to it,
+/// ascending. One walk down from `sw`, along in-links from nodes one hop
+/// nearer the GPUs, reaches exactly those GPUs.
+std::vector<int> span_of(const Topology& topo, const std::vector<int>& dist, NodeId sw) {
+  std::vector<bool> seen(topo.num_nodes(), false);
+  std::vector<NodeId> queue{sw};
+  std::vector<int> ranks;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId v = queue[head];
+    const int dv = dist[static_cast<std::size_t>(v)];
+    if (dv == 0) ranks.push_back(*topo.gpu_rank(v));
+    for (LinkId l : topo.in_links(v)) {
+      const NodeId u = topo.link(l).src;
+      const auto ui = static_cast<std::size_t>(u);
+      if (dist[ui] != dv - 1 || seen[ui]) continue;
+      seen[ui] = true;
+      queue.push_back(u);
+    }
+  }
+  std::sort(ranks.begin(), ranks.end());
+  return ranks;
+}
+
 /// Aggregates a physical path into a GroupPort: α sums, β is the bottleneck,
 /// the port id is the bottleneck link (ties resolved toward the switch so
 /// shared NICs map to one port).
@@ -118,27 +142,12 @@ double GroupTopology::pair_beta(int i, int j) const {
 
 namespace {
 
-/// Per-member port parameters, rounded to avoid float noise (same
-/// quantisation the historical multiset signature used).
-std::string quantized_params(const GroupTopology& g, std::size_t i) {
-  std::ostringstream p;
-  p << static_cast<long long>(g.up[i].alpha * 1e12) << "/"
-    << static_cast<long long>(g.up[i].beta * 1e21) << "/"
-    << static_cast<long long>(g.down[i].alpha * 1e12) << "/"
-    << static_cast<long long>(g.down[i].beta * 1e21);
-  return p.str();
-}
-
-/// Replaces each member's colour string with its rank among the sorted
-/// distinct strings, so colours are comparable across isomorphic groups
-/// regardless of member order. Returns the number of distinct colours.
-int compress_colors(const std::vector<std::string>& strings, std::vector<int>& colors) {
-  std::map<std::string, int> rank;
-  for (const auto& s : strings) rank.emplace(s, 0);
-  int next = 0;
-  for (auto& [s, r] : rank) r = next++;
-  for (std::size_t i = 0; i < strings.size(); ++i) colors[i] = rank.at(strings[i]);
-  return next;
+/// Appends member i's port parameters, truncated to integers to avoid float
+/// noise (same quantisation the historical multiset signature used).
+void append_params(std::string& out, const GroupTopology& g, std::size_t i) {
+  const auto q = [](double v, double unit) { return static_cast<long long>(v * unit); };
+  util::append(out, q(g.up[i].alpha, 1e12), '/', q(g.up[i].beta, 1e21), '/',
+               q(g.down[i].alpha, 1e12), '/', q(g.down[i].beta, 1e21));
 }
 
 GroupTopology::CanonicalForm compute_canonical_form(const GroupTopology& g) {
@@ -158,23 +167,28 @@ GroupTopology::CanonicalForm compute_canonical_form(const GroupTopology& g) {
   // Colour refinement: start from the quantised parameters, then repeatedly
   // split colours by the colour multiset of each member's up/down blocks.
   // Refinement only ever splits classes, so it stabilises within n rounds.
+  // A colour is the rank of its string among the sorted distinct strings, so
+  // the exact strings (not just the partition) fix the signature; they are
+  // rebuilt in place each round.
   std::vector<std::string> strings(n);
-  std::vector<int> colors(n, 0);
-  for (std::size_t i = 0; i < n; ++i) strings[i] = quantized_params(g, i);
-  int num_colors = compress_colors(strings, colors);
+  std::vector<int> colors, order, peers;
+  const auto append_peers = [&](std::string& out, const std::vector<std::size_t>& block) {
+    peers.clear();
+    for (std::size_t j : block) peers.push_back(colors[j]);
+    std::sort(peers.begin(), peers.end());
+    for (int c : peers) util::append(out, c, ',');
+  };
+  for (std::size_t i = 0; i < n; ++i) append_params(strings[i], g, i);
+  int num_colors = util::dense_rank(strings, order, colors);
   for (std::size_t round = 0; round < n; ++round) {
     for (std::size_t i = 0; i < n; ++i) {
-      std::multiset<int> up_peers, down_peers;
-      for (std::size_t j : up_block.at(g.up[i].port_id)) up_peers.insert(colors[j]);
-      for (std::size_t j : down_block.at(g.down[i].port_id)) down_peers.insert(colors[j]);
-      std::ostringstream os;
-      os << colors[i] << "|u:";
-      for (int c : up_peers) os << c << ",";
-      os << "|d:";
-      for (int c : down_peers) os << c << ",";
-      strings[i] = os.str();
+      strings[i].clear();
+      util::append(strings[i], colors[i], "|u:");
+      append_peers(strings[i], up_block.at(g.up[i].port_id));
+      strings[i] += "|d:";
+      append_peers(strings[i], down_block.at(g.down[i].port_id));
     }
-    const int refined = compress_colors(strings, colors);
+    const int refined = util::dense_rank(strings, order, colors);
     if (refined == num_colors) break;
     num_colors = refined;
   }
@@ -183,7 +197,7 @@ GroupTopology::CanonicalForm compute_canonical_form(const GroupTopology& g) {
   // refinement could not tell the members apart; breaking them by index
   // keeps the signature deterministic (and merely conservative, see header).
   std::vector<std::size_t> ord(n);
-  for (std::size_t i = 0; i < n; ++i) ord[i] = i;
+  std::iota(ord.begin(), ord.end(), 0);
   std::sort(ord.begin(), ord.end(), [&](std::size_t a, std::size_t b) {
     if (colors[a] != colors[b]) return colors[a] < colors[b];
     return a < b;
@@ -195,8 +209,7 @@ GroupTopology::CanonicalForm compute_canonical_form(const GroupTopology& g) {
   // describes the star topology up to relabelling, so equal signatures give
   // a concrete positional isomorphism (canonical position -> canonical
   // position).
-  std::ostringstream os;
-  os << "n=" << n << ";";
+  util::append(form.signature, "n=", n, ';');
   std::map<int, int> up_renum, down_renum;
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t i = ord[k];
@@ -204,9 +217,9 @@ GroupTopology::CanonicalForm compute_canonical_form(const GroupTopology& g) {
                        .first->second;
     const int db = down_renum.emplace(g.down[i].port_id, static_cast<int>(down_renum.size()))
                        .first->second;
-    os << quantized_params(g, i) << "/u" << ub << "/d" << db << "|";
+    append_params(form.signature, g, i);
+    util::append(form.signature, "/u", ub, "/d", db, '|');
   }
-  form.signature = os.str();
   return form;
 }
 
@@ -234,9 +247,6 @@ int TopologyGroups::best_common_dim(int rank_a, int rank_b) const {
 TopologyGroups extract_groups(const Topology& topo) {
   if (topo.num_gpus() == 0) throw std::invalid_argument("topology has no GPUs");
   const std::vector<int> dist = distances_from_gpus(topo);
-  for (NodeId g : topo.gpus()) {
-    (void)g;
-  }
 
   // Collect switches per tier.
   std::map<int, std::vector<NodeId>> switches_by_tier;
@@ -259,11 +269,7 @@ TopologyGroups extract_groups(const Topology& topo) {
     // using a representative switch for port extraction is sufficient.
     std::map<std::vector<int>, NodeId> span_to_rep;
     for (NodeId sw : switches) {
-      std::vector<int> span;
-      for (int r = 0; r < num_ranks; ++r) {
-        const NodeId g = topo.gpus()[static_cast<std::size_t>(r)];
-        if (!up_path(topo, dist, g, sw).empty()) span.push_back(r);
-      }
+      std::vector<int> span = span_of(topo, dist, sw);
       if (span.empty()) continue;
       span_to_rep.emplace(std::move(span), sw);  // keep first representative
     }

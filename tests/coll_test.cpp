@@ -46,6 +46,28 @@ TEST(Collective, RejectsBadRoot) {
   EXPECT_THROW(make_sendrecv(4, 1, 1, 1024), std::invalid_argument);
 }
 
+// A chunk is judged dst by dst, so of several faults the first one in dst
+// order names the error.
+TEST(Collective, RejectsBadChunksWithTheFirstFaultInDstOrder) {
+  const auto error_of = [](int num_ranks, std::vector<Chunk> chunks) -> std::string {
+    try {
+      Collective(CollKind::AllGather, num_ranks, 1024, 256.0, false, std::move(chunks));
+      return "";
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+  };
+  EXPECT_EQ(error_of(4, {{0, {1, 2, 3}}, {1, {3, 0, 2}}}), "");  // a dst recurs across chunks
+  EXPECT_EQ(error_of(0, {}), "collective needs >= 1 rank");
+  EXPECT_EQ(error_of(4, {{4, {1}}}), "chunk src out of range");
+  EXPECT_EQ(error_of(4, {{0, {3, 1, 3}}}), "duplicate chunk dst");
+  EXPECT_EQ(error_of(4, {{0, {1, 1, 4}}}), "duplicate chunk dst");
+  EXPECT_EQ(error_of(4, {{0, {1, -1, 1}}}), "chunk dst out of range");
+  EXPECT_EQ(error_of(4, {{0, {2, 4, 0}}}), "chunk dst out of range");
+  EXPECT_EQ(error_of(4, {{0, {2, 0, 2}}}), "chunk dst equals src");
+  EXPECT_EQ(error_of(4, {{0, {1}}, {1, {2, 3, 2}}}), "duplicate chunk dst");
+}
+
 TEST(Collective, TinySizesClampToOneByte) {
   const Collective c = make_allgather(16, 1);
   EXPECT_GE(c.chunk_bytes(), 1.0);

@@ -200,6 +200,40 @@ TEST(Metrics, HistogramObserveAccumulates) {
   EXPECT_EQ(h.bucket_count(65), 1);  // [2, 4)
 }
 
+TEST(Metrics, HistogramQuantileIsTheUpperEdgeOfTheNearestRankBucket) {
+  Histogram h;
+  EXPECT_EQ(h.quantile(0.5), 0.0);  // empty
+  // 100 samples: 1..60 ms (bucket [2^-10, 2^-9) and below), then 40 samples
+  // of 0.3 s (bucket [0.25, 0.5)).
+  for (int i = 1; i <= 60; ++i) h.observe(i * 1e-3);
+  for (int i = 0; i < 40; ++i) h.observe(0.3);
+  // Nearest rank: p50 is the 50th smallest sample, 50 ms, in [2^-5, 2^-4).
+  EXPECT_EQ(h.quantile(0.5), 0.0625);
+  // The 60th (60 ms) is still below 2^-4; the 61st is the first 0.3 s.
+  EXPECT_EQ(h.quantile(0.6), 0.0625);
+  EXPECT_EQ(h.quantile(0.61), 0.5);
+  EXPECT_EQ(h.quantile(0.99), 0.5);
+  EXPECT_EQ(h.quantile(1.0), 0.5);
+  // The smallest sample (1 ms, in [2^-10, 2^-9)) for q at or below 1/count,
+  // and q outside [0, 1] clamps.
+  EXPECT_EQ(h.quantile(0.0), std::ldexp(1.0, -9));
+  EXPECT_EQ(h.quantile(-1.0), std::ldexp(1.0, -9));
+  EXPECT_EQ(h.quantile(2.0), 0.5);
+  // Never under-reports: every quantile is at least the sample it stands for.
+  std::vector<double> sorted;
+  for (int i = 1; i <= 60; ++i) sorted.push_back(i * 1e-3);
+  sorted.insert(sorted.end(), 40, 0.3);
+  for (int k = 1; k <= 100; ++k) {
+    const double q = (k - 0.5) / 100.0;  // nearest rank k
+    EXPECT_GE(h.quantile(q), sorted[static_cast<std::size_t>(k - 1)]) << k;
+    EXPECT_LE(h.quantile(q), 2 * sorted[static_cast<std::size_t>(k - 1)]) << k;
+  }
+  // A power of two opens its bucket, so it reports the next one's edge.
+  Histogram exact;
+  exact.observe(1.0);
+  EXPECT_EQ(exact.quantile(0.5), 2.0);
+}
+
 TEST(Metrics, ConcurrentUpdatesAreExact) {
   constexpr int kThreads = 8;
   constexpr int kOps = 10000;

@@ -15,6 +15,7 @@
 #include "counting_test.h"
 #include "obs/json.h"
 #include "obs/scenario.h"
+#include "obs/trace.h"
 #include "runtime/validate.h"
 #include "runtime/xml.h"
 #include "serve/broker.h"
@@ -96,6 +97,46 @@ TEST_F(ServeBroker, MissThenHitWithByteLevelAgreement) {
   EXPECT_EQ(count("serve.hits"), 1);
   EXPECT_EQ(count("serve.misses"), 1);
   EXPECT_EQ(count("serve.joins"), 0);
+}
+
+// A traced hit records each of its stages once, directly below its request.
+TEST_F(ServeBroker, TracedHitRecordsEachStageOnceUnderTheRequest) {
+  DiskLibrary library({scratch_dir("traced_hit")});
+  Broker broker(library);
+  broker.handle(flat4_request());  // the miss stores the entry
+
+  obs::trace_clear();
+  obs::set_tracing(true);
+  const ServeResponse hit = broker.handle(flat4_request());
+  obs::set_tracing(false);
+  ASSERT_TRUE(hit.hit);
+
+  // A hit runs on the calling thread: find its request span there.
+  std::vector<obs::SpanRecord> spans;
+  for (const obs::ThreadTrace& t : obs::trace_snapshot()) {
+    for (const obs::SpanRecord& span : t.spans) {
+      if (std::string(span.name) == "serve.request") spans = t.spans;
+    }
+  }
+  const auto named = [&](const std::string& name) {
+    std::vector<obs::SpanRecord> out;
+    for (const obs::SpanRecord& span : spans) {
+      if (span.name == name) out.push_back(span);
+    }
+    return out;
+  };
+  const auto requests = named("serve.request");
+  ASSERT_EQ(requests.size(), 1u);
+  const obs::SpanRecord& request = requests.front();
+  for (const char* stage : {"serve.canonicalize", "serve.fetch", "serve.relabel",
+                            "serve.validate", "serve.resimulate"}) {
+    const auto found = named(stage);
+    ASSERT_EQ(found.size(), 1u) << stage;
+    EXPECT_EQ(found.front().depth, request.depth + 1) << stage;
+    EXPECT_GE(found.front().begin_us, request.begin_us) << stage;
+    EXPECT_LE(found.front().end_us, request.end_us) << stage;
+  }
+  obs::trace_clear();
 }
 
 // The pinned acceptance test: a request whose topology is a rank-permuted
@@ -455,7 +496,7 @@ TEST_F(ServeProtocol, PingStatsAndUnknownCommands) {
     for (const auto& member : object.members()) out.push_back(member.first);
     return out;
   };
-  EXPECT_EQ(keys(stats), (std::vector<std::string>{"broker", "library"}));
+  EXPECT_EQ(keys(stats), (std::vector<std::string>{"broker", "latency", "library"}));
   const std::vector<std::string> broker_keys = {"requests", "hits",    "misses",
                                                 "joins",    "rejects", "verify_failures",
                                                 "degraded_hits", "upgrades"};
@@ -466,6 +507,18 @@ TEST_F(ServeProtocol, PingStatsAndUnknownCommands) {
   }
   EXPECT_EQ(b.at("requests").as_number(), 2.0);
   EXPECT_EQ(b.at("hits").as_number(), 1.0);
+
+  // p50 and p99 of the broker's latency histograms, at bucket resolution.
+  const obs::Json& lat = stats.at("latency");
+  EXPECT_EQ(keys(lat), (std::vector<std::string>{"request_p50_s", "request_p99_s", "canon_p50_s",
+                                                  "canon_p99_s", "synth_p50_s", "synth_p99_s"}));
+  auto& reg = obs::MetricsRegistry::instance();
+  for (const char* name : {"request", "canon", "synth"}) {
+    const obs::Histogram& h = reg.histogram(std::string("serve.") + name + "_seconds");
+    EXPECT_EQ(lat.at(std::string(name) + "_p50_s").as_number(), h.quantile(0.5)) << name;
+    EXPECT_EQ(lat.at(std::string(name) + "_p99_s").as_number(), h.quantile(0.99)) << name;
+    EXPECT_GT(h.quantile(0.5), 0.0) << name;  // the miss and the hit were observed
+  }
 
   const obs::Json& l = stats.at("library");
   EXPECT_EQ(keys(l), (std::vector<std::string>{"entries", "bytes", "hits", "misses", "evictions",
