@@ -39,6 +39,7 @@
 
 #include "bench_util.h"
 #include "fuzz/generators.h"
+#include "obs/json.h"
 #include "sim/schedule.h"
 #include "sim/simulator.h"
 #include "topo/groups.h"
@@ -468,16 +469,20 @@ int main(int argc, char** argv) {
   std::printf("  batch %9.0f events/sec (%.3f s, pool=%zu)\n", batch_eps, batch_s,
               pool.size());
 
-  std::ostringstream json;
-  json << "{\"bench\":\"sim\",\"seeds\":" << seeds.size()
-       << ",\"schedules\":" << num_schedules << ",\"events_per_sweep\":" << events_per_sweep
-       << ",\"reps\":" << reps << ",\"ref_events_per_sec\":" << static_cast<long>(ref_eps)
-       << ",\"new_events_per_sec\":" << static_cast<long>(new_eps)
-       << ",\"batch_events_per_sec\":" << static_cast<long>(batch_eps)
-       << ",\"ratio\":" << ratio << ",\"gate\":" << kGate
-       << ",\"mismatches\":" << mismatches << ",\"pass\":" << (pass ? "true" : "false")
-       << "}";
-  benchutil::emit_json("sim", json.str());
+  obs::Json json = obs::Json::object();
+  json.set("bench", "sim");
+  json.set("seeds", seeds.size());
+  json.set("schedules", num_schedules);
+  json.set("events_per_sweep", events_per_sweep);
+  json.set("reps", reps);
+  json.set("ref_events_per_sec", static_cast<long>(ref_eps));
+  json.set("new_events_per_sec", static_cast<long>(new_eps));
+  json.set("batch_events_per_sec", static_cast<long>(batch_eps));
+  json.set("ratio", ratio);
+  json.set("gate", kGate);
+  json.set("mismatches", mismatches);
+  json.set("pass", pass);
+  benchutil::emit_json("sim", json.dump());
 
   if (!pass) {
     std::fprintf(stderr, "bench_sim: FAIL (%s)\n",

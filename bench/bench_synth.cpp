@@ -10,6 +10,7 @@
 
 #include "bench_util.h"
 #include "core/synthesizer.h"
+#include "obs/json.h"
 #include "solver/solve_cache.h"
 #include "topo/builders.h"
 #include "util/stopwatch.h"
@@ -72,17 +73,19 @@ int main() {
   const double warm_s = median_of_three(warm[0], warm[1], warm[2]);
   const auto cache = solver::SubScheduleCache::instance().stats();
 
-  char line[1024];
-  std::snprintf(
-      line, sizeof(line),
-      "{\"bench\":\"synth_allgather_2xh800\",\"bytes\":%llu,\"cold_s\":%.6f,"
-      "\"warm_s\":%.6f,\"speedup\":%.2f,\"predicted_time_s\":%.6e,"
-      "\"cold_solver_calls\":%d,\"warm_solver_calls\":%d,\"warm_cache_hits\":%d,"
-      "\"cache_entries\":%zu,\"cache_bytes\":%zu}",
-      static_cast<unsigned long long>(coll.total_bytes()), cold_s, warm_s,
-      warm_s > 0 ? cold_s / warm_s : 0.0, predicted, cold_bd.num_solver_calls,
-      warm_bd.num_solver_calls, warm_bd.cache_hits, cache.entries, cache.bytes);
-  benchutil::emit_json("synth", line);
+  obs::Json json = obs::Json::object();
+  json.set("bench", "synth_allgather_2xh800");
+  json.set("bytes", coll.total_bytes());
+  json.set("cold_s", cold_s);
+  json.set("warm_s", warm_s);
+  json.set("speedup", warm_s > 0 ? cold_s / warm_s : 0.0);
+  json.set("predicted_time_s", predicted);
+  json.set("cold_solver_calls", cold_bd.num_solver_calls);
+  json.set("warm_solver_calls", warm_bd.num_solver_calls);
+  json.set("warm_cache_hits", warm_bd.cache_hits);
+  json.set("cache_entries", cache.entries);
+  json.set("cache_bytes", cache.bytes);
+  benchutil::emit_json("synth", json.dump());
 
   // Gate for the acceptance criterion: a warm re-synthesis must reuse the
   // solve cache. The deterministic signal is the breakdown — every cold

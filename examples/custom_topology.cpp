@@ -1,13 +1,12 @@
 // Building a custom topology by hand: an asymmetric two-tier cluster that
-// none of the stock builders produce, profiled and scheduled end-to-end.
+// none of the stock builders produce, scheduled end-to-end.
 //
 // Demonstrates: Topology construction, automatic dimension/group extraction,
-// the network profiler, rooted-collective synthesis, schedule validation and
-// the XML artifact path.
+// rooted-collective synthesis, schedule validation and the XML artifact
+// path.
 #include <cstdio>
 
 #include "core/synthesizer.h"
-#include "profiler/profiler.h"
 #include "runtime/validate.h"
 #include "runtime/xml.h"
 #include "topo/topology.h"
@@ -48,12 +47,6 @@ int main() {
   for (int d = 0; d < groups.num_dims(); ++d) {
     std::printf("dimension %d: %zu groups of size %d\n", d, groups.dims[d].groups.size(),
                 groups.dims[d].groups[0].size());
-  }
-
-  // Profile the link classes like a real deployment would.
-  for (const auto& p : profiler::profile_topology(t)) {
-    std::printf("dim %d: alpha %.2f us, bandwidth %.1f GB/s (R² %.4f)\n", p.dim, p.alpha * 1e6,
-                1.0 / p.beta / 1e9, p.r_squared);
   }
 
   // Synthesize a Broadcast from GPU 5 and validate the result.

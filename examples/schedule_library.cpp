@@ -13,11 +13,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/asymmetric.h"
 #include "serve/broker.h"
-#include "sim/simulator.h"
 #include "topo/builders.h"
-#include "topo/groups.h"
 #include "topo/serialize.h"
 #include "training/trace.h"
 
@@ -105,18 +102,5 @@ int main() {
     std::fprintf(stderr, "FAIL: %d request(s) of the second pass missed the library\n", misses);
     return 1;
   }
-
-  // MoE layers issue asymmetric Alltoallv — the §8 heuristic path.
-  const topo::TopologyGroups groups = topo::extract_groups(cluster);
-  core::DemandMatrix moe(16, std::vector<std::uint64_t>(16, 64 << 10));
-  for (int i = 0; i < 16; ++i) moe[i][i] = 0;
-  for (int s = 0; s < 16; ++s) {
-    if (s != 5) moe[s][5] = 4 << 20;  // one hot expert
-  }
-  const auto a2av = core::synthesize_alltoallv(moe, groups);
-  const sim::Simulator sim(groups);
-  std::printf("MoE Alltoallv (hot expert on rank 5): %.3f ms, valid=%s\n",
-              sim.run(a2av).makespan * 1e3,
-              core::verify_alltoallv(a2av, moe) ? "yes" : "NO");
   return 0;
 }

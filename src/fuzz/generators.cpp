@@ -155,7 +155,7 @@ void degrade_random(RandomTopology& t, util::Rng& rng) {
     const double alpha_scale = static_cast<double>(std::uint64_t{1} << rng.next_in(1, 4));
     const double beta_scale = static_cast<double>(std::uint64_t{1} << rng.next_in(1, 4));
     desc << ",degrade(link" << l.id << ",a" << alpha_scale << ",b" << beta_scale << ")";
-    t.topo = topo::degrade_duplex(t.topo, l.src, l.dst, alpha_scale, beta_scale).topo;
+    t.topo = topo::degrade_duplex(t.topo, l.src, l.dst, alpha_scale, beta_scale);
   };
   if (rng.next_below(2) == 0) {
     // NIC failure, drawn uniformly over NICs that still have links.
@@ -166,9 +166,9 @@ void degrade_random(RandomTopology& t, util::Rng& rng) {
     if (!nics.empty()) {
       const topo::NodeId nic = nics[rng.next_below(nics.size())];
       try {
-        topo::MutationResult m = topo::fail_nic(t.topo, nic);
+        topo::Topology failed = topo::fail_nic(t.topo, nic);
         desc << ",failnic(" << t.topo.nodes()[static_cast<std::size_t>(nic)].name << ")";
-        t.topo = std::move(m.topo);
+        t.topo = std::move(failed);
         t.desc += desc.str();
         return;
       } catch (const std::runtime_error&) {

@@ -49,14 +49,15 @@ class Tableau {
 };
 
 /// Runs the simplex on `t` minimizing the reduced-cost row `z` (length cols,
-/// plus scalar value). Only columns with allowed[c] == true may enter.
-/// Returns Optimal / Unbounded / IterationLimit.
+/// plus scalar value). Only columns with allowed[c] == true may enter. Each
+/// pivot spends one unit of `iters_left`; IterationLimit means a pivot was
+/// due with none left. Returns Optimal / Unbounded / IterationLimit.
 Status run_simplex(Tableau& t, std::vector<double>& z, double& zval,
                    const std::vector<bool>& allowed, long& iters_left) {
   const int rows = t.rows();
   const int cols = t.cols();
   long stall = 0;
-  while (iters_left-- > 0) {
+  for (;;) {
     // Entering column: Dantzig rule, Bland's rule when stalling.
     int pc = -1;
     if (stall < 2000) {
@@ -93,6 +94,8 @@ Status run_simplex(Tableau& t, std::vector<double>& z, double& zval,
       }
     }
     if (pr < 0) return Status::Unbounded;
+    if (iters_left <= 0) return Status::IterationLimit;
+    --iters_left;
     if (best_ratio < kEps) {
       ++stall;
     } else {
@@ -108,7 +111,6 @@ Status run_simplex(Tableau& t, std::vector<double>& z, double& zval,
       z[static_cast<std::size_t>(pc)] = 0.0;
     }
   }
-  return Status::IterationLimit;
 }
 
 }  // namespace

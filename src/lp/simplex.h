@@ -44,7 +44,9 @@ struct Solution {
   Status status = Status::Infeasible;
   double objective = 0.0;
   std::vector<double> x;
-  /// Simplex pivots spent producing this solution (all phases).
+  /// Simplex pivots spent producing this solution (all phases; the
+  /// clean-up pivots that drive leftover artificials out of the basis
+  /// between the phases are not counted).
   long iterations = 0;
 };
 

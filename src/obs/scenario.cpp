@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
-#include "sim/contention.h"
 #include "solver/solve_cache.h"
 #include "topo/builders.h"
 #include "topo/mutate.h"
@@ -56,11 +55,11 @@ topo::Topology build_scenario_topology(const std::string& name) {
         throw std::invalid_argument("scenario '" + name + "': topology has no links");
       }
       const topo::Link& l = base.links().front();
-      return topo::degrade_duplex(base, l.src, l.dst, 8.0, 8.0).topo;
+      return topo::degrade_duplex(base, l.src, l.dst, 8.0, 8.0);
     }
     if (fault == "failnic") {
       for (const topo::Node& node : base.nodes()) {
-        if (node.kind == topo::NodeKind::Nic) return topo::fail_nic(base, node.id).topo;
+        if (node.kind == topo::NodeKind::Nic) return topo::fail_nic(base, node.id);
       }
       throw std::invalid_argument("scenario '" + name + "': topology has no NICs");
     }
@@ -127,18 +126,6 @@ ScenarioResult run_traced_scenario(const ScenarioSpec& spec) {
     sim_opts.record_final_state = true;
     sim::Simulator simulator(synth.groups(), sim_opts);
     out.sim = simulator.run(out.synthesis.schedule);
-
-    // Multi-tenant contention: N copies of the winner share the fabric
-    // (sim/contention.h). The plain (non-recording) simulator keeps the
-    // shared run cheap; the traced Gantt stays the solo run above.
-    if (spec.tenants > 1) {
-      sim::Simulator plain(synth.groups(), config.sim);
-      std::vector<sim::Tenant> tenants(static_cast<std::size_t>(spec.tenants));
-      for (std::size_t t = 0; t < tenants.size(); ++t) {
-        tenants[t] = sim::Tenant{&out.synthesis.schedule, "tenant" + std::to_string(t)};
-      }
-      out.contention = sim::simulate_concurrent(plain, tenants);
-    }
   }
 
   ChromeTraceBuilder builder;

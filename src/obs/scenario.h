@@ -15,7 +15,6 @@
 #include <string>
 
 #include "core/synthesizer.h"
-#include "sim/contention.h"
 #include "sim/simulator.h"
 #include "topo/topology.h"
 
@@ -40,10 +39,6 @@ struct ScenarioSpec {
   /// Clear the process-wide solve cache first so the metrics show a cold
   /// run. Off when sweeping sizes to show cache reuse instead.
   bool clear_solve_cache = true;
-  /// Concurrent copies of the winning schedule to contend on the fabric
-  /// (sim/contention.h). 1 = no contention; N > 1 fills
-  /// ScenarioResult::contention with the shared-run timings.
-  int tenants = 1;
   /// Overrides applied on top of the default SynthesisConfig. Kept small:
   /// scenarios are observability probes, not a config surface.
   core::SynthesisConfig config;
@@ -58,8 +53,6 @@ struct ScenarioResult {
   std::string trace_json;
   /// MetricsRegistry::to_json() scoped to this run (registry reset first).
   std::string metrics_json;
-  /// Shared-fabric timings when ScenarioSpec::tenants > 1 (empty otherwise).
-  sim::ContentionResult contention;
 };
 
 /// Builds the topology for a scenario name. Throws std::invalid_argument on

@@ -8,8 +8,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/analyze.h"
-
 namespace syccl::runtime {
 
 namespace {
@@ -123,15 +121,10 @@ ExecutionReport execute_and_verify(const sim::Schedule& schedule, const coll::Co
   // Final verification against the collective's demands.
   const double chunk_bytes = coll.chunk_bytes();
   const sim::DemandIndex demand_index = sim::build_demand_index(schedule, coll);
-  static const std::vector<int> kNoPieces;
-  auto pieces_of = [&](int chunk) -> const std::vector<int>& {
-    const auto it = demand_index.pieces_by_chunk.find(chunk);
-    return it != demand_index.pieces_by_chunk.end() ? it->second : kNoPieces;
-  };
 
   auto check_forward = [&](int chunk, int dst) {
     double covered = 0.0;
-    for (int pi : pieces_of(chunk)) {
+    for (int pi : demand_index.pieces_of(chunk)) {
       const auto it = state.find({pi, dst});
       if (it == state.end() || !it->second.present) continue;
       const sim::Piece& p = schedule.pieces[static_cast<std::size_t>(pi)];
@@ -155,7 +148,7 @@ ExecutionReport execute_and_verify(const sim::Schedule& schedule, const coll::Co
 
   auto check_reduce = [&](int block, int dst, const std::vector<int>& contributors) {
     double covered = 0.0;
-    for (int pi : pieces_of(block)) {
+    for (int pi : demand_index.pieces_of(block)) {
       const auto it = state.find({pi, dst});
       if (it == state.end() || !it->second.present) continue;
       // Exactly the demanded contributor set (a partial does not count).

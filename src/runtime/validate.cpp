@@ -1,10 +1,9 @@
 #include "runtime/validate.h"
 
 #include <cstdint>
-#include <numeric>
+#include <span>
 #include <string>
 
-#include "sim/analyze.h"
 #include "util/text.h"
 
 namespace syccl::runtime {
@@ -150,30 +149,16 @@ ValidationReport validate_schedule(const sim::Schedule& schedule, const coll::Co
     report.total_traffic += p.bytes;
   }
 
-  // Demand coverage. The pieces carrying each demanded chunk id (a chunk, or
-  // for reduce collectives a destination rank), ascending:
-  // pieces_of[first[id] .. first[id + 1]).
+  // Demand coverage: the pieces of a demanded chunk held at `dst` (with
+  // every contributor in `need_contrib`, for reduce demands) must add up to
+  // the chunk's bytes.
   const double chunk_bytes = coll.chunk_bytes();
-  const int num_ids = coll.reduce() ? coll.num_ranks() : coll.num_chunks();
-  const auto demanded = [&](const sim::Piece& p) { return p.chunk >= 0 && p.chunk < num_ids; };
-  std::vector<std::size_t> first(static_cast<std::size_t>(num_ids) + 1, 0);
-  for (const sim::Piece& p : schedule.pieces) {
-    if (demanded(p)) ++first[static_cast<std::size_t>(p.chunk) + 1];
-  }
-  std::partial_sum(first.begin(), first.end(), first.begin());
-  std::vector<int> pieces_of(first.back());
-  std::vector<std::size_t> next(first.begin(), first.end() - 1);
-  for (std::size_t pi = 0; pi < num_pieces; ++pi) {
-    const sim::Piece& p = schedule.pieces[pi];
-    if (demanded(p)) pieces_of[next[static_cast<std::size_t>(p.chunk)]++] = static_cast<int>(pi);
-  }
+  const sim::DemandIndex index = sim::build_demand_index(schedule, coll);
   const auto covered = [&](int chunk, int dst, const std::vector<int>* need_contrib) {
-    const std::size_t lo = first[static_cast<std::size_t>(chunk)];
-    const std::size_t hi = first[static_cast<std::size_t>(chunk) + 1];
-    if (lo == hi) return false;
+    const std::span<const int> pieces = index.pieces_of(chunk);
+    if (pieces.empty()) return false;
     double bytes = 0.0;
-    for (std::size_t k = lo; k < hi; ++k) {
-      const int pi = pieces_of[k];
+    for (const int pi : pieces) {
       const sim::Piece& p = schedule.pieces[static_cast<std::size_t>(pi)];
       if (!have.test(static_cast<std::size_t>(pi), dst)) continue;
       if (need_contrib != nullptr &&
@@ -195,7 +180,7 @@ ValidationReport validate_schedule(const sim::Schedule& schedule, const coll::Co
       }
     }
   } else {
-    for (const auto& [dst, cs] : sim::reduce_demands(coll)) {
+    for (const auto& [dst, cs] : index.reduce_demands) {
       if (!covered(dst, dst, &cs)) {
         report.errors.push_back("reduce demand unmet at rank " + std::to_string(dst));
       }

@@ -135,14 +135,16 @@ ServeResponse Broker::handle(const ServeRequest& request) {
 
   // Relabels a canonical-space blob into the caller's rank space at the
   // caller's size, verifies it, and prices it on the caller's topology.
-  // Throws when the blob does not satisfy the caller's demands.
-  const auto serve_blob = [&](const ScheduleBlob& blob) {
+  // Throws when the blob does not satisfy the caller's demands. Takes the
+  // blob by value: a hit moves its own blob in, so only a blob shared with
+  // other requesters pays for a copy of the schedule.
+  const auto serve_blob = [&](ScheduleBlob blob) {
     ServeResponse response;
     response.scenario_key = key;
     response.degraded = blob.degraded;
     {
       SYCCL_TRACE_SPAN(relabel_span, "serve.relabel", "serve");
-      response.schedule = blob.schedule;
+      response.schedule = std::move(blob.schedule);
       // An unrooted collective is the same in both labellings.
       const std::optional<coll::Collective> rooted_canon =
           is_rooted(request.kind) ? std::optional(make_serve_collective(
@@ -177,8 +179,8 @@ ServeResponse Broker::handle(const ServeRequest& request) {
   // Serves a library entry as a hit. A degraded entry means no full
   // synthesis has landed yet; make sure one is running (or queued) so the
   // entry eventually upgrades. The caller is not kept waiting for it.
-  const auto answer_hit = [&](const ScheduleBlob& blob) {
-    ServeResponse response = serve_blob(blob);
+  const auto answer_hit = [&](ScheduleBlob&& blob) {
+    ServeResponse response = serve_blob(std::move(blob));
     response.hit = true;
     metrics.hits.add();
     if (response.degraded) {
@@ -190,13 +192,15 @@ ServeResponse Broker::handle(const ServeRequest& request) {
     return response;
   };
 
-  const std::optional<ScheduleBlob> stored = [&] {
+  // A fetched entry is this request's own copy: nothing reads `stored` or
+  // `landed` after the hit, so answer_hit moves the schedule out of them.
+  std::optional<ScheduleBlob> stored = [&] {
     SYCCL_TRACE_SPAN(fetch_span, "serve.fetch", "serve");
     return library_.get(key);
   }();
   if (stored) {
     try {
-      return answer_hit(*stored);
+      return answer_hit(std::move(*stored));
     } catch (const std::exception&) {
       // A stored entry that no longer verifies (e.g. hand-edited library) is
       // treated as a miss: fall through and synthesize fresh.
@@ -215,7 +219,7 @@ ServeResponse Broker::handle(const ServeRequest& request) {
       request, canon, key, bucket, initiator, /*reject_throws=*/true, stored ? nullptr : &landed);
   if (landed) {
     try {
-      return answer_hit(*landed);
+      return answer_hit(std::move(*landed));
     } catch (const std::exception&) {
       metrics.verify_failures.add();
     }

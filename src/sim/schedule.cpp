@@ -1,9 +1,9 @@
 #include "sim/schedule.h"
 
 #include <algorithm>
+#include <map>
+#include <numeric>
 #include <stdexcept>
-
-#include "sim/analyze.h"
 
 namespace syccl::sim {
 
@@ -37,6 +37,46 @@ double Schedule::total_traffic() const {
   double sum = 0.0;
   for (const auto& op : ops) sum += pieces[static_cast<std::size_t>(op.piece)].bytes;
   return sum;
+}
+
+std::vector<std::pair<int, std::vector<int>>> reduce_demands(const coll::Collective& coll) {
+  std::map<int, std::vector<int>> by_dst;
+  for (const auto& c : coll.chunks()) {
+    for (int d : c.dsts) by_dst[d].push_back(c.src);
+  }
+  std::vector<std::pair<int, std::vector<int>>> out;
+  out.reserve(by_dst.size());
+  for (auto& [dst, contribs] : by_dst) {
+    contribs.push_back(dst);
+    std::sort(contribs.begin(), contribs.end());
+    contribs.erase(std::unique(contribs.begin(), contribs.end()), contribs.end());
+    out.emplace_back(dst, std::move(contribs));
+  }
+  return out;
+}
+
+DemandIndex build_demand_index(const Schedule& schedule, const coll::Collective& coll) {
+  DemandIndex index;
+  const int num_ids = coll.reduce() ? coll.num_ranks() : coll.num_chunks();
+  const auto demanded = [&](const Piece& p) { return p.chunk >= 0 && p.chunk < num_ids; };
+  // Count the pieces of each id into first[id + 1], prefix-sum, then place
+  // each piece at its id's next free slot; a pass in piece order leaves
+  // every id's pieces ascending.
+  index.first.assign(static_cast<std::size_t>(num_ids) + 1, 0);
+  for (const Piece& p : schedule.pieces) {
+    if (demanded(p)) ++index.first[static_cast<std::size_t>(p.chunk) + 1];
+  }
+  std::partial_sum(index.first.begin(), index.first.end(), index.first.begin());
+  index.pieces.resize(index.first.back());
+  std::vector<std::size_t> next(index.first.begin(), index.first.end() - 1);
+  for (std::size_t pi = 0; pi < schedule.pieces.size(); ++pi) {
+    const Piece& p = schedule.pieces[pi];
+    if (demanded(p)) {
+      index.pieces[next[static_cast<std::size_t>(p.chunk)]++] = static_cast<int>(pi);
+    }
+  }
+  if (coll.reduce()) index.reduce_demands = reduce_demands(coll);
+  return index;
 }
 
 std::vector<Piece> pieces_for(const coll::Collective& coll) {

@@ -13,8 +13,11 @@
 // ReduceScatter then AllGather, §4.3).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coll/collective.h"
@@ -66,5 +69,36 @@ struct Schedule {
 /// collectives) or one reduce piece per destination block (Reduce/
 /// ReduceScatter). Chunk→piece mapping is positional.
 std::vector<Piece> pieces_for(const coll::Collective& coll);
+
+/// The reduce demands of a collective, derived from its chunks (no schedule
+/// needed): ascending (destination, sorted deduplicated contributor ranks —
+/// the chunk sources plus the destination's own partial). Also the piece
+/// layout for Reduce/ReduceScatter (block index == destination rank).
+std::vector<std::pair<int, std::vector<int>>> reduce_demands(const coll::Collective& coll);
+
+/// Demand-side index of a (schedule, collective) pair, shared by every
+/// consumer that checks demand coverage: the simulator's timing check, the
+/// runtime validator and the payload executor.
+struct DemandIndex {
+  /// The pieces carrying each demanded chunk id (a chunk, or for reduce
+  /// collectives a destination rank), in ascending piece order:
+  /// pieces[first[id] .. first[id + 1]). Pieces with any other chunk id are
+  /// left out.
+  std::vector<std::size_t> first;
+  std::vector<int> pieces;
+  /// Reduce collectives only: reduce_demands(coll). Empty for forward
+  /// collectives.
+  std::vector<std::pair<int, std::vector<int>>> reduce_demands;
+
+  /// The pieces carrying demanded chunk id `id`; empty when none does.
+  std::span<const int> pieces_of(int id) const {
+    return {pieces.data() + first[static_cast<std::size_t>(id)],
+            pieces.data() + first[static_cast<std::size_t>(id) + 1]};
+  }
+};
+
+/// Builds the index. Demanded chunk ids are 0 .. num_chunks - 1 for forward
+/// collectives and 0 .. num_ranks - 1 for reduce collectives.
+DemandIndex build_demand_index(const Schedule& schedule, const coll::Collective& coll);
 
 }  // namespace syccl::sim

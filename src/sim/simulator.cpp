@@ -13,7 +13,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/analyze.h"
 #include "sim/link_timeline.h"
 #include "util/thread_pool.h"
 
@@ -465,13 +464,13 @@ double demand_completion(const Engine& engine, const Schedule& schedule,
 
   const auto demand_time = [&](int chunk, int dst, bool reduce,
                                const std::vector<int>* contributors) -> double {
-    const auto it = index.pieces_by_chunk.find(chunk);
-    if (it == index.pieces_by_chunk.end()) {
+    const std::span<const int> pieces = index.pieces_of(chunk);
+    if (pieces.empty()) {
       throw std::invalid_argument("schedule has no pieces for chunk " + std::to_string(chunk));
     }
     double covered = 0.0;
     double when = 0.0;
-    for (int pid : it->second) {
+    for (int pid : pieces) {
       const std::int32_t slot = engine.slot_of(pid, dst);
       if (slot < 0 || !engine.present(slot)) continue;
       if (reduce && contributors != nullptr && !engine.contains_all(slot, *contributors)) {

@@ -13,28 +13,19 @@ namespace {
 /// Rebuilds `topo` without the links in `removed`, scaling the links in
 /// `scaled` by {alpha_scale, beta_scale}. Node ids are preserved (insertion
 /// order is replayed); surviving links are renumbered densely.
-MutationResult rebuild(const Topology& topo, const std::set<LinkId>& removed,
-                       const std::map<LinkId, std::pair<double, double>>& scaled) {
-  MutationResult out;
-  out.delta.link_map.assign(topo.num_links(), kInvalidLink);
-  for (const Node& n : topo.nodes()) {
-    out.topo.add_node(n.kind, n.server, n.local_index, n.name);
-  }
+Topology rebuild(const Topology& topo, const std::set<LinkId>& removed,
+                 const std::map<LinkId, std::pair<double, double>>& scaled) {
+  Topology out;
+  for (const Node& n : topo.nodes()) out.add_node(n.kind, n.server, n.local_index, n.name);
   for (const Link& l : topo.links()) {
-    if (removed.count(l.id) != 0) {
-      out.delta.removed_links.push_back(l.id);
-      continue;
-    }
+    if (removed.count(l.id) != 0) continue;
     double alpha = l.alpha;
     double beta = l.beta;
-    const auto it = scaled.find(l.id);
-    if (it != scaled.end()) {
+    if (const auto it = scaled.find(l.id); it != scaled.end()) {
       alpha *= it->second.first;
       beta *= it->second.second;
     }
-    const LinkId id = out.topo.add_link(l.src, l.dst, alpha, beta, l.kind);
-    out.delta.link_map[static_cast<std::size_t>(l.id)] = id;
-    if (it != scaled.end()) out.delta.changed_links.push_back(id);
+    out.add_link(l.src, l.dst, alpha, beta, l.kind);
   }
   return out;
 }
@@ -57,36 +48,15 @@ void require_scales(double alpha_scale, double beta_scale) {
 
 }  // namespace
 
-std::string TopologyDelta::describe() const {
-  std::ostringstream os;
-  if (empty()) return "no-op";
-  if (!changed_links.empty()) {
-    os << "degraded " << changed_links.size() << " link(s) [";
-    for (std::size_t i = 0; i < changed_links.size(); ++i) {
-      os << (i > 0 ? "," : "") << changed_links[i];
-    }
-    os << "]";
-  }
-  if (!removed_links.empty()) {
-    if (!changed_links.empty()) os << "; ";
-    os << "removed " << removed_links.size() << " link(s) [";
-    for (std::size_t i = 0; i < removed_links.size(); ++i) {
-      os << (i > 0 ? "," : "") << removed_links[i];
-    }
-    os << "]";
-  }
-  return os.str();
-}
-
-MutationResult degrade_link(const Topology& topo, NodeId src, NodeId dst, double alpha_scale,
-                            double beta_scale) {
+Topology degrade_link(const Topology& topo, NodeId src, NodeId dst, double alpha_scale,
+                      double beta_scale) {
   require_scales(alpha_scale, beta_scale);
   const LinkId l = require_link(topo, src, dst);
   return rebuild(topo, {}, {{l, {alpha_scale, beta_scale}}});
 }
 
-MutationResult degrade_duplex(const Topology& topo, NodeId a, NodeId b, double alpha_scale,
-                              double beta_scale) {
+Topology degrade_duplex(const Topology& topo, NodeId a, NodeId b, double alpha_scale,
+                        double beta_scale) {
   require_scales(alpha_scale, beta_scale);
   const LinkId fwd = require_link(topo, a, b);
   const LinkId rev = require_link(topo, b, a);
@@ -94,17 +64,17 @@ MutationResult degrade_duplex(const Topology& topo, NodeId a, NodeId b, double a
                  {{fwd, {alpha_scale, beta_scale}}, {rev, {alpha_scale, beta_scale}}});
 }
 
-MutationResult fail_link(const Topology& topo, NodeId a, NodeId b) {
+Topology fail_link(const Topology& topo, NodeId a, NodeId b) {
   const LinkId fwd = require_link(topo, a, b);
   std::set<LinkId> removed{fwd};
   const LinkId rev = topo.find_link(b, a);
   if (rev != kInvalidLink) removed.insert(rev);
-  MutationResult out = rebuild(topo, removed, {});
-  check_reachability(out.topo);
+  Topology out = rebuild(topo, removed, {});
+  check_reachability(out);
   return out;
 }
 
-MutationResult fail_nic(const Topology& topo, NodeId nic) {
+Topology fail_nic(const Topology& topo, NodeId nic) {
   if (nic < 0 || static_cast<std::size_t>(nic) >= topo.num_nodes() ||
       topo.node(nic).kind != NodeKind::Nic) {
     throw std::invalid_argument("fail_nic target is not a NIC node");
@@ -113,8 +83,8 @@ MutationResult fail_nic(const Topology& topo, NodeId nic) {
   for (LinkId l : topo.out_links(nic)) removed.insert(l);
   for (LinkId l : topo.in_links(nic)) removed.insert(l);
   if (removed.empty()) throw std::invalid_argument("NIC has no links to fail");
-  MutationResult out = rebuild(topo, removed, {});
-  check_reachability(out.topo);
+  Topology out = rebuild(topo, removed, {});
+  check_reachability(out);
   return out;
 }
 

@@ -2,12 +2,11 @@
 //
 // Production fabrics are not static — links degrade (flapping optics, ECN
 // storms), NICs die, cables get pulled. These helpers derive a *new*
-// Topology from an existing one plus a fault, returning both the mutated
-// topology and a TopologyDelta describing exactly which links changed.
+// Topology from an existing one plus a fault.
 //
 // Topology stores links in an append-only vector (link id == index), so
-// removals rebuild the graph: node ids are preserved verbatim, surviving
-// links are renumbered densely and the delta carries the old→new link map.
+// removals rebuild the graph: node ids are preserved verbatim and surviving
+// links are renumbered densely, in their original order.
 #pragma once
 
 #include <string>
@@ -17,50 +16,29 @@
 
 namespace syccl::topo {
 
-/// What a mutation did, in terms a consumer can act on.
-struct TopologyDelta {
-  /// Links of the *new* topology whose α/β changed (degradation).
-  std::vector<LinkId> changed_links;
-  /// Links of the *old* topology that were removed (failure).
-  std::vector<LinkId> removed_links;
-  /// Old link id -> new link id; kInvalidLink for removed links. Identity
-  /// (i -> i) for pure degradations.
-  std::vector<LinkId> link_map;
-
-  bool empty() const { return changed_links.empty() && removed_links.empty(); }
-  /// Human-readable one-line summary for logs and scenario names.
-  std::string describe() const;
-};
-
-/// A mutated topology plus the delta that produced it.
-struct MutationResult {
-  Topology topo;
-  TopologyDelta delta;
-};
-
 /// Scales α and β of the directed link `src -> dst` (scale > 1 = slower).
 /// Throws std::invalid_argument if the link does not exist or a scale is
 /// not positive.
-MutationResult degrade_link(const Topology& topo, NodeId src, NodeId dst, double alpha_scale,
-                            double beta_scale);
+Topology degrade_link(const Topology& topo, NodeId src, NodeId dst, double alpha_scale,
+                      double beta_scale);
 
 /// Degrades both directions of the duplex pair between `a` and `b`.
-MutationResult degrade_duplex(const Topology& topo, NodeId a, NodeId b, double alpha_scale,
-                              double beta_scale);
+Topology degrade_duplex(const Topology& topo, NodeId a, NodeId b, double alpha_scale,
+                        double beta_scale);
 
 /// Removes the duplex link pair between `a` and `b` (group extraction
 /// requires duplex paths, so failing one direction fails both). Throws
 /// std::invalid_argument if no such link exists and std::runtime_error if
 /// the removal disconnects a GPU or strands a switch (see
 /// check_reachability).
-MutationResult fail_link(const Topology& topo, NodeId a, NodeId b);
+Topology fail_link(const Topology& topo, NodeId a, NodeId b);
 
 /// Removes every link touching `nic` (a NodeKind::Nic node), modelling a
 /// dead NIC: the attached GPUs keep their other planes (e.g. NVLink) but
 /// lose this uplink. The NIC node itself remains, isolated. Throws
 /// std::invalid_argument if `nic` is not a NIC and std::runtime_error if the
 /// failure disconnects a GPU or strands a switch.
-MutationResult fail_nic(const Topology& topo, NodeId nic);
+Topology fail_nic(const Topology& topo, NodeId nic);
 
 /// Verifies the preconditions group extraction needs: every GPU and every
 /// switch mutually reachable over the (undirected) link graph. Throws

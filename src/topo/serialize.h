@@ -1,7 +1,8 @@
 // Plain-text topology serialisation.
 //
-// Real deployments describe clusters in files produced by inventory tooling;
-// the profiler fills in α/β. The format is line-oriented and diff-friendly:
+// Real deployments describe clusters in files produced by inventory tooling,
+// with each link's α/β as measured on that fabric. The format is
+// line-oriented and diff-friendly:
 //
 //   # comment
 //   node <kind:gpu|nic|switch> <server> <local_index> <name>

@@ -190,7 +190,7 @@ TEST(HitKeyEquivalence, SharedPortWithUnequalMembers) {
         base.node(l.dst).kind != topo::NodeKind::Nic) {
       continue;
     }
-    const topo::Topology slow = topo::degrade_duplex(base, l.src, l.dst, 4.0, 1.0).topo;
+    const topo::Topology slow = topo::degrade_duplex(base, l.src, l.dst, 4.0, 1.0);
     util::Rng rng(4);
     expect_same_hit_keys(slow, "a100x16 slow GPU-NIC link");
     for (int p = 0; p < 3; ++p) {

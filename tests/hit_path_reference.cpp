@@ -7,8 +7,8 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-
-#include "sim/analyze.h"
+#include <unordered_map>
+#include <utility>
 
 namespace syccl::topo::reference {
 
@@ -698,6 +698,24 @@ std::string fmt_op(std::size_t index, const sim::TransferOp& op) {
   return os.str();
 }
 
+/// The demand index as the pre-rewrite validator built it: a hash map from
+/// every piece's chunk id to the indices of the pieces carrying it.
+struct HashedDemandIndex {
+  std::unordered_map<int, std::vector<int>> pieces_by_chunk;
+  std::vector<std::pair<int, std::vector<int>>> reduce_demands;
+};
+
+HashedDemandIndex hashed_demand_index(const sim::Schedule& schedule,
+                                      const coll::Collective& coll) {
+  HashedDemandIndex index;
+  index.pieces_by_chunk.reserve(schedule.pieces.size());
+  for (std::size_t i = 0; i < schedule.pieces.size(); ++i) {
+    index.pieces_by_chunk[schedule.pieces[i].chunk].push_back(static_cast<int>(i));
+  }
+  if (coll.reduce()) index.reduce_demands = sim::reduce_demands(coll);
+  return index;
+}
+
 }  // namespace
 
 ValidationReport validate_schedule(const sim::Schedule& schedule, const coll::Collective& coll,
@@ -772,7 +790,7 @@ ValidationReport validate_schedule(const sim::Schedule& schedule, const coll::Co
   }
 
   const double chunk_bytes = coll.chunk_bytes();
-  const sim::DemandIndex demand_index = sim::build_demand_index(schedule, coll);
+  const HashedDemandIndex demand_index = hashed_demand_index(schedule, coll);
   auto covered = [&](int chunk, int dst, const std::vector<int>* need_contrib) {
     const auto it = demand_index.pieces_by_chunk.find(chunk);
     if (it == demand_index.pieces_by_chunk.end()) return false;

@@ -179,6 +179,22 @@ TEST(Simplex, ExhaustedPivotBudgetIsNotAVerdict) {
   EXPECT_TRUE(starved.x.empty());
 }
 
+// The budget bounds pivots, not pricing passes: an LP that one pivot solves
+// is solved under a budget of one and reports that one pivot.
+TEST(Simplex, OnePivotLpSolvesUnderABudgetOfOne) {
+  Problem p;
+  const int x = p.add_var(0.0, kInf, -1.0);
+  p.add_constraint({{{x, 1.0}}, Relation::LessEq, 1.0});
+  const Solution s = solve(p, 1);
+  ASSERT_EQ(s.status, Status::Optimal);
+  EXPECT_EQ(s.iterations, 1);
+  ASSERT_EQ(s.x.size(), 1u);
+  EXPECT_DOUBLE_EQ(s.x[0], 1.0);
+  const Solution starved = solve(p, 0);
+  EXPECT_EQ(starved.status, Status::IterationLimit);
+  EXPECT_EQ(starved.iterations, 0);
+}
+
 // Random bounded LPs built around a known feasible point x0: every solve is
 // optimal, returns a point inside every bound and constraint whose cost is
 // the reported objective and no worse than x0's, and repeats bit for bit

@@ -1,6 +1,6 @@
 // Tests for the topology-mutation API: link degradation, link/NIC failure,
-// delta bookkeeping, reachability checks, and how mutations flow through
-// group extraction.
+// the links each mutation keeps, reachability checks, and how mutations flow
+// through group extraction.
 #include <gtest/gtest.h>
 
 #include "topo/builders.h"
@@ -16,24 +16,20 @@ TEST(Mutate, DegradeLinkScalesParamsAndKeepsIds) {
   const NodeId sw = node_by_name(base, "nvswitch0");
   const LinkId old_id = base.find_link(gpu0, sw);
   ASSERT_NE(old_id, kInvalidLink);
-  const Link before = base.link(old_id);
 
-  const MutationResult m = degrade_link(base, gpu0, sw, 2.0, 4.0);
-  EXPECT_EQ(m.topo.num_links(), base.num_links());
-  EXPECT_EQ(m.topo.num_nodes(), base.num_nodes());
-  // Pure degradation: identity link map, one changed link, nothing removed.
-  ASSERT_EQ(m.delta.changed_links.size(), 1u);
-  EXPECT_TRUE(m.delta.removed_links.empty());
-  EXPECT_EQ(m.delta.link_map[static_cast<std::size_t>(old_id)], old_id);
-  const Link& after = m.topo.link(m.delta.changed_links[0]);
-  EXPECT_DOUBLE_EQ(after.alpha, before.alpha * 2.0);
-  EXPECT_DOUBLE_EQ(after.beta, before.beta * 4.0);
-  // Every other link is untouched.
+  const Topology m = degrade_link(base, gpu0, sw, 2.0, 4.0);
+  EXPECT_EQ(m.num_links(), base.num_links());
+  EXPECT_EQ(m.num_nodes(), base.num_nodes());
+  // Pure degradation keeps every link id; only the degraded link's α/β move.
+  EXPECT_EQ(m.find_link(gpu0, sw), old_id);
   for (const Link& l : base.links()) {
-    if (l.id == old_id) continue;
-    const Link& nl = m.topo.link(m.delta.link_map[static_cast<std::size_t>(l.id)]);
-    EXPECT_DOUBLE_EQ(nl.alpha, l.alpha);
-    EXPECT_DOUBLE_EQ(nl.beta, l.beta);
+    const Link& nl = m.link(l.id);
+    EXPECT_EQ(nl.src, l.src);
+    EXPECT_EQ(nl.dst, l.dst);
+    const double alpha_scale = l.id == old_id ? 2.0 : 1.0;
+    const double beta_scale = l.id == old_id ? 4.0 : 1.0;
+    EXPECT_DOUBLE_EQ(nl.alpha, l.alpha * alpha_scale);
+    EXPECT_DOUBLE_EQ(nl.beta, l.beta * beta_scale);
   }
 }
 
@@ -41,10 +37,12 @@ TEST(Mutate, DegradeDuplexScalesBothDirections) {
   const Topology base = build_single_server(4);
   const NodeId gpu1 = node_by_name(base, "gpu1");
   const NodeId sw = node_by_name(base, "nvswitch0");
-  const MutationResult m = degrade_duplex(base, gpu1, sw, 1.0, 3.0);
-  ASSERT_EQ(m.delta.changed_links.size(), 2u);
-  for (LinkId l : m.delta.changed_links) {
-    EXPECT_DOUBLE_EQ(m.topo.link(l).beta, base.link(l).beta * 3.0);
+  const Topology m = degrade_duplex(base, gpu1, sw, 1.0, 3.0);
+  ASSERT_EQ(m.num_links(), base.num_links());
+  for (const Link& l : base.links()) {
+    const bool touched = (l.src == gpu1 && l.dst == sw) || (l.src == sw && l.dst == gpu1);
+    EXPECT_DOUBLE_EQ(m.link(l.id).alpha, l.alpha);
+    EXPECT_DOUBLE_EQ(m.link(l.id).beta, l.beta * (touched ? 3.0 : 1.0));
   }
 }
 
@@ -53,12 +51,12 @@ TEST(Mutate, DegradationChangesOnlyTouchedGroupSignatures) {
   spec.num_servers = 2;
   spec.gpus_per_server = 2;
   const Topology base = build_multi_rail(spec);
-  const MutationResult m =
+  const Topology m =
       degrade_duplex(base, node_by_name(base, "gpu1.0"), node_by_name(base, "nvswitch1"),
                      1.0, 8.0);
 
   const TopologyGroups gb = extract_groups(base);
-  const TopologyGroups gm = extract_groups(m.topo);
+  const TopologyGroups gm = extract_groups(m);
   ASSERT_EQ(gb.dims.size(), gm.dims.size());
   int changed = 0, unchanged = 0;
   for (std::size_t d = 0; d < gb.dims.size(); ++d) {
@@ -90,22 +88,23 @@ TEST(Mutate, FailLinkRemovesDuplexPairAndRenumbers) {
   // Fail one NIC->leaf pair; the GPU keeps NVLink + the other server's rail.
   const NodeId nic = node_by_name(base, "nic0.1");
   const NodeId leaf = node_by_name(base, "leaf1");
-  const MutationResult m = fail_link(base, nic, leaf);
-  EXPECT_EQ(m.delta.removed_links.size(), 2u);  // duplex pair
-  EXPECT_EQ(m.topo.num_links(), base.num_links() - 2);
-  for (LinkId old_id : m.delta.removed_links) {
-    EXPECT_EQ(m.delta.link_map[static_cast<std::size_t>(old_id)], kInvalidLink);
-  }
-  // Surviving links keep their parameters under renumbering.
+  const Topology m = fail_link(base, nic, leaf);
+  EXPECT_EQ(m.num_links(), base.num_links() - 2);  // duplex pair
+  EXPECT_EQ(m.num_nodes(), base.num_nodes());
+  EXPECT_EQ(m.find_link(nic, leaf), kInvalidLink);
+  EXPECT_EQ(m.find_link(leaf, nic), kInvalidLink);
+  // Surviving links keep their endpoints and parameters, renumbered densely
+  // in their original order.
+  LinkId next = 0;
   for (const Link& l : base.links()) {
-    const LinkId nl = m.delta.link_map[static_cast<std::size_t>(l.id)];
-    if (nl == kInvalidLink) continue;
-    EXPECT_DOUBLE_EQ(m.topo.link(nl).beta, l.beta);
-    EXPECT_EQ(m.topo.link(nl).src, l.src);
-    EXPECT_EQ(m.topo.link(nl).dst, l.dst);
+    if ((l.src == nic && l.dst == leaf) || (l.src == leaf && l.dst == nic)) continue;
+    const LinkId nl = m.find_link(l.src, l.dst);
+    EXPECT_EQ(nl, next++);
+    EXPECT_DOUBLE_EQ(m.link(nl).alpha, l.alpha);
+    EXPECT_DOUBLE_EQ(m.link(nl).beta, l.beta);
   }
   // The mutated topology still group-extracts.
-  EXPECT_NO_THROW(extract_groups(m.topo));
+  EXPECT_NO_THROW(extract_groups(m));
 }
 
 TEST(Mutate, FailNicDropsAllNicLinks) {
@@ -114,9 +113,18 @@ TEST(Mutate, FailNicDropsAllNicLinks) {
   const std::size_t nic_links =
       base.out_links(nic).size() + base.in_links(nic).size();
   ASSERT_GT(nic_links, 0u);
-  const MutationResult m = fail_nic(base, nic);
-  EXPECT_EQ(m.delta.removed_links.size(), nic_links);
-  EXPECT_NO_THROW(extract_groups(m.topo));
+  const Topology m = fail_nic(base, nic);
+  EXPECT_EQ(m.num_links(), base.num_links() - nic_links);
+  EXPECT_TRUE(m.out_links(nic).empty());
+  EXPECT_TRUE(m.in_links(nic).empty());
+  for (const Link& l : base.links()) {
+    if (l.src == nic || l.dst == nic) continue;
+    const LinkId nl = m.find_link(l.src, l.dst);
+    ASSERT_NE(nl, kInvalidLink);
+    EXPECT_DOUBLE_EQ(m.link(nl).alpha, l.alpha);
+    EXPECT_DOUBLE_EQ(m.link(nl).beta, l.beta);
+  }
+  EXPECT_NO_THROW(extract_groups(m));
 }
 
 TEST(Mutate, FailLinkThrowsWhenItDisconnects) {
@@ -139,14 +147,6 @@ TEST(Mutate, ErrorPaths) {
   // fail_nic on a non-NIC node.
   EXPECT_THROW(fail_nic(base, gpu0), std::invalid_argument);
   EXPECT_THROW(node_by_name(base, "no-such-node"), std::invalid_argument);
-}
-
-TEST(Mutate, DeltaDescribe) {
-  const Topology base = build_single_server(4);
-  const MutationResult m =
-      degrade_link(base, node_by_name(base, "gpu0"), node_by_name(base, "nvswitch0"), 2, 2);
-  EXPECT_NE(m.delta.describe().find("degraded 1 link"), std::string::npos);
-  EXPECT_EQ(TopologyDelta{}.describe(), "no-op");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -13,6 +14,7 @@
 
 #include "core/synthesizer.h"
 #include "counting_test.h"
+#include "fuzz/generators.h"
 #include "obs/json.h"
 #include "obs/scenario.h"
 #include "obs/trace.h"
@@ -25,6 +27,7 @@
 #include "topo/groups.h"
 #include "topo/mutate.h"
 #include "util/failpoint.h"
+#include "util/rng.h"
 
 namespace syccl::serve {
 namespace {
@@ -51,9 +54,9 @@ struct FailpointGuard {
   ~FailpointGuard() { util::Failpoints::instance().clear(); }
 };
 
-/// Blocks until failpoint `name` has fired at least once.
-void await_failpoint(const char* name) {
-  while (util::Failpoints::instance().hits(name) == 0) {
+/// Blocks until failpoint `name` has fired more than `past` times.
+void await_failpoint(const char* name, std::uint64_t past = 0) {
+  while (util::Failpoints::instance().hits(name) <= past) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
@@ -337,6 +340,62 @@ TEST_F(ServeBroker, UnverifiableEntryLandingBeforeJoinFallsBackToSynthesis) {
   EXPECT_EQ(count("serve.hits"), 0);
 }
 
+// Declared after the tests that count failpoint hits from zero: the
+// sanitizer sweeps run every test in one process, and hit counts survive
+// Failpoints::clear().
+TEST_F(ServeBroker, JoinersOfOneSynthesisGetIdenticalValidSchedules) {
+  // Every joiner of one synthesis is served from the one blob they share,
+  // so serving one of them must leave that blob intact for the rest. The
+  // initiator's synthesis sleeps until both joiners have joined it; the
+  // second joiner labels the ranks differently, so its schedule is
+  // relabelled from the shared blob.
+  FailpointGuard guard;
+  auto& failpoints = util::Failpoints::instance();
+  DiskLibrary library({scratch_dir("joiners")});
+  BrokerConfig config;
+  config.num_threads = 1;
+  Broker broker(library, config);
+  const ServeRequest request = flat4_request();
+  ServeRequest permuted = request;
+  const std::vector<int> perm = {2, 0, 3, 1};
+  permuted.topology = topo::permute_gpu_ranks(request.topology, perm);
+
+  const std::uint64_t earlier_hits = failpoints.hits("serve.broker.synthesize");
+  failpoints.enable("serve.broker.synthesize", "delay:500");
+  ServeResponse first, second, third;
+  const auto serve = [&broker](const ServeRequest& r, ServeResponse& out) {
+    try {
+      out = broker.handle(r);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what();
+    }
+  };
+  std::thread initiator(serve, std::cref(request), std::ref(first));
+  await_failpoint("serve.broker.synthesize", earlier_hits);
+  std::thread same(serve, std::cref(request), std::ref(second));
+  std::thread relabelled(serve, std::cref(permuted), std::ref(third));
+  initiator.join();
+  same.join();
+  relabelled.join();
+
+  EXPECT_FALSE(first.joined);
+  EXPECT_TRUE(second.joined);
+  EXPECT_TRUE(third.joined);
+  EXPECT_EQ(count("serve.misses"), 1);
+  EXPECT_EQ(count("serve.joins"), 2);
+  EXPECT_EQ(runtime::to_xml(second.schedule, 4), runtime::to_xml(first.schedule, 4));
+  EXPECT_DOUBLE_EQ(second.predicted_time, first.predicted_time);
+  EXPECT_NEAR(third.predicted_time, first.predicted_time, 1e-9 * first.predicted_time);
+  const std::pair<const ServeRequest*, const ServeResponse*> served[] = {
+      {&request, &first}, {&request, &second}, {&permuted, &third}};
+  for (const auto& [req, response] : served) {
+    const runtime::ValidationReport report = runtime::validate_schedule(
+        response->schedule, make_serve_collective(req->kind, 4, req->total_bytes, req->root),
+        topo::extract_groups(req->topology));
+    EXPECT_TRUE(report.ok) << (report.errors.empty() ? "" : report.errors.front());
+  }
+}
+
 TEST_F(ServeBroker, SendRecvIsRejected) {
   DiskLibrary library({scratch_dir("sendrecv")});
   Broker broker(library);
@@ -436,6 +495,76 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RelabelCase>& info) {
       return std::string(info.param.fabric) + "_" + coll::kind_name(info.param.kind) +
              (info.param.last_rank_root ? "_last_rank_root" : "");
+    });
+
+// Served hits on generated fabrics: the pinned fabrics above are all
+// symmetric builds, so these fabrics come from the fuzz generator (seeds
+// fixed here once, never re-drawn to dodge a failure). A request misses
+// cold; a same-labelling hit serves exactly what fresh synthesis produces;
+// and every random relabelling of the fabric must hit the same library
+// entry, validate, and price within 1e-9 of the cold answer. A permuted
+// re-request that misses is a canonicalisation defect.
+class ServeBrokerGenerated
+    : public CountingTest,
+      public ::testing::WithParamInterface<std::tuple<std::uint64_t, coll::CollKind>> {};
+
+TEST_P(ServeBrokerGenerated, ColdMissThenSameAndPermutedLabellingsHit) {
+  const auto [seed, kind] = GetParam();
+  util::Rng rng(seed);
+  const fuzz::RandomTopology fabric = fuzz::random_topology(rng);
+  SCOPED_TRACE(fabric.desc);
+  DiskLibrary library({scratch_dir("generated_" + std::to_string(seed) + "_" +
+                                   coll::kind_name(kind))});
+  Broker broker(library);
+
+  ServeRequest original;
+  original.topology = fabric.topo;
+  original.kind = kind;
+  original.total_bytes = 1 << 20;
+  const int n = static_cast<int>(original.topology.num_gpus());
+  const ServeResponse cold = broker.handle(original);
+  EXPECT_FALSE(cold.hit);
+
+  const ServeResponse same = broker.handle(original);
+  EXPECT_TRUE(same.hit);
+  core::Synthesizer synthesizer(original.topology, broker.config().synthesis);
+  const core::SynthesisResult fresh =
+      synthesizer.synthesize(make_serve_collective(kind, n, original.total_bytes, original.root));
+  EXPECT_EQ(runtime::to_xml(same.schedule, n), runtime::to_xml(fresh.schedule, n));
+
+  const coll::Collective coll = make_serve_collective(kind, n, original.total_bytes, original.root);
+  std::vector<int> perm(static_cast<std::size_t>(n));
+  std::iota(perm.begin(), perm.end(), 0);
+  for (int i = 0; i < 3; ++i) {
+    SCOPED_TRACE(i);
+    for (int k = n - 1; k > 0; --k) {
+      std::swap(perm[static_cast<std::size_t>(k)],
+                perm[rng.next_below(static_cast<std::uint64_t>(k) + 1)]);
+    }
+    ServeRequest permuted = original;
+    permuted.topology = topo::permute_gpu_ranks(original.topology, perm);
+    const ServeResponse served = broker.handle(permuted);
+    EXPECT_TRUE(served.hit);
+    EXPECT_EQ(served.scenario_key, cold.scenario_key);
+    const runtime::ValidationReport report = runtime::validate_schedule(
+        served.schedule, coll, topo::extract_groups(permuted.topology));
+    EXPECT_TRUE(report.ok) << (report.errors.empty() ? "" : report.errors.front());
+    EXPECT_NEAR(served.predicted_time, cold.predicted_time, 1e-9 * cold.predicted_time);
+  }
+  EXPECT_EQ(count("serve.misses"), 1);
+  EXPECT_EQ(count("serve.verify_failures"), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServeBroker, ServeBrokerGenerated,
+    ::testing::Combine(::testing::Values(0x5e77e001u, 0x5e77e002u, 0x5e77e003u, 0x5e77e004u,
+                                                           0x5e77e005u, 0x5e77e006u),
+                       ::testing::Values(coll::CollKind::AllGather, coll::CollKind::AllToAll,
+                                         coll::CollKind::ReduceScatter,
+                                         coll::CollKind::AllReduce)),
+    [](const ::testing::TestParamInfo<std::tuple<std::uint64_t, coll::CollKind>>& info) {
+      return "seed" + std::to_string(std::get<0>(info.param) & 0xf) + "_" +
+             coll::kind_name(std::get<1>(info.param));
     });
 
 // ----------------------------------------------------------------- protocol

@@ -8,13 +8,16 @@
 #include <numeric>
 #include <random>
 
+#include "fuzz/generators.h"
 #include "obs/scenario.h"
+#include "serve/broker.h"
 #include "serve/canonical.h"
 #include "serve/codec.h"
 #include "serve/library.h"
 #include "sim/schedule.h"
 #include "topo/groups.h"
 #include "topo/mutate.h"
+#include "util/rng.h"
 
 namespace syccl::serve {
 namespace {
@@ -236,16 +239,15 @@ ScheduleBlob sample_blob() {
   return blob;
 }
 
-TEST(ServeCodec, RoundTripIsExact) {
-  const ScheduleBlob blob = sample_blob();
-  const std::string encoded = encode_blob(blob);
-  const ScheduleBlob decoded = decode_blob(encoded);
-
+/// Field-by-field equality of two blobs. Doubles travel as IEEE-754 bit
+/// patterns, so equality is exact, not "close".
+void expect_same_blob(const ScheduleBlob& decoded, const ScheduleBlob& blob) {
   EXPECT_EQ(decoded.scenario_key, blob.scenario_key);
   EXPECT_EQ(decoded.num_ranks, blob.num_ranks);
   EXPECT_EQ(decoded.bucket_bytes, blob.bucket_bytes);
-  // Doubles travel as IEEE-754 bit patterns: equality is exact, not "close".
   EXPECT_EQ(decoded.predicted_time, blob.predicted_time);
+  EXPECT_EQ(decoded.degraded, blob.degraded);
+  EXPECT_EQ(decoded.schedule.name, blob.schedule.name);
   ASSERT_EQ(decoded.schedule.pieces.size(), blob.schedule.pieces.size());
   for (std::size_t i = 0; i < blob.schedule.pieces.size(); ++i) {
     EXPECT_EQ(decoded.schedule.pieces[i].bytes, blob.schedule.pieces[i].bytes);
@@ -262,10 +264,58 @@ TEST(ServeCodec, RoundTripIsExact) {
     EXPECT_EQ(decoded.schedule.ops[i].dim, blob.schedule.ops[i].dim);
     EXPECT_EQ(decoded.schedule.ops[i].phase, blob.schedule.ops[i].phase);
   }
+}
+
+TEST(ServeCodec, RoundTripIsExact) {
+  const ScheduleBlob blob = sample_blob();
+  const std::string encoded = encode_blob(blob);
+  expect_same_blob(decode_blob(encoded), blob);
 
   // encode(decode(s)) == s: the byte-exact save -> reopen guarantee.
-  EXPECT_EQ(encode_blob(decoded), encoded);
+  EXPECT_EQ(encode_blob(decode_blob(encoded)), encoded);
 }
+
+// Generated schedules: relay trees with split chunks, reduce in-trees,
+// redundant deliveries, explicit dimensions and extra phases, on generated
+// fabrics, round trip exactly for every served kind.
+class ServeCodecGenerated : public ::testing::TestWithParam<coll::CollKind> {};
+
+TEST_P(ServeCodecGenerated, RoundTripIsExact) {
+  util::Rng rng(0xc0dec000u + static_cast<std::uint64_t>(GetParam()));
+  for (int fabric_index = 0; fabric_index < 4; ++fabric_index) {
+    const fuzz::RandomTopology fabric = fuzz::random_topology(rng);
+    SCOPED_TRACE(fabric.desc);
+    const topo::TopologyGroups groups = topo::extract_groups(fabric.topo);
+    const int n = static_cast<int>(fabric.topo.num_gpus());
+    const int root = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+    const coll::Collective coll =
+        make_serve_collective(GetParam(), n, std::uint64_t{1} << rng.next_in(10, 22), root);
+
+    ScheduleBlob blob;
+    blob.scenario_key = "generated|" + fabric.desc + "|" + coll.describe();
+    blob.num_ranks = n;
+    blob.bucket_bytes = coll.total_bytes();
+    blob.predicted_time = rng.next_double() * 1e-3;
+    blob.degraded = rng.next_below(2) == 0;
+    blob.schedule = fuzz::random_direct_schedule(coll, groups, rng);
+    fuzz::mutate_schedule(blob.schedule, groups, rng, 3);
+    blob.schedule.name = "generated " + coll.describe();
+
+    const std::string encoded = encode_blob(blob);
+    expect_same_blob(decode_blob(encoded), blob);
+    EXPECT_EQ(encode_blob(decode_blob(encoded)), encoded);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServeCodec, ServeCodecGenerated,
+    ::testing::Values(coll::CollKind::Broadcast, coll::CollKind::Scatter, coll::CollKind::Gather,
+                      coll::CollKind::Reduce, coll::CollKind::AllGather,
+                      coll::CollKind::AllToAll, coll::CollKind::ReduceScatter,
+                      coll::CollKind::AllReduce),
+    [](const ::testing::TestParamInfo<coll::CollKind>& info) {
+      return std::string(coll::kind_name(info.param));
+    });
 
 TEST(ServeCodec, EveryTruncationThrows) {
   const std::string encoded = encode_blob(sample_blob());

@@ -166,9 +166,8 @@ TEST_F(SolveCache, FaultyFabricFromWarmCacheMatchesColdSynthesis) {
   const std::vector<std::pair<std::string, topo::Topology>> faults = {
       {"gpu1.0 NVLink degraded 8x",
        topo::degrade_duplex(healthy, topo::node_by_name(healthy, "gpu1.0"),
-                            topo::node_by_name(healthy, "nvswitch1"), 1.0, 8.0)
-           .topo},
-      {"nic0.1 failed", topo::fail_nic(healthy, topo::node_by_name(healthy, "nic0.1")).topo},
+                            topo::node_by_name(healthy, "nvswitch1"), 1.0, 8.0)},
+      {"nic0.1 failed", topo::fail_nic(healthy, topo::node_by_name(healthy, "nic0.1"))},
   };
   for (const auto& [name, faulty] : faults) {
     SCOPED_TRACE(name);
@@ -238,7 +237,7 @@ TEST_F(SolveCache, ParallelEvaluationMatchesSingleThread) {
     spec.num_servers = servers;
     spec.gpus_per_server = 4;
     const topo::Topology base = topo::build_multi_rail(spec);
-    return topo::fail_nic(base, topo::node_by_name(base, nic)).topo;
+    return topo::fail_nic(base, topo::node_by_name(base, nic));
   };
   const std::vector<Case> cases = {
       {"h800x2 allreduce 4M", topo::build_h800_cluster(2), coll::make_allreduce(16, 4 << 20)},

@@ -298,7 +298,7 @@ TEST(Synthesizer, AllToAllOnFailedNicMultiRailFailsTyped) {
     spec.num_servers = servers;
     spec.gpus_per_server = 4;
     const topo::Topology base = topo::build_multi_rail(spec);
-    return topo::fail_nic(base, topo::node_by_name(base, nic)).topo;
+    return topo::fail_nic(base, topo::node_by_name(base, nic));
   };
   const std::pair<int, const char*> fabrics[] = {{2, "nic0.1"}, {2, "nic1.0"}, {4, "nic0.1"}};
   for (const auto& [servers, nic] : fabrics) {

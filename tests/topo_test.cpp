@@ -99,6 +99,39 @@ TEST(Builders, H800ClusterShape) {
   EXPECT_EQ(g.dims[1].groups[0].size(), 8);
 }
 
+TEST(Builders, Fig19SevenServerMultiRail) {
+  const auto topo = build_fig19_topology();
+  EXPECT_EQ(topo.num_gpus(), 28u);
+  const auto g = extract_groups(topo);
+  ASSERT_EQ(g.num_dims(), 3);
+  EXPECT_EQ(g.dims[0].groups.size(), 7u);  // servers
+  EXPECT_EQ(g.dims[1].groups.size(), 4u);  // rails
+  // Paper Fig. 19: dim-1 group 0 is {0, 4, 8, …, 24}.
+  EXPECT_EQ(g.dims[1].groups[0].ranks,
+            (std::vector<int>{0, 4, 8, 12, 16, 20, 24}));
+}
+
+TEST(Builders, Fig20ClosWithCore) {
+  const auto topo = build_fig20_topology();
+  EXPECT_EQ(topo.num_gpus(), 32u);
+  const auto g = extract_groups(topo);
+  // Paper Fig. 20: four dimensions — servers, leaves, spines, core.
+  ASSERT_EQ(g.num_dims(), 4);
+  EXPECT_EQ(g.dims[0].groups.size(), 8u);
+  EXPECT_EQ(g.dims[1].groups.size(), 4u);
+  EXPECT_EQ(g.dims[2].groups.size(), 2u);
+  EXPECT_EQ(g.dims[3].groups.size(), 1u);
+  EXPECT_EQ(g.dims[1].groups[0].size(), 8);
+  EXPECT_EQ(g.dims[2].groups[0].size(), 16);
+}
+
+TEST(Builders, FlatSwitchIsOneDimension) {
+  const auto topo = build_flat_switch(72);
+  const auto g = extract_groups(topo);
+  ASSERT_EQ(g.num_dims(), 1);
+  EXPECT_EQ(g.dims[0].groups[0].size(), 72);
+}
+
 TEST(Groups, BestCommonDim) {
   const Topology t = build_h800_cluster(2);
   const TopologyGroups g = extract_groups(t);

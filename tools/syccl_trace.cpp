@@ -27,7 +27,7 @@ struct Args {
 
 void print_usage() {
   std::cerr << "usage: syccl_trace [--topo NAME] [--coll NAME] [--bytes N[K|M|G]]\n"
-            << "                   [--threads N] [--tenants N] [--keep-cache] [--out DIR]\n"
+            << "                   [--threads N] [--keep-cache] [--out DIR]\n"
             << "                   [--trace FILE] [--metrics FILE]\n"
             << "topologies: dgx16, h800x<servers>, a100x<gpus>, flat<gpus>, micro\n"
             << "            (append @degraded or @failnic for a faulty variant)\n"
@@ -74,15 +74,6 @@ bool parse_args(int argc, char** argv, Args& args) {
         return false;
       }
       args.spec.num_threads = *threads;
-    } else if (a == "--tenants") {
-      const char* v = need_value();
-      if (!v) return false;
-      const auto tenants = parse_int(v, 1, 64);
-      if (!tenants) {
-        std::cerr << "bad value for --tenants: '" << v << "'\n";
-        return false;
-      }
-      args.spec.tenants = *tenants;
     } else if (a == "--keep-cache") {
       args.spec.clear_solve_cache = false;
     } else if (a == "--out") {
@@ -147,14 +138,6 @@ int main(int argc, char** argv) {
             << "  synthesis: " << b.total_s << " s total, " << b.num_combinations
             << " combinations, " << b.num_solver_calls << " solver calls, "
             << b.cache_hits << "/" << b.cache_hits + b.num_solver_calls << " cache hits\n";
-  if (args.spec.tenants > 1) {
-    std::cout << "  contention: " << args.spec.tenants << " tenants, makespan "
-              << result.contention.makespan * 1e6 << " us\n";
-    for (const auto& t : result.contention.tenants) {
-      std::cout << "    " << t.name << ": solo " << t.solo * 1e6 << " us, contended "
-                << t.contended * 1e6 << " us (slowdown " << t.slowdown << "x)\n";
-    }
-  }
   std::cout << "  wrote " << args.trace_path << " and " << args.metrics_path << "\n";
   return 0;
 }
