@@ -167,7 +167,9 @@ struct MergeShape {
     plan = core::build_demand_plan(combos.front(), coll, groups);
     solver::SubScheduleCache cache;
     const solver::SolveOptions options{3.0};
-    for (const auto& md : plan.demands) solved.push_back(cache.get_or_solve(md.demand, options));
+    for (const auto& md : plan.demands) {
+      solved.push_back(cache.get_or_solve(md.demand, md.demand.canonical(), options));
+    }
   }
 };
 

@@ -34,60 +34,49 @@ struct Candidate {
   std::string description;
   DemandPlan plan;
   std::vector<int> demand_class;
-  /// Per-demand remap carrying the class representative's solution into this
-  /// demand's local coordinates (identity for the representative itself and
-  /// for positionally identical demands).
-  std::vector<solver::SubScheduleRemap> demand_remap;
+  /// Per-demand piece map carrying the class representative's solution onto
+  /// this demand's piece ids (empty, the identity, for the representative
+  /// itself and for demands listing their pieces in the same order).
+  std::vector<std::vector<int>> demand_remap;
   double predicted = std::numeric_limits<double>::infinity();
   bool valid = true;
 };
 
 /// Isomorphism-class registry shared by all candidates of one synthesis.
 /// Owns copies of its representative demands so solving never depends on
-/// candidate storage. Classes are keyed on the *canonical* demand key, so
-/// demands whose groups are isomorphic but differently labelled (e.g. the
-/// same degraded link at different ranks) share a class; intern() returns
-/// the remap that repositions the representative's solution onto the
-/// interned demand.
+/// candidate storage. Classes are keyed on the canonical demand key, so
+/// demands that list the same pieces in a different order (the rotated
+/// groups of one dimension) share a class; intern() returns the piece map
+/// that carries the representative's solution onto the interned demand.
 struct ClassRegistry {
   std::map<std::string, int> index_of;
   std::vector<solver::SubDemand> representative;
   std::vector<solver::CanonicalDemand> canon;  ///< of the representative
 
   /// `cd` is `demand.canonical()`, computed by the caller (on the pool).
-  std::pair<int, solver::SubScheduleRemap> intern(const solver::SubDemand& demand,
-                                                  solver::CanonicalDemand cd) {
+  std::pair<int, std::vector<int>> intern(const solver::SubDemand& demand,
+                                          solver::CanonicalDemand cd) {
     const auto it = index_of.find(cd.key);
     if (it == index_of.end()) {
       const int id = static_cast<int>(representative.size());
       index_of.emplace(cd.key, id);
       representative.push_back(demand);
       canon.push_back(std::move(cd));
-      return {id, solver::SubScheduleRemap{}};
+      return {id, {}};
     }
     const solver::CanonicalDemand& rep = canon[static_cast<std::size_t>(it->second)];
-    if (rep.identity && cd.identity) return {it->second, solver::SubScheduleRemap{}};
-    // Compose rep-local -> canonical -> this-local.
-    const solver::SubScheduleRemap down = cd.from_canonical();
-    solver::SubScheduleRemap remap;
-    remap.member.resize(rep.member_perm.size());
-    remap.piece.resize(rep.piece_perm.size());
+    if (rep.identity && cd.identity) return {it->second, {}};
+    // Compose rep piece id -> canonical piece id -> this demand's piece id.
+    const std::vector<int> down = cd.from_canonical();
+    std::vector<int> remap(rep.piece_perm.size());
     bool ident = true;
-    for (std::size_t i = 0; i < rep.member_perm.size(); ++i) {
-      const int to = down.is_identity()
-                         ? rep.member_perm[i]
-                         : down.member[static_cast<std::size_t>(rep.member_perm[i])];
-      remap.member[i] = to;
-      if (to != static_cast<int>(i)) ident = false;
-    }
     for (std::size_t i = 0; i < rep.piece_perm.size(); ++i) {
-      const int to = down.is_identity()
-                         ? rep.piece_perm[i]
-                         : down.piece[static_cast<std::size_t>(rep.piece_perm[i])];
-      remap.piece[i] = to;
+      const int to = down.empty() ? rep.piece_perm[i]
+                                  : down[static_cast<std::size_t>(rep.piece_perm[i])];
+      remap[i] = to;
       if (to != static_cast<int>(i)) ident = false;
     }
-    if (ident) return {it->second, solver::SubScheduleRemap{}};
+    if (ident) return {it->second, {}};
     return {it->second, std::move(remap)};
   }
 };
@@ -304,8 +293,8 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
       const std::size_t c = static_cast<std::size_t>(todo[i]);
       span.annotate("class", static_cast<double>(c));
       solver::SolveStats stats;
-      out[c] = solver::SubScheduleCache::instance().get_or_solve(registry.representative[c],
-                                                                 opts, &stats);
+      out[c] = solver::SubScheduleCache::instance().get_or_solve(
+          registry.representative[c], registry.canon[c], opts, &stats);
       if (stats.cache_hit) hits.fetch_add(1);
       solve_times[i] = stats.solve_seconds;
     });

@@ -111,10 +111,9 @@ CanonicalTopology canonicalize(const topo::TopologyGroups& groups) {
   out.num_ranks = num_ranks;
 
   // Label-invariant member descriptors, built from the raw star abstraction.
-  // GroupTopology::canonical_form() is deliberately NOT used here: its member
-  // order (and therefore the port-sharing block ids inside its signature)
-  // breaks ties between structurally identical members by local index — the
-  // caller labelling this function must be invariant to. Instead each member
+  // GroupTopology::signature() is deliberately NOT used here: it lists
+  // members and numbers port-sharing blocks in local order — the caller
+  // labelling this function must be invariant to. Instead each member
   // contributes its quantised port α/β, its physical hop ladder, and the
   // sizes of its up/down port-sharing blocks; which members share a port is
   // propagated through refinement via port-mate colour multisets.
@@ -149,10 +148,10 @@ CanonicalTopology canonicalize(const topo::TopologyGroups& groups) {
   }
 
   // Colour refinement over ranks. A rank's colour starts from its per-dim
-  // (group signature, canonical position); each round then separates groups
-  // of equal signature by their member-colour multisets, which in turn
-  // separates their members. Group order ids restart from the signatures
-  // every round, so the fixed point does not depend on the iteration count.
+  // member descriptors; each round then separates groups by their
+  // member-colour multisets, which in turn separates their members. Group
+  // order ids are recomputed from the current colours every round, so the
+  // fixed point does not depend on the iteration count.
   //
   // A colour is the rank of a rank string among the sorted distinct
   // strings, and the strings embed earlier colours in decimal, so colours

@@ -5,14 +5,13 @@
 // library entry fleet-wide: two consumers that label the same physical
 // cluster differently — or own two identical clusters — must derive the
 // same key, and each must receive the stored schedule relabelled into its
-// own rank space. This module extends the per-group CanonicalForm machinery
-// (topo/groups.h) to a whole-topology canonicalisation:
+// own rank space. This module is the repository's one colour-refinement
+// canonicaliser, over the whole topology:
 //
 //   1. Extract dimensions/groups. Only the raw star abstraction is consumed
-//      — not GroupTopology::canonical_form(), whose member order (and the
-//      port-sharing block ids inside its signature) breaks structural ties
-//      by local index, i.e. by the very caller labelling this module must be
-//      invariant to.
+//      — not GroupTopology::signature(), which lists members and numbers
+//      port-sharing blocks in local order, i.e. by the very caller labelling
+//      this module must be invariant to.
 //   2. Colour-refine GPU ranks: a rank's initial colour is, per dimension,
 //      a label-invariant member descriptor (group size, quantised up/down
 //      port α/β, port-sharing block sizes, physical hop ladder). Each round
@@ -32,8 +31,8 @@
 // synthesizer, validator and simulator consume — so a schedule synthesized
 // under one labelling is valid under the other after rank remapping. The
 // converse direction is conservative: refinement ties can make two
-// isomorphic topologies render differently and merely miss the dedup (same
-// stance as GroupTopology::CanonicalForm).
+// isomorphic topologies render differently and merely miss the dedup (the
+// same stance as the positional group signatures).
 #pragma once
 
 #include <cstdint>

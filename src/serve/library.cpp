@@ -148,12 +148,12 @@ DiskLibrary::DiskLibrary(DiskLibraryConfig config) : config_(std::move(config)) 
     }
     if (!name.ends_with(".sched")) continue;
     try {
-      std::string encoded = read_file(path);
-      ScheduleBlob blob = decode_blob(encoded);  // validates magic + checksum
+      auto encoded = std::make_shared<const std::string>(read_file(path));
+      ScheduleBlob blob = decode_blob(*encoded);  // validates magic + checksum
       if (name != file_for(blob.scenario_key)) {
         throw CodecError("entry file name does not match its key");
       }
-      bytes_ += encoded.size();
+      bytes_ += encoded->size();
       entries_[blob.scenario_key] = Entry{std::move(encoded), ++tick_, blob.degraded};
     } catch (const std::exception&) {
       quarantine_file(name);
@@ -165,27 +165,36 @@ DiskLibrary::DiskLibrary(DiskLibraryConfig config) : config_(std::move(config)) 
 }
 
 std::optional<ScheduleBlob> DiskLibrary::get(const std::string& scenario_key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(scenario_key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return std::nullopt;
+  std::shared_ptr<const std::string> encoded;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(scenario_key);
+    if (it == entries_.end()) {
+      ++misses_;
+      return std::nullopt;
+    }
+    it->second.last_used = ++tick_;
+    encoded = it->second.encoded;
   }
-  it->second.last_used = ++tick_;
   ScheduleBlob blob;
   try {
-    blob = decode_blob(it->second.encoded);
+    blob = decode_blob(*encoded);
   } catch (const std::exception&) {
     // In-memory bytes that stopped decoding (memory corruption — or the
     // serve.codec.decode failpoint): drop the entry, keep the evidence,
-    // report a miss so the request falls back to synthesis.
-    const std::string file = file_for(scenario_key);
-    bytes_ -= it->second.encoded.size();
-    entries_.erase(it);
-    quarantine_file(file);
+    // report a miss so the request falls back to synthesis. A put() that
+    // replaced the bytes meanwhile wrote a fresh entry; that one stays.
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = entries_.find(scenario_key);
+    if (it != entries_.end() && it->second.encoded == encoded) {
+      bytes_ -= encoded->size();
+      entries_.erase(it);
+      quarantine_file(file_for(scenario_key));
+    }
     ++misses_;
     return std::nullopt;
   }
+  std::lock_guard<std::mutex> lock(mutex_);
   if (blob.scenario_key != scenario_key) {
     // FNV filename collision: a different key hashed to this slot. A miss,
     // never a mis-serve.
@@ -197,7 +206,7 @@ std::optional<ScheduleBlob> DiskLibrary::get(const std::string& scenario_key) {
 }
 
 DiskLibrary::PutResult DiskLibrary::put(const ScheduleBlob& blob) {
-  std::string encoded = encode_blob(blob);
+  auto encoded = std::make_shared<const std::string>(encode_blob(blob));
   const fs::path dir(config_.dir);
   const std::string file = file_for(blob.scenario_key);
 
@@ -211,17 +220,17 @@ DiskLibrary::PutResult DiskLibrary::put(const ScheduleBlob& blob) {
   }
 
   // Entry file first — once this returns, the blob survives any crash.
-  write_file_durable(dir / file, encoded);
+  write_file_durable(dir / file, *encoded);
 
   PutResult result;
   if (it != entries_.end()) {
     result = (!blob.degraded && it->second.degraded) ? PutResult::Upgraded : PutResult::Replaced;
-    bytes_ -= it->second.encoded.size();
-    bytes_ += encoded.size();
+    bytes_ -= it->second.encoded->size();
+    bytes_ += encoded->size();
     it->second = Entry{std::move(encoded), ++tick_, blob.degraded};
   } else {
     result = PutResult::Inserted;
-    bytes_ += encoded.size();
+    bytes_ += encoded->size();
     entries_[blob.scenario_key] = Entry{std::move(encoded), ++tick_, blob.degraded};
   }
   evict_locked();
@@ -250,7 +259,7 @@ void DiskLibrary::evict_locked() {
     }
     std::error_code ec;
     fs::remove(dir / file_for(victim->first), ec);
-    bytes_ -= victim->second.encoded.size();
+    bytes_ -= victim->second.encoded->size();
     entries_.erase(victim);
     ++evictions_;
   }

@@ -26,17 +26,19 @@
 //   * A reopened library never serves bytes that fail the codec checksum or
 //     whose key does not hash to their file name — such files quarantine.
 //
-// Entries are held decoded-size-accounted in memory (schedules are a few KB;
-// the byte bound covers both memory and disk) with LRU eviction: evicting
-// removes the file, and entries loaded at open start in file-name order.
-// get() verifies the stored scenario key against the requested one, so an
-// FNV collision reads as a miss, never a mis-serve. All public methods are
-// thread-safe — broker connection threads and the synthesis pool hit the
-// library concurrently.
+// Entries are held encoded in memory, size-accounted (the byte bound covers
+// both memory and disk), with LRU eviction: evicting removes the file, and
+// entries loaded at open start in file-name order. get() decodes after
+// releasing the library mutex, so concurrent hits and puts never wait on a
+// decode (a 512-rank entry holds about 260k ops), and verifies the stored
+// scenario key against the requested one, so an FNV collision reads as a
+// miss, never a mis-serve. All public methods are thread-safe — broker
+// connection threads and the synthesis pool hit the library concurrently.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -70,7 +72,8 @@ class DiskLibrary {
   DiskLibrary& operator=(const DiskLibrary&) = delete;
 
   /// Returns the blob stored for `scenario_key`, or nullopt. An entry whose
-  /// bytes no longer decode is dropped and quarantined, not served.
+  /// bytes no longer decode is dropped and quarantined, not served — unless
+  /// a put() replaced those bytes while they were being decoded.
   std::optional<ScheduleBlob> get(const std::string& scenario_key);
 
   /// Inserts (or overwrites) the entry, persisting the entry file durably
@@ -99,7 +102,9 @@ class DiskLibrary {
 
  private:
   struct Entry {
-    std::string encoded;  ///< full codec blob (what the file holds)
+    /// Full codec blob (what the file holds). Shared so get() can decode it
+    /// outside the mutex while a put() or eviction replaces the entry.
+    std::shared_ptr<const std::string> encoded;
     std::uint64_t last_used = 0;
     bool degraded = false;
   };

@@ -20,8 +20,8 @@ bool stage_is_consistent(const Stage& stage, const topo::TopologyGroups& groups,
                          bool is_final_stage) {
   if (is_final_stage) return true;
   // Group the stage's demands by (dim, isomorphism class) and compare ratios.
-  // Groups with equal canonical signatures are isomorphic, so the signature
-  // names the class.
+  // Groups with equal signatures are isomorphic (member i onto member i), so
+  // the signature names the class.
   std::map<std::pair<int, std::string>, std::set<long long>> ratios;
   for (const SubDemandSpec& r : stage.demands) {
     if (r.srcs.empty()) return false;

@@ -22,54 +22,48 @@ std::vector<int> invert_perm(const std::vector<int>& perm) {
 
 }  // namespace
 
-SubScheduleRemap CanonicalDemand::to_canonical() const {
+std::vector<int> CanonicalDemand::to_canonical() const {
   if (identity) return {};
-  return SubScheduleRemap{member_perm, piece_perm};
+  return piece_perm;
 }
 
-SubScheduleRemap CanonicalDemand::from_canonical() const {
+std::vector<int> CanonicalDemand::from_canonical() const {
   if (identity) return {};
-  return SubScheduleRemap{invert_perm(member_perm), invert_perm(piece_perm)};
+  return invert_perm(piece_perm);
 }
 
 CanonicalDemand SubDemand::canonical() const {
-  // Canonicalise the group first (stable member relabelling under positional
-  // isomorphism), then express every piece in canonical member indices and
-  // sort the pieces by that encoding. Demands with equal keys are identical
-  // in canonical coordinates, so cached canonical schedules transfer exactly.
+  // Encode every piece by its sorted sources and destinations (local member
+  // indices; the group signature is positional) and sort the pieces by that
+  // encoding. Demands with equal keys are then identical up to piece ids, so
+  // cached canonical schedules transfer exactly.
   if (group == nullptr) throw std::invalid_argument("sub-demand without group");
-  const topo::GroupTopology::CanonicalForm form = group->canonical_form();
-  const auto& perm = form.perm;
+  const int n = group->size();
   const std::size_t np = pieces.size();
 
-  // Piece encodings "s,s,:d,d,d," in canonical member indices. Built with
-  // to_chars: on the 512-GPU point this runs over ~11M destinations per
-  // synthesis, where a stream per piece dominated.
+  // Piece encodings "s,s,:d,d,d,". Built with to_chars: on the 512-GPU point
+  // this runs over ~11M destinations per synthesis, where a stream per piece
+  // dominated.
   std::vector<std::string> enc(np);
-  std::vector<int> src, dst;
-  const auto append = [](std::string& out, const std::vector<int>& xs) {
+  std::vector<int> sorted;
+  const auto append = [&](std::string& out, const std::vector<int>& xs) {
+    sorted.assign(xs.begin(), xs.end());
+    std::sort(sorted.begin(), sorted.end());
     char buf[16];
-    for (int x : xs) {
+    for (int x : sorted) {
+      if (x < 0 || x >= n) throw std::invalid_argument("sub-demand piece member outside group");
       out.append(buf, std::to_chars(buf, buf + sizeof buf, x).ptr);
       out.push_back(',');
     }
   };
   for (std::size_t t = 0; t < np; ++t) {
-    const auto& p = pieces[t];
-    src.clear();
-    dst.clear();
-    for (int x : p.srcs) src.push_back(perm.at(static_cast<std::size_t>(x)));
-    for (int x : p.dsts) dst.push_back(perm.at(static_cast<std::size_t>(x)));
-    std::sort(src.begin(), src.end());
-    std::sort(dst.begin(), dst.end());
-    append(enc[t], src);
+    append(enc[t], pieces[t].srcs);
     enc[t].push_back(':');
-    append(enc[t], dst);
+    append(enc[t], pieces[t].dsts);
   }
 
-  // Canonical piece order: by encoding, ties by list position. Ties are
-  // pieces indistinguishable in canonical coordinates, so any consistent
-  // order is sound.
+  // Canonical piece order: by encoding, ties by list position. Tied pieces
+  // have equal sources and destinations, so any consistent order is sound.
   std::vector<std::size_t> ord(np);
   for (std::size_t t = 0; t < np; ++t) ord[t] = t;
   std::sort(ord.begin(), ord.end(), [&](std::size_t a, std::size_t b) {
@@ -78,7 +72,6 @@ CanonicalDemand SubDemand::canonical() const {
   });
 
   CanonicalDemand out;
-  out.member_perm = perm;
   out.piece_perm.assign(np, -1);
   for (std::size_t k = 0; k < np; ++k) {
     const int id = pieces[ord[k]].id;
@@ -89,7 +82,7 @@ CanonicalDemand SubDemand::canonical() const {
   }
 
   std::ostringstream os;
-  os << form.signature << "#s=" << std::hexfloat << piece_bytes << "#";
+  os << group->signature() << "#s=" << std::hexfloat << piece_bytes << "#";
   out.key = os.str();
   for (std::size_t k = 0; k < np; ++k) {
     out.key += enc[ord[k]];
@@ -97,9 +90,6 @@ CanonicalDemand SubDemand::canonical() const {
   }
 
   out.identity = true;
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    if (perm[i] != static_cast<int>(i)) out.identity = false;
-  }
   for (std::size_t i = 0; i < np; ++i) {
     if (out.piece_perm[i] != static_cast<int>(i)) out.identity = false;
   }
@@ -220,27 +210,14 @@ void check_sub_schedule(const SubDemand& demand, const SubSchedule& sched) {
   }
 }
 
-SubSchedule remap_sub_schedule(const SubSchedule& sched, const std::vector<int>& mapping) {
+SubSchedule remap_sub_schedule(const SubSchedule& sched, const std::vector<int>& piece) {
+  if (piece.empty()) return sched;
   SubSchedule out = sched;
   for (auto& op : out.ops) {
-    if (op.src < 0 || static_cast<std::size_t>(op.src) >= mapping.size() || op.dst < 0 ||
-        static_cast<std::size_t>(op.dst) >= mapping.size()) {
-      throw std::invalid_argument("sub-op endpoint outside mapping");
-    }
-    op.src = mapping[static_cast<std::size_t>(op.src)];
-    op.dst = mapping[static_cast<std::size_t>(op.dst)];
-  }
-  return out;
-}
-
-SubSchedule remap_sub_schedule(const SubSchedule& sched, const SubScheduleRemap& remap) {
-  if (remap.is_identity()) return sched;
-  SubSchedule out = remap_sub_schedule(sched, remap.member);
-  for (auto& op : out.ops) {
-    if (op.piece < 0 || static_cast<std::size_t>(op.piece) >= remap.piece.size()) {
+    if (op.piece < 0 || static_cast<std::size_t>(op.piece) >= piece.size()) {
       throw std::invalid_argument("sub-op piece outside remap");
     }
-    op.piece = remap.piece[static_cast<std::size_t>(op.piece)];
+    op.piece = piece[static_cast<std::size_t>(op.piece)];
   }
   return out;
 }

@@ -25,33 +25,23 @@ struct DemandPiece {
   std::vector<int> dsts;
 };
 
-/// Remapping of a sub-schedule between two coordinate systems: `member`
-/// relabels op endpoints, `piece` relabels op piece ids. An empty `member`
-/// vector denotes the identity remap.
-struct SubScheduleRemap {
-  std::vector<int> member;  ///< source member index -> target member index
-  std::vector<int> piece;   ///< source piece id -> target piece id
-
-  bool is_identity() const { return member.empty(); }
-};
-
-/// A sub-demand and its group jointly canonicalised (§5.3): `key` is
-/// invariant under any relabelling of members/pieces that preserves the
-/// group structure and demand shape, and the maps carry schedules between
-/// local and canonical coordinates. Demands with equal keys become literally
-/// identical once both are mapped to canonical coordinates, so a schedule
-/// cached canonically transfers to *any* demand with the same key via its
-/// `from_canonical()` remap — this is what makes the cache safe on
-/// heterogeneous (degraded) groups, where the historical position-blind key
-/// served schedules with the slow link in the wrong place.
+/// A sub-demand keyed for isomorphism-class deduplication (§5.3): `key`
+/// holds the group's positional signature, the piece size and the pieces'
+/// (sources : destinations) encodings in sorted order, so it is invariant
+/// under any relabelling of piece ids. Demands with equal keys are identical
+/// once their pieces are put in canonical order — members keep their local
+/// order (topo/groups.h) — so a schedule stored with canonical piece ids
+/// transfers to any demand with the same key through `from_canonical()`.
+/// This is what lets the rotated groups of one dimension share a class.
 struct CanonicalDemand {
   std::string key;
-  std::vector<int> member_perm;  ///< local member index -> canonical position
-  std::vector<int> piece_perm;   ///< piece id -> canonical piece id
-  bool identity = false;         ///< both maps are identities
+  std::vector<int> piece_perm;  ///< piece id -> canonical piece id
+  bool identity = false;        ///< piece_perm is the identity
 
-  SubScheduleRemap to_canonical() const;    ///< local -> canonical coordinates
-  SubScheduleRemap from_canonical() const;  ///< canonical -> local coordinates
+  /// Piece maps for remap_sub_schedule; empty (the identity) when
+  /// `identity` holds.
+  std::vector<int> to_canonical() const;    ///< local -> canonical piece ids
+  std::vector<int> from_canonical() const;  ///< canonical -> local piece ids
 };
 
 /// A merged sub-demand inside one group at one sketch stage (§5.1).
@@ -60,9 +50,10 @@ struct SubDemand {
   std::vector<DemandPiece> pieces;
   double piece_bytes = 0.0;
 
-  /// Joint canonical form of (group, demand). Requires piece ids to be a
-  /// permutation of [0, pieces.size()) — build_demand_plan guarantees
-  /// id == index; throws std::invalid_argument otherwise.
+  /// The demand's class key and canonical piece order. Requires piece ids to
+  /// be a permutation of [0, pieces.size()) — build_demand_plan guarantees
+  /// id == index — and every piece member inside the group; throws
+  /// std::invalid_argument otherwise.
   CanonicalDemand canonical() const;
 
   /// Throws std::invalid_argument on malformed demands (bad locals, empty).
@@ -102,12 +93,10 @@ struct SubSchedule {
 /// Throws std::logic_error with a description on violation.
 void check_sub_schedule(const SubDemand& demand, const SubSchedule& sched);
 
-/// Remaps a sub-schedule onto an isomorphic group via a local-index mapping
-/// (identity-length permutation), used by isomorphism-class dedup (§5.3).
-SubSchedule remap_sub_schedule(const SubSchedule& sched, const std::vector<int>& mapping);
-
-/// Full remap: relabels op endpoints through `remap.member` and op piece ids
-/// through `remap.piece`. The identity remap returns `sched` unchanged.
-SubSchedule remap_sub_schedule(const SubSchedule& sched, const SubScheduleRemap& remap);
+/// Relabels op piece ids through `piece` (source piece id -> target piece
+/// id), carrying a schedule between demands with equal canonical keys. An
+/// empty map is the identity and returns `sched` unchanged. Throws
+/// std::invalid_argument on an op piece id outside a non-empty map.
+SubSchedule remap_sub_schedule(const SubSchedule& sched, const std::vector<int>& piece);
 
 }  // namespace syccl::solver

@@ -65,16 +65,15 @@ void SubScheduleCache::evict_locked(Shard& shard) {
   }
 }
 
-SubSchedule SubScheduleCache::get_or_solve(const SubDemand& demand, const SolveOptions& options,
-                                           SolveStats* stats) {
+SubSchedule SubScheduleCache::get_or_solve(const SubDemand& demand, const CanonicalDemand& canon,
+                                           const SolveOptions& options, SolveStats* stats) {
   SYCCL_TRACE_SPAN(span, "solve_cache.lookup", "cache");
-  // Entries are stored in *canonical* coordinates (CanonicalDemand): the key
-  // is invariant under member/piece relabelling, and hits are remapped into
-  // this demand's local coordinates. A miss solves locally and publishes the
-  // canonicalised result, so any later demand with the same key — e.g. the
-  // same degradation pattern at a different rank — receives a correctly
-  // repositioned schedule instead of an identity-mapped one.
-  const CanonicalDemand canon = demand.canonical();
+  // Entries are stored with canonical piece ids (CanonicalDemand): the key
+  // is invariant under piece relabelling, and hits get this demand's piece
+  // ids back. A miss solves locally and publishes the canonicalised result,
+  // so any later demand with the same key — e.g. another group of the same
+  // dimension listing its pieces in rotated order — receives ops on the
+  // right pieces.
   const std::string key = canon.key + '\n' + options_fingerprint(options);
   Shard& shard = shard_for(key);
 

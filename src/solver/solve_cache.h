@@ -7,12 +7,12 @@
 // (SubDemand::canonical().key, SolveOptions fingerprint) — the fingerprint
 // is E, so coarse and fine passes occupy distinct entries.
 //
-// Entries are stored in canonical coordinates: keys are invariant under
-// member/piece relabelling (the group's canonical form plus the demand in
-// canonical indices), schedules are canonicalised on insert and remapped
-// into the requesting demand's local coordinates on a hit. Two groups with
-// the same degradation pattern at different ranks therefore share one entry
-// *and* each receives the schedule with the slow link in the right place.
+// Entries are stored in canonical piece order: keys are invariant under
+// piece relabelling (the group's positional signature plus the pieces sorted
+// by encoding), schedules get canonical piece ids on insert and the
+// requesting demand's piece ids back on a hit. Members keep their local
+// order, so a group with its slow link at another position keys apart
+// instead of receiving a schedule with the slow link in the wrong place.
 //
 // Concurrency: the map is sharded by key hash, each shard behind its own
 // mutex. In-flight solves are published as shared futures, so two threads
@@ -55,12 +55,13 @@ class SubScheduleCache {
   static std::string options_fingerprint(const SolveOptions& options);
 
   /// Returns the cached schedule for (demand, options), solving on a miss.
-  /// Concurrent misses on the same key solve once. `stats` (optional)
-  /// reports the underlying solve; on a hit it is zeroed with
-  /// `cache_hit = true`. If the solve throws, the entry is dropped and the
-  /// exception propagates to every waiter.
-  SubSchedule get_or_solve(const SubDemand& demand, const SolveOptions& options,
-                           SolveStats* stats = nullptr);
+  /// `canon` is `demand.canonical()`, which the caller usually holds already
+  /// (the synthesizer's class registry does). Concurrent misses on the same
+  /// key solve once. `stats` (optional) reports the underlying solve; on a
+  /// hit it is zeroed with `cache_hit = true`. If the solve throws, the entry
+  /// is dropped and the exception propagates to every waiter.
+  SubSchedule get_or_solve(const SubDemand& demand, const CanonicalDemand& canon,
+                           const SolveOptions& options, SolveStats* stats = nullptr);
 
   /// Drops every ready entry (tests, topology changes). In-flight solves
   /// complete normally but are not re-inserted.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <numeric>
 #include <stdexcept>
 
 #include "util/text.h"
@@ -150,89 +149,28 @@ void append_params(std::string& out, const GroupTopology& g, std::size_t i) {
                q(g.down[i].alpha, 1e12), '/', q(g.down[i].beta, 1e21));
 }
 
-GroupTopology::CanonicalForm compute_canonical_form(const GroupTopology& g) {
-  const std::size_t n = g.ranks.size();
-  GroupTopology::CanonicalForm form;
-  form.perm.resize(n);
-  if (n == 0) return form;
-
-  // Port-sharing blocks (the partition is what matters; block ids are
-  // renumbered canonically below).
-  std::map<int, std::vector<std::size_t>> up_block, down_block;
-  for (std::size_t i = 0; i < n; ++i) {
-    up_block[g.up[i].port_id].push_back(i);
-    down_block[g.down[i].port_id].push_back(i);
+std::string compute_signature(const GroupTopology& g) {
+  std::string out;
+  util::append(out, "n=", g.ranks.size(), ';');
+  std::map<int, int> up_block, down_block;
+  for (std::size_t i = 0; i < g.ranks.size(); ++i) {
+    const int ub =
+        up_block.emplace(g.up[i].port_id, static_cast<int>(up_block.size())).first->second;
+    const int db =
+        down_block.emplace(g.down[i].port_id, static_cast<int>(down_block.size())).first->second;
+    append_params(out, g, i);
+    util::append(out, "/u", ub, "/d", db, '|');
   }
-
-  // Colour refinement: start from the quantised parameters, then repeatedly
-  // split colours by the colour multiset of each member's up/down blocks.
-  // Refinement only ever splits classes, so it stabilises within n rounds.
-  // A colour is the rank of its string among the sorted distinct strings, so
-  // the exact strings (not just the partition) fix the signature; they are
-  // rebuilt in place each round.
-  std::vector<std::string> strings(n);
-  std::vector<int> colors, order, peers;
-  const auto append_peers = [&](std::string& out, const std::vector<std::size_t>& block) {
-    peers.clear();
-    for (std::size_t j : block) peers.push_back(colors[j]);
-    std::sort(peers.begin(), peers.end());
-    for (int c : peers) util::append(out, c, ',');
-  };
-  for (std::size_t i = 0; i < n; ++i) append_params(strings[i], g, i);
-  int num_colors = util::dense_rank(strings, order, colors);
-  for (std::size_t round = 0; round < n; ++round) {
-    for (std::size_t i = 0; i < n; ++i) {
-      strings[i].clear();
-      util::append(strings[i], colors[i], "|u:");
-      append_peers(strings[i], up_block.at(g.up[i].port_id));
-      strings[i] += "|d:";
-      append_peers(strings[i], down_block.at(g.down[i].port_id));
-    }
-    const int refined = util::dense_rank(strings, order, colors);
-    if (refined == num_colors) break;
-    num_colors = refined;
-  }
-
-  // Canonical order: by final colour, ties by original index. Ties mean the
-  // refinement could not tell the members apart; breaking them by index
-  // keeps the signature deterministic (and merely conservative, see header).
-  std::vector<std::size_t> ord(n);
-  std::iota(ord.begin(), ord.end(), 0);
-  std::sort(ord.begin(), ord.end(), [&](std::size_t a, std::size_t b) {
-    if (colors[a] != colors[b]) return colors[a] < colors[b];
-    return a < b;
-  });
-  for (std::size_t k = 0; k < n; ++k) form.perm[ord[k]] = static_cast<int>(k);
-
-  // Signature: per canonical position, the parameters plus up/down block ids
-  // renumbered by first appearance along the canonical order. This fully
-  // describes the star topology up to relabelling, so equal signatures give
-  // a concrete positional isomorphism (canonical position -> canonical
-  // position).
-  util::append(form.signature, "n=", n, ';');
-  std::map<int, int> up_renum, down_renum;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = ord[k];
-    const int ub = up_renum.emplace(g.up[i].port_id, static_cast<int>(up_renum.size()))
-                       .first->second;
-    const int db = down_renum.emplace(g.down[i].port_id, static_cast<int>(down_renum.size()))
-                       .first->second;
-    append_params(form.signature, g, i);
-    util::append(form.signature, "/u", ub, "/d", db, '|');
-  }
-  return form;
+  return out;
 }
 
 }  // namespace
 
-GroupTopology::CanonicalForm GroupTopology::canonical_form() const {
-  if (!canon_.signature.empty()) return canon_;
-  return compute_canonical_form(*this);
+std::string GroupTopology::signature() const {
+  return signature_.empty() ? compute_signature(*this) : signature_;
 }
 
-void GroupTopology::freeze_canonical() { canon_ = compute_canonical_form(*this); }
-
-std::string GroupTopology::signature() const { return canonical_form().signature; }
+void GroupTopology::freeze_signature() { signature_ = compute_signature(*this); }
 
 int TopologyGroups::best_common_dim(int rank_a, int rank_b) const {
   for (int d = 0; d < num_dims(); ++d) {
@@ -315,7 +253,7 @@ TopologyGroups extract_groups(const Topology& topo) {
       if (!gt.up.empty()) {
         dim_info.link_kind = topo.link(static_cast<LinkId>(gt.up.front().port_id)).kind;
       }
-      gt.freeze_canonical();
+      gt.freeze_signature();
       dim_info.groups.push_back(std::move(gt));
       ++group_index;
     }

@@ -19,6 +19,13 @@
 // aggregate α/β and a *port id* identifying the physical serialisation
 // resource (GPUs sharing a NIC share a port — the A100 testbed has 2 GPUs
 // per 200G NIC).
+//
+// Each group's *signature* names its isomorphism class for sub-demand
+// deduplication (§5.3) and sketch pruning. It lists the members in local
+// order: the builders label symmetric groups alike, so that is where the
+// symmetry the synthesizer exploits comes from. Groups that are isomorphic
+// only under a member reordering key apart, which costs a solve, never a
+// wrong schedule.
 #pragma once
 
 #include <string>
@@ -68,40 +75,30 @@ struct GroupTopology {
   /// Effective bottleneck β for a transfer between local members i → j.
   double pair_beta(int i, int j) const;
 
-  /// Canonical labelling of the group's members under positional isomorphism.
-  /// `perm[i]` is the canonical position of local member i; `signature`
-  /// encodes, per canonical position, the quantised port parameters plus the
-  /// up/down port-sharing blocks (renumbered along the canonical order).
+  /// Positional structural signature: the member count, then per member in
+  /// local (ascending-rank) order its quantised up/down port α/β and its
+  /// up/down port-sharing block ids, renumbered by first appearance.
   ///
-  /// Equal signatures ⇒ mapping canonical position k of one group onto
-  /// canonical position k of the other is a positional isomorphism: the
-  /// encoding pins down everything the sub-demand solver and checker consume
-  /// (per-member α/β and which members serialise on a shared port). The
-  /// converse may not hold when colour refinement leaves symmetric ties —
-  /// two isomorphic groups can then canonicalise differently and merely miss
-  /// a dedup opportunity, which is safe.
-  struct CanonicalForm {
-    std::string signature;
-    std::vector<int> perm;  ///< local member index -> canonical position
-  };
-
-  /// The canonical form, computed on demand. `freeze_canonical()` caches it
-  /// (extract_groups freezes every group so hot paths never recompute);
-  /// hand-built groups that skip freezing just pay the recomputation.
-  CanonicalForm canonical_form() const;
-  void freeze_canonical();
-
-  /// Canonical structural signature (`canonical_form().signature`); equal
-  /// signatures ⇒ the groups are positionally isomorphic under their
-  /// canonical orders. Replaces the historical sorted-multiset encoding,
-  /// which was position-blind: a group with rank 0's link degraded and a
-  /// group with rank 3's link degraded shared a signature, so cached
-  /// sub-schedules could be served with the slow link in the wrong place.
+  /// Equal signatures ⇒ local member i of one group maps onto local member i
+  /// of the other preserving everything the sub-demand solver and checker
+  /// consume (per-member α/β and which members serialise on a shared port),
+  /// so a schedule solved on one group is valid on the other unchanged.
+  /// Groups isomorphic only under a member reordering (one slow link at two
+  /// positions) sign apart and merely miss a dedup; the builders label
+  /// symmetric groups alike, so healthy fabrics lose none. A per-member
+  /// multiset encoding would be position-blind instead: groups with rank 0's
+  /// and rank 3's link degraded would share a signature, and cached
+  /// sub-schedules would put the slow link in the wrong place.
   std::string signature() const;
 
-  /// Cached canonical form (empty signature = not yet computed). Treat as
-  /// private; use canonical_form().
-  CanonicalForm canon_;
+  /// Caches signature() (extract_groups freezes every group, so hot paths
+  /// never recompute; hand-built groups that skip freezing pay the
+  /// recomputation).
+  void freeze_signature();
+
+  /// Cached signature (empty = not yet computed). Treat as private; use
+  /// signature().
+  std::string signature_;
 };
 
 /// One dimension: a tier of isomorphic (or categorised) groups.

@@ -6,9 +6,10 @@
 // member 2's uplink degraded shared one signature — and because schedules
 // were transferred by the identity mapping, the solve cache could serve a
 // schedule optimised (or merely valid) for the wrong degraded position.
-// These tests fail against that encoding and pin the canonical behaviour:
-// keys match exactly when a positional isomorphism exists, and cached
-// schedules are remapped onto the requesting group's labelling.
+// These tests fail against that encoding and pin the positional behaviour:
+// keys match only when local member i of one group maps onto local member i
+// of the other, and cached schedules come back with the requesting demand's
+// piece ids.
 #include <gtest/gtest.h>
 
 #include "solver/epoch_model.h"
@@ -70,32 +71,29 @@ TEST(CanonicalSignature, DegradedPositionChangesDemandKey) {
   EXPECT_NE(a.canonical().key, b.canonical().key);
 }
 
-// The dual guarantee: when a positional isomorphism *does* exist, the
-// canonical key still collapses the two demands to one class (dedup is
-// preserved, not just disabled) and the cached schedule comes back remapped
-// onto the requesting group's labelling.
-TEST(CanonicalSignature, IsomorphicDegradedDemandsShareOneRemappedEntry) {
+// Keys are positional: the same slow link at two member positions makes two
+// classes, isomorphic only under a member reordering. Each demand is solved
+// on its own group, so each schedule has the slow link where its group has
+// it.
+TEST(CanonicalSignature, DegradedPositionsKeyApartAndSolveSeparately) {
   const topo::GroupTopology slow_at_0 = make_group({1e-8, 1e-9, 1e-9, 1e-9});
   const topo::GroupTopology slow_at_2 = make_group({1e-9, 1e-9, 1e-8, 1e-9});
-  // Broadcast from the slow member in both groups — positionally isomorphic.
+  // Broadcast from the slow member in both groups.
   const SubDemand a = demand_of(slow_at_0, {{{0}, {1, 2, 3}}});
   const SubDemand b = demand_of(slow_at_2, {{{2}, {0, 1, 3}}});
-  ASSERT_EQ(a.canonical().key, b.canonical().key);
-  EXPECT_EQ(slow_at_0.signature(), slow_at_2.signature());
+  EXPECT_NE(slow_at_0.signature(), slow_at_2.signature());
+  EXPECT_NE(a.canonical().key, b.canonical().key);
 
   SubScheduleCache cache(1 << 20);
   SolveStats stats;
-  const SubSchedule sa = cache.get_or_solve(a, SolveOptions{}, &stats);
+  const SubSchedule sa = cache.get_or_solve(a, a.canonical(), SolveOptions{}, &stats);
   EXPECT_FALSE(stats.cache_hit);
   EXPECT_NO_THROW(check_sub_schedule(a, sa));
 
-  const SubSchedule sb = cache.get_or_solve(b, SolveOptions{}, &stats);
-  EXPECT_TRUE(stats.cache_hit);
-  // The remapped schedule must be valid *for b's labelling* — under the
-  // pre-fix identity transfer it would broadcast from member 0, never
-  // satisfying b at all.
+  const SubSchedule sb = cache.get_or_solve(b, b.canonical(), SolveOptions{}, &stats);
+  EXPECT_FALSE(stats.cache_hit);
   EXPECT_NO_THROW(check_sub_schedule(b, sb));
-  EXPECT_EQ(sb.num_epochs, sa.num_epochs);
+  EXPECT_EQ(cache.stats().entries, 2u);
 }
 
 // Port-sharing variant of the bug: groups whose shared-NIC pair sits at
@@ -117,10 +115,10 @@ TEST(CanonicalSignature, SharedPortScheduleTransferRespectsCapacity) {
 
   SubScheduleCache cache(1 << 20);
   SolveStats stats;
-  const SubSchedule sa = cache.get_or_solve(a, SolveOptions{}, &stats);
+  const SubSchedule sa = cache.get_or_solve(a, a.canonical(), SolveOptions{}, &stats);
   EXPECT_NO_THROW(check_sub_schedule(a, sa));
 
-  const SubSchedule sb = cache.get_or_solve(b, SolveOptions{}, &stats);
+  const SubSchedule sb = cache.get_or_solve(b, b.canonical(), SolveOptions{}, &stats);
   EXPECT_NO_THROW(check_sub_schedule(b, sb));
   const SubSchedule direct = solve_sub_demand(b);
   EXPECT_EQ(sb.num_epochs, direct.num_epochs);
@@ -137,9 +135,9 @@ TEST(CanonicalSignature, PermutedPieceIdsRemapOnHit) {
 
   SubScheduleCache cache(1 << 20);
   SolveStats stats;
-  const SubSchedule sa = cache.get_or_solve(a, SolveOptions{}, &stats);
+  const SubSchedule sa = cache.get_or_solve(a, a.canonical(), SolveOptions{}, &stats);
   EXPECT_NO_THROW(check_sub_schedule(a, sa));
-  const SubSchedule sb = cache.get_or_solve(b, SolveOptions{}, &stats);
+  const SubSchedule sb = cache.get_or_solve(b, b.canonical(), SolveOptions{}, &stats);
   EXPECT_TRUE(stats.cache_hit);
   EXPECT_NO_THROW(check_sub_schedule(b, sb));
   EXPECT_EQ(sb.num_epochs, sa.num_epochs);
@@ -153,15 +151,26 @@ TEST(CanonicalSignature, GroupSignatureProperties) {
   const topo::GroupTopology degraded_1 = make_group({1e-9, 1e-8, 1e-9});
 
   EXPECT_EQ(uniform_a.signature(), uniform_b.signature());
-  // Isomorphic heterogeneous groups canonicalise to one signature...
-  EXPECT_EQ(degraded_0.signature(), degraded_1.signature());
-  // ...which differs from the homogeneous one.
+  // Global ranks are not part of the signature: the groups of one dimension
+  // sign alike.
+  topo::GroupTopology shifted = degraded_0;
+  for (int& r : shifted.ranks) r += 8;
+  EXPECT_EQ(shifted.signature(), degraded_0.signature());
+  // Member positions are: the slow member at another local position is
+  // another class...
+  EXPECT_NE(degraded_0.signature(), degraded_1.signature());
+  // ...and either differs from the homogeneous one.
   EXPECT_NE(uniform_a.signature(), degraded_0.signature());
-  // canonical_form() really is positional: the degraded member lands on the
-  // same canonical position in both groups.
-  const auto f0 = degraded_0.canonical_form();
-  const auto f1 = degraded_1.canonical_form();
-  EXPECT_EQ(f0.perm[0], f1.perm[1]);
+  // Port-sharing blocks are numbered by first appearance, so which members
+  // share a port counts, not the physical port ids.
+  EXPECT_EQ(make_group({1e-9, 1e-9, 1e-9}, {7, 7, 8}).signature(),
+            make_group({1e-9, 1e-9, 1e-9}, {3, 3, 5}).signature());
+  EXPECT_NE(make_group({1e-9, 1e-9, 1e-9}, {7, 7, 8}).signature(),
+            make_group({1e-9, 1e-9, 1e-9}, {7, 8, 8}).signature());
+  // A frozen signature is the computed one.
+  topo::GroupTopology frozen = degraded_1;
+  frozen.freeze_signature();
+  EXPECT_EQ(frozen.signature_, degraded_1.signature());
 }
 
 }  // namespace

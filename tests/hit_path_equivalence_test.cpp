@@ -113,8 +113,8 @@ void expect_same_groups(const topo::TopologyGroups& got, const topo::TopologyGro
       expect_same_ports(x.down, y.down, at + " down");
       expect_same_hops(x.up_hops, y.up_hops, at + " up");
       expect_same_hops(x.down_hops, y.down_hops, at + " down");
-      EXPECT_EQ(x.canon_.signature, y.canon_.signature) << at;
-      EXPECT_EQ(x.canon_.perm, y.canon_.perm) << at;
+      // Production freezes each signature; the reference computes it.
+      EXPECT_EQ(x.signature_, y.signature()) << at;
     }
   }
 }
@@ -200,36 +200,6 @@ TEST(HitKeyEquivalence, SharedPortWithUnequalMembers) {
     return;
   }
   FAIL() << "a100x16 has no GPU-NIC link";
-}
-
-TEST(HitKeyEquivalence, GroupFormsWithMixedColourBlocks) {
-  // Members (up α, up port, down port). X and Y (α 3) tie until refinement
-  // compares their down blocks' colours, {P, X, Q} = "0,2,3," against
-  // {R, S, Y} = "1,1,2,", which sort one way ascending and the other way
-  // descending. Every labelling of the members must match the reference.
-  struct Member {
-    double alpha;
-    int up_port, down_port;
-  };
-  const std::vector<Member> members = {
-      {1e-6, 10, 20}, {2e-6, 11, 21}, {2e-6, 12, 21},  // P, R, S
-      {3e-6, 13, 20}, {3e-6, 14, 21}, {4e-6, 15, 20},  // X, Y, Q
-  };
-  std::vector<std::size_t> order(members.size());
-  std::iota(order.begin(), order.end(), 0);
-  do {
-    topo::GroupTopology g;
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      const Member& m = members[order[k]];
-      g.ranks.push_back(static_cast<int>(k));
-      g.up.push_back({m.alpha, 1e-10, m.up_port});
-      g.down.push_back({1e-6, 1e-10, m.down_port});
-    }
-    const topo::GroupTopology::CanonicalForm got = g.canonical_form();
-    const topo::GroupTopology::CanonicalForm want = topo::reference::canonical_form(g);
-    EXPECT_EQ(got.signature, want.signature);
-    EXPECT_EQ(got.perm, want.perm);
-  } while (std::next_permutation(order.begin(), order.end()));
 }
 
 TEST(HitKeyEquivalence, RejectsLikeTheReference) {

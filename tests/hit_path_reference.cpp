@@ -97,81 +97,7 @@ std::vector<LinkId> reverse_path(const Topology& topo, const std::vector<LinkId>
   return rev;
 }
 
-std::string quantized_params(const GroupTopology& g, std::size_t i) {
-  std::ostringstream p;
-  p << static_cast<long long>(g.up[i].alpha * 1e12) << "/"
-    << static_cast<long long>(g.up[i].beta * 1e21) << "/"
-    << static_cast<long long>(g.down[i].alpha * 1e12) << "/"
-    << static_cast<long long>(g.down[i].beta * 1e21);
-  return p.str();
-}
-
-int compress_colors(const std::vector<std::string>& strings, std::vector<int>& colors) {
-  std::map<std::string, int> rank;
-  for (const auto& s : strings) rank.emplace(s, 0);
-  int next = 0;
-  for (auto& [s, r] : rank) r = next++;
-  for (std::size_t i = 0; i < strings.size(); ++i) colors[i] = rank.at(strings[i]);
-  return next;
-}
-
 }  // namespace
-
-GroupTopology::CanonicalForm canonical_form(const GroupTopology& g) {
-  const std::size_t n = g.ranks.size();
-  GroupTopology::CanonicalForm form;
-  form.perm.resize(n);
-  if (n == 0) return form;
-
-  std::map<int, std::vector<std::size_t>> up_block, down_block;
-  for (std::size_t i = 0; i < n; ++i) {
-    up_block[g.up[i].port_id].push_back(i);
-    down_block[g.down[i].port_id].push_back(i);
-  }
-
-  std::vector<std::string> strings(n);
-  std::vector<int> colors(n, 0);
-  for (std::size_t i = 0; i < n; ++i) strings[i] = quantized_params(g, i);
-  int num_colors = compress_colors(strings, colors);
-  for (std::size_t round = 0; round < n; ++round) {
-    for (std::size_t i = 0; i < n; ++i) {
-      std::multiset<int> up_peers, down_peers;
-      for (std::size_t j : up_block.at(g.up[i].port_id)) up_peers.insert(colors[j]);
-      for (std::size_t j : down_block.at(g.down[i].port_id)) down_peers.insert(colors[j]);
-      std::ostringstream os;
-      os << colors[i] << "|u:";
-      for (int c : up_peers) os << c << ",";
-      os << "|d:";
-      for (int c : down_peers) os << c << ",";
-      strings[i] = os.str();
-    }
-    const int refined = compress_colors(strings, colors);
-    if (refined == num_colors) break;
-    num_colors = refined;
-  }
-
-  std::vector<std::size_t> ord(n);
-  for (std::size_t i = 0; i < n; ++i) ord[i] = i;
-  std::sort(ord.begin(), ord.end(), [&](std::size_t a, std::size_t b) {
-    if (colors[a] != colors[b]) return colors[a] < colors[b];
-    return a < b;
-  });
-  for (std::size_t k = 0; k < n; ++k) form.perm[ord[k]] = static_cast<int>(k);
-
-  std::ostringstream os;
-  os << "n=" << n << ";";
-  std::map<int, int> up_renum, down_renum;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = ord[k];
-    const int ub = up_renum.emplace(g.up[i].port_id, static_cast<int>(up_renum.size()))
-                       .first->second;
-    const int db = down_renum.emplace(g.down[i].port_id, static_cast<int>(down_renum.size()))
-                       .first->second;
-    os << quantized_params(g, i) << "/u" << ub << "/d" << db << "|";
-  }
-  form.signature = os.str();
-  return form;
-}
 
 TopologyGroups extract_groups(const Topology& topo) {
   if (topo.num_gpus() == 0) throw std::invalid_argument("topology has no GPUs");
@@ -243,7 +169,6 @@ TopologyGroups extract_groups(const Topology& topo) {
       if (!gt.up.empty()) {
         dim_info.link_kind = topo.link(static_cast<LinkId>(gt.up.front().port_id)).kind;
       }
-      gt.canon_ = canonical_form(gt);
       dim_info.groups.push_back(std::move(gt));
       ++group_index;
     }

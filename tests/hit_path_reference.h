@@ -19,12 +19,9 @@
 namespace syccl::topo::reference {
 
 /// The original extract_groups: one up-path BFS per (switch, rank) to find
-/// each switch's span, and every group frozen with the original
-/// ostringstream/multiset canonical form.
+/// each switch's span. Its groups are not frozen, so their signature() is
+/// computed on demand.
 TopologyGroups extract_groups(const Topology& topo);
-
-/// The original GroupTopology canonical form.
-GroupTopology::CanonicalForm canonical_form(const GroupTopology& g);
 
 /// The original istringstream-per-line parser.
 Topology from_text(const std::string& text);

@@ -242,7 +242,9 @@ TEST(MergeEquivalence, SynthesisCandidates) {
     for (std::size_t c = 0; c < combos.size(); ++c) {
       const DemandPlan plan = build_demand_plan(combos[c], coll, groups);
       std::vector<solver::SubSchedule> solved;
-      for (const auto& md : plan.demands) solved.push_back(cache.get_or_solve(md.demand, options));
+      for (const auto& md : plan.demands) {
+        solved.push_back(cache.get_or_solve(md.demand, md.demand.canonical(), options));
+      }
       expect_same_merge(plan, solved, groups,
                         std::string(shape.fabric) + " candidate " + std::to_string(c));
     }

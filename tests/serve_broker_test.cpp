@@ -54,8 +54,10 @@ struct FailpointGuard {
   ~FailpointGuard() { util::Failpoints::instance().clear(); }
 };
 
-/// Blocks until failpoint `name` has fired more than `past` times.
-void await_failpoint(const char* name, std::uint64_t past = 0) {
+/// Blocks until failpoint `name` has fired more than `past` times. Hit
+/// counts survive Failpoints::clear() and the sanitizer sweeps run every
+/// test in one process, so `past` is the count taken at the test's start.
+void await_failpoint(const char* name, std::uint64_t past) {
   while (util::Failpoints::instance().hits(name) <= past) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -296,10 +298,11 @@ TEST_F(ServeBroker, EntryLandingBetweenLookupAndJoinIsServedAsHit) {
   DiskLibrary library({scratch_dir("landed")});
   Broker broker(library);
 
+  const std::uint64_t earlier_hits = failpoints.hits("serve.broker.synthesize");
   failpoints.enable("serve.broker.synthesize", "delay:300");
   ServeResponse first, second;
   std::thread initiator([&] { first = broker.handle(flat4_request()); });
-  await_failpoint("serve.broker.synthesize");  // the first synthesis is asleep
+  await_failpoint("serve.broker.synthesize", earlier_hits);  // the first synthesis is asleep
   failpoints.enable("serve.broker.join", "delay:1500");
   std::thread late([&] { second = broker.handle(flat4_request()); });
   initiator.join();
@@ -308,7 +311,7 @@ TEST_F(ServeBroker, EntryLandingBetweenLookupAndJoinIsServedAsHit) {
   EXPECT_FALSE(first.hit);
   EXPECT_TRUE(second.hit);
   EXPECT_FALSE(second.joined);
-  EXPECT_EQ(failpoints.hits("serve.broker.synthesize"), 1u);  // one synthesis ran
+  EXPECT_EQ(failpoints.hits("serve.broker.synthesize") - earlier_hits, 1u);  // one synthesis ran
   EXPECT_EQ(count("serve.misses"), 1);
   EXPECT_EQ(count("serve.hits"), 1);
   EXPECT_EQ(count("serve.joins"), 0);
@@ -326,10 +329,11 @@ TEST_F(ServeBroker, UnverifiableEntryLandingBeforeJoinFallsBackToSynthesis) {
   Broker broker(library);
   const ServeRequest request = flat4_request();
 
+  const std::uint64_t earlier_hits = failpoints.hits("serve.broker.join");
   failpoints.enable("serve.broker.join", "delay:300");
   ServeResponse response;
   std::thread requester([&] { response = broker.handle(request); });
-  await_failpoint("serve.broker.join");  // the lookup has missed
+  await_failpoint("serve.broker.join", earlier_hits);  // the lookup has missed
   library.put(bogus_entry(broker, request));
   requester.join();
 
@@ -340,9 +344,6 @@ TEST_F(ServeBroker, UnverifiableEntryLandingBeforeJoinFallsBackToSynthesis) {
   EXPECT_EQ(count("serve.hits"), 0);
 }
 
-// Declared after the tests that count failpoint hits from zero: the
-// sanitizer sweeps run every test in one process, and hit counts survive
-// Failpoints::clear().
 TEST_F(ServeBroker, JoinersOfOneSynthesisGetIdenticalValidSchedules) {
   // Every joiner of one synthesis is served from the one blob they share,
   // so serving one of them must leave that blob intact for the rest. The

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <numeric>
 #include <random>
+#include <thread>
 
 #include "fuzz/generators.h"
 #include "obs/scenario.h"
@@ -431,6 +432,52 @@ TEST(ServeLibrary, LruEvictionBoundsBytesAndDeletesFiles) {
   DiskLibrary reopened({dir, entry_bytes * 2 + entry_bytes / 2});
   EXPECT_EQ(reopened.stats().entries, 2u);
   EXPECT_FALSE(reopened.get(b.scenario_key).has_value());
+}
+
+TEST(ServeLibrary, ConcurrentGetsServeWholeEntriesAcrossARacingUpgrade) {
+  // get() decodes outside the library mutex. Readers racing an upgrade put
+  // must each see whole entries, the degraded one and then the full one, and
+  // never a failed decode that would quarantine either.
+  const std::string dir = scratch_dir("concurrent_get");
+  ScheduleBlob degraded = sample_blob();
+  degraded.degraded = true;
+  degraded.predicted_time = 2.5e-6;
+  const ScheduleBlob full = sample_blob();
+  DiskLibrary library({dir});
+  ASSERT_EQ(library.put(degraded), DiskLibrary::PutResult::Inserted);
+
+  constexpr int kReaders = 4;
+  constexpr int kGets = 200;
+  std::vector<std::vector<std::string>> seen(kReaders);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&library, &seen, &full, t] {
+      for (int i = 0; i < kGets; ++i) {
+        const std::optional<ScheduleBlob> got = library.get(full.scenario_key);
+        seen[static_cast<std::size_t>(t)].push_back(got ? encode_blob(*got) : "miss");
+      }
+    });
+  }
+  while (library.stats().hits == 0) std::this_thread::yield();
+  EXPECT_EQ(library.put(full), DiskLibrary::PutResult::Upgraded);
+  for (std::thread& r : readers) r.join();
+
+  const std::string before = encode_blob(degraded);
+  const std::string after = encode_blob(full);
+  for (const std::vector<std::string>& reads : seen) {
+    const auto upgraded = std::find(reads.begin(), reads.end(), after);
+    EXPECT_EQ(std::count(reads.begin(), upgraded, before), upgraded - reads.begin());
+    EXPECT_EQ(std::count(upgraded, reads.end(), after), reads.end() - upgraded);
+  }
+  const DiskLibrary::Stats stats = library.stats();
+  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kReaders * kGets));
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.quarantined, 0u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, after.size());
+  const std::optional<ScheduleBlob> now = library.get(full.scenario_key);
+  ASSERT_TRUE(now.has_value());
+  EXPECT_EQ(encode_blob(*now), after);
 }
 
 }  // namespace

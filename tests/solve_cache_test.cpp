@@ -67,8 +67,8 @@ TEST_F(SolveCache, HitReturnsIdenticalScheduleWithoutSolving) {
   solver::SolveOptions opts;
 
   solver::SolveStats s1, s2;
-  const auto first = cache.get_or_solve(demand, opts, &s1);
-  const auto second = cache.get_or_solve(demand, opts, &s2);
+  const auto first = cache.get_or_solve(demand, demand.canonical(), opts, &s1);
+  const auto second = cache.get_or_solve(demand, demand.canonical(), opts, &s2);
   EXPECT_FALSE(s1.cache_hit);
   EXPECT_TRUE(s2.cache_hit);
   EXPECT_EQ(first.num_epochs, second.num_epochs);
@@ -99,7 +99,7 @@ TEST_F(SolveCache, LruBoundEvicts) {
   for (int k = 0; k < 200; ++k) {
     const auto demand =
         make_broadcast_demand(groups.dims[0].groups[0], (1 << 16) + k * 997.0);
-    cache.get_or_solve(demand, opts);
+    cache.get_or_solve(demand, demand.canonical(), opts);
   }
   EXPECT_EQ(count("solve_cache.misses"), 200);
   EXPECT_GT(count("solve_cache.evictions"), 0);
@@ -118,7 +118,7 @@ TEST_F(SolveCache, ConcurrentMissesSolveOnce) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&] {
       solver::SolveStats stats;
-      cache.get_or_solve(demand, opts, &stats);
+      cache.get_or_solve(demand, demand.canonical(), opts, &stats);
       if (!stats.cache_hit) solved.fetch_add(1);
     });
   }

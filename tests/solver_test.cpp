@@ -88,6 +88,7 @@ TEST(EpochModel, ValidateRejectsBadDemands) {
   SubDemand d = broadcast_demand(f.group(), 100.0);
   d.pieces[0].dsts.push_back(99);
   EXPECT_THROW(d.validate(), std::invalid_argument);
+  EXPECT_THROW(d.canonical(), std::invalid_argument);
   EXPECT_THROW(solve_sub_demand(d), std::invalid_argument);
   SubDemand e = broadcast_demand(f.group(), 0.0);
   EXPECT_THROW(e.validate(), std::invalid_argument);
@@ -262,16 +263,22 @@ TEST(SolveSubDemand, StatsReportAFreshSolve) {
 
 TEST(EpochModel, RemapSubSchedule) {
   GroupFixture f(4);
-  SubDemand d = broadcast_demand(f.group(), 1000.0);
+  SubDemand d = allgather_demand(f.group(), 1000.0);
   const EpochParams ep = derive_epoch_params(f.group(), d.piece_bytes, 1.0);
   const SubSchedule s = solve_greedy(d, ep);
   const std::vector<int> rot = {1, 2, 3, 0};
   const SubSchedule r = remap_sub_schedule(s, rot);
   ASSERT_EQ(r.ops.size(), s.ops.size());
   for (std::size_t i = 0; i < s.ops.size(); ++i) {
-    EXPECT_EQ(r.ops[i].src, rot[static_cast<std::size_t>(s.ops[i].src)]);
-    EXPECT_EQ(r.ops[i].dst, rot[static_cast<std::size_t>(s.ops[i].dst)]);
+    EXPECT_EQ(r.ops[i].piece, rot[static_cast<std::size_t>(s.ops[i].piece)]);
+    EXPECT_EQ(r.ops[i].src, s.ops[i].src);
+    EXPECT_EQ(r.ops[i].dst, s.ops[i].dst);
+    EXPECT_EQ(r.ops[i].start_epoch, s.ops[i].start_epoch);
   }
+  // The empty map is the identity.
+  const SubSchedule same = remap_sub_schedule(s, {});
+  ASSERT_EQ(same.ops.size(), s.ops.size());
+  for (std::size_t i = 0; i < s.ops.size(); ++i) EXPECT_EQ(same.ops[i].piece, s.ops[i].piece);
   EXPECT_THROW(remap_sub_schedule(s, {0, 1}), std::invalid_argument);
 }
 

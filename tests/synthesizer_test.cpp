@@ -239,11 +239,10 @@ std::uint64_t schedule_digest(const SynthesisResult& r, int num_ranks) {
   return serve::fnv1a(xml.data(), xml.size());
 }
 
-/// Synthesizes `coll` on the named fabric at 1 and 4 threads and checks the
-/// schedule digest and predicted time of each against recorded values.
-void expect_golden(const char* fabric, const coll::Collective& coll, SynthesisConfig cfg,
+/// Synthesizes `coll` on `topo` at 1 and 4 threads and checks the schedule
+/// digest and predicted time of each against recorded values.
+void expect_golden(const topo::Topology& topo, const coll::Collective& coll, SynthesisConfig cfg,
                    std::uint64_t digest, double predicted) {
-  const topo::Topology topo = obs::build_scenario_topology(fabric);
   for (int threads : {1, 4}) {
     SCOPED_TRACE(threads);
     cfg.num_threads = threads;
@@ -252,6 +251,11 @@ void expect_golden(const char* fabric, const coll::Collective& coll, SynthesisCo
     EXPECT_EQ(schedule_digest(r, coll.num_ranks()), digest);
     EXPECT_NEAR(r.predicted_time, predicted, 1e-9 * predicted);
   }
+}
+
+void expect_golden(const char* fabric, const coll::Collective& coll, SynthesisConfig cfg,
+                   std::uint64_t digest, double predicted) {
+  expect_golden(obs::build_scenario_topology(fabric), coll, cfg, digest, predicted);
 }
 
 // Golden digests pin candidate evaluation: skipping copies and reusing
@@ -286,6 +290,20 @@ TEST(Synthesizer, GoldenDigestA100x32CopiesCompeteForSurvivorSlots) {
   cfg.R2 = 3;
   expect_golden("a100x32", coll::make_allgather(32, 1 << 20), cfg, 0x775b35bc9812ed4aull,
                 19.42056e-6);
+}
+
+// Group keys list members in local (ascending-rank) order. Relabelling rank
+// r as 15 - r puts dgx16@degraded's slow rank last in its NVLink group
+// instead of first, so this pins a degraded group whose slow member is not
+// at local position 0.
+TEST(Synthesizer, GoldenDigestReversedDgx16DegradedAllGather) {
+  const topo::Topology base = obs::build_scenario_topology("dgx16@degraded");
+  std::vector<int> reversed(base.num_gpus());
+  for (std::size_t r = 0; r < reversed.size(); ++r) {
+    reversed[r] = static_cast<int>(reversed.size() - 1 - r);
+  }
+  expect_golden(topo::permute_gpu_ranks(base, reversed), coll::make_allgather(16, 1 << 20), {},
+                0xb36b20d1423c5fe6ull, 33.61482222e-6);
 }
 
 TEST(Synthesizer, AllToAllOnFailedNicMultiRailFailsTyped) {
