@@ -1,10 +1,11 @@
 // Microbenchmarks (google-benchmark): throughput of the substrates under the
-// synthesizer — simulator, group extraction, sketch search, the greedy
-// sub-demand solver, the sub-schedule checker, LP simplex, schedule merging
-// and candidate simulation — and of the library-hit stages: canonicalisation,
-// relabelling and validation.
+// synthesizer — simulator, group extraction, sketch search, demand planning,
+// the greedy sub-demand solver, the sub-schedule checker, LP simplex,
+// schedule merging and candidate simulation — and of the library-hit stages:
+// canonicalisation, relabelling and validation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "coll/collective.h"
@@ -130,7 +131,7 @@ void BM_SketchSearch(benchmark::State& state) {
         sketch::search_sketches(groups, 0, sketch::RootedPattern::Broadcast).size());
   }
 }
-BENCHMARK(BM_SketchSearch)->Arg(2)->Arg(8)->Arg(32);
+BENCHMARK(BM_SketchSearch)->Arg(2)->Arg(8)->Arg(32)->Arg(64);
 
 void BM_AllToAllReplication(benchmark::State& state) {
   const auto topo = topo::build_h800_cluster(static_cast<int>(state.range(0)));
@@ -148,23 +149,59 @@ void BM_AllToAllReplication(benchmark::State& state) {
 }
 BENCHMARK(BM_AllToAllReplication)->Arg(2)->Arg(8)->Arg(64)->Unit(benchmark::kMillisecond);
 
-/// One candidate of the 512-GPU AllGather point (h800x64, 1 MiB): the first
-/// sketch combination's demand plan, every demand solved greedily at E₁.
-struct MergeShape {
+/// The 512-GPU AllGather point (h800x64, 1 MiB) after sketch search and
+/// combination, as the synthesizer runs them: its distinct combinations.
+struct PrefixShape {
   topo::Topology topo = topo::build_h800_cluster(64);
   topo::TopologyGroups groups = topo::extract_groups(topo);
   coll::Collective coll = coll::make_allgather(512, 1 << 20);
-  core::DemandPlan plan;
-  std::vector<solver::SubSchedule> solved;
+  std::vector<sketch::SketchCombination> combos;
 
-  MergeShape() {
+  PrefixShape() {
     const sketch::AllToAllConfig config;
     const auto sketches =
         sketch::search_sketches(groups, 0, sketch::RootedPattern::Broadcast, config.search);
-    const auto combos = sketch::combine_prototypes(
-        sketch::select_prototypes(sketches, groups, config.max_prototypes), sketches, groups,
-        /*all_roots=*/true, config.combine);
-    plan = core::build_demand_plan(combos.front(), coll, groups);
+    for (auto& c : sketch::combine_prototypes(
+             sketch::select_prototypes(sketches, groups, config.max_prototypes), sketches, groups,
+             /*all_roots=*/true, config.combine)) {
+      if (std::find(combos.begin(), combos.end(), c) == combos.end()) combos.push_back(std::move(c));
+    }
+  }
+};
+
+/// Built once: the search and combination take about a second.
+const PrefixShape& prefix_shape() {
+  static const PrefixShape shape;
+  return shape;
+}
+
+/// Demand planning as the synthesizer runs it per distinct candidate:
+/// build_demand_plan, then canonical() of every demand (items = pieces).
+void BM_DemandPlan(benchmark::State& state) {
+  const PrefixShape& shape = prefix_shape();
+  std::int64_t pieces = 0;
+  for (auto _ : state) {
+    for (const auto& combo : shape.combos) {
+      const core::DemandPlan plan = core::build_demand_plan(combo, shape.coll, shape.groups);
+      for (const auto& md : plan.demands) {
+        benchmark::DoNotOptimize(md.demand.canonical().key.size());
+        pieces += static_cast<std::int64_t>(md.demand.pieces.size());
+      }
+    }
+  }
+  state.SetItemsProcessed(pieces);
+}
+BENCHMARK(BM_DemandPlan)->Unit(benchmark::kMillisecond);
+
+/// One candidate of the 512-GPU AllGather point: the first sketch
+/// combination's demand plan, every demand solved greedily at E₁.
+struct MergeShape {
+  const topo::TopologyGroups& groups = prefix_shape().groups;
+  const coll::Collective& coll = prefix_shape().coll;
+  core::DemandPlan plan = core::build_demand_plan(prefix_shape().combos.front(), coll, groups);
+  std::vector<solver::SubSchedule> solved;
+
+  MergeShape() {
     solver::SubScheduleCache cache;
     const solver::SolveOptions options{3.0};
     for (const auto& md : plan.demands) {
@@ -173,7 +210,7 @@ struct MergeShape {
   }
 };
 
-/// Built once: the search and solves take seconds.
+/// Built once: the solves take seconds.
 const MergeShape& merge_shape() {
   static const MergeShape shape;
   return shape;

@@ -52,8 +52,21 @@ DemandPlan build_demand_plan(const sketch::SketchCombination& combo,
   // Merge accumulator: (stage, dim, group, quantised bytes) → demand index.
   std::map<std::tuple<int, int, int, long long>, std::size_t> merged;
 
+  // local_index[d][rank]: the rank's position in its dim-d group, so mapping
+  // a sketch's ranks to group-local ones is a lookup, not a search.
+  const std::size_t num_ranks = groups.group_of.front().size();
+  std::vector<std::vector<int>> local_index;
+  for (const auto& dim : groups.dims) {
+    std::vector<int>& index = local_index.emplace_back(num_ranks, -1);
+    for (const auto& g : dim.groups) {
+      for (int l = 0; l < g.size(); ++l) {
+        index[static_cast<std::size_t>(g.ranks[static_cast<std::size_t>(l)])] = l;
+      }
+    }
+  }
+
   for (const auto& ws : combo.sketches) {
-    const sketch::Sketch& sk = ws.sketch;
+    const sketch::Sketch& sk = *ws.sketch;
     const double bytes = ws.fraction * chunk_bytes;
     if (bytes <= 0) throw std::invalid_argument("non-positive piece bytes");
     const long long size_key = std::llround(bytes * 256.0);
@@ -63,14 +76,16 @@ DemandPlan build_demand_plan(const sketch::SketchCombination& combo,
     if (src_it == chunks.by_src.end() || src_it->second.empty()) {
       throw std::invalid_argument("sketch root carries no chunk of the collective");
     }
-    // piece id per chunk index (for this sketch).
-    std::map<int, int> piece_of_chunk;
-    for (int c : src_it->second) {
+    // One piece per chunk of the root, allocated consecutively: the piece of
+    // root_chunks[i] (ascending chunk ids) is first_piece + i.
+    const std::vector<int>& root_chunks = src_it->second;
+    const int first_piece = static_cast<int>(plan.pieces.size());
+    for (int c : root_chunks) {
       sim::Piece piece;
       piece.chunk = c;
       piece.bytes = bytes;
       piece.origin = sk.root;
-      piece_of_chunk[c] = plan.add_piece_index(std::move(piece));
+      plan.add_piece_index(std::move(piece));
     }
 
     const bool scatter = sk.pattern == sketch::RootedPattern::Scatter;
@@ -95,25 +110,36 @@ DemandPlan build_demand_plan(const sketch::SketchCombination& combo,
         }
         MergedSubDemand& md = plan.demands[mit->second];
 
+        const auto& group_of = groups.group_of[static_cast<std::size_t>(spec.dim)];
+        const auto& local_of = local_index[static_cast<std::size_t>(spec.dim)];
         auto local = [&](int rank) {
-          const int l = gt.local_of(rank);
-          if (l < 0) throw std::invalid_argument("sketch rank outside its group");
-          return l;
+          if (rank < 0 || static_cast<std::size_t>(rank) >= num_ranks ||
+              group_of[static_cast<std::size_t>(rank)] != spec.group) {
+            throw std::invalid_argument("sketch rank outside its group");
+          }
+          return local_of[static_cast<std::size_t>(rank)];
         };
 
         if (!scatter) {
           // Broadcast: every chunk of the root flows along the sub-demand.
+          // The last piece takes the local lists, the others copy them.
           std::vector<int> lsrcs, ldsts;
+          lsrcs.reserve(spec.srcs.size());
+          ldsts.reserve(spec.dsts.size());
           for (int s : spec.srcs) lsrcs.push_back(local(s));
           for (int d : spec.dsts) ldsts.push_back(local(d));
-          for (const auto& [c, pid] : piece_of_chunk) {
-            (void)c;
+          for (std::size_t i = 0; i < root_chunks.size(); ++i) {
             solver::DemandPiece dp;
             dp.id = static_cast<int>(md.demand.pieces.size());
-            dp.srcs = lsrcs;
-            dp.dsts = ldsts;
+            if (i + 1 < root_chunks.size()) {
+              dp.srcs = lsrcs;
+              dp.dsts = ldsts;
+            } else {
+              dp.srcs = std::move(lsrcs);
+              dp.dsts = std::move(ldsts);
+            }
             md.demand.pieces.push_back(std::move(dp));
-            md.global_piece.push_back(pid);
+            md.global_piece.push_back(first_piece + static_cast<int>(i));
           }
         } else {
           // Scatter: each destination pulls its own chunk plus its subtree's
@@ -131,7 +157,8 @@ DemandPlan build_demand_plan(const sketch::SketchCombination& combo,
               dp.srcs = {local(p)};
               dp.dsts = {local(v)};
               md.demand.pieces.push_back(std::move(dp));
-              md.global_piece.push_back(piece_of_chunk.at(cit->second));
+              const auto at = std::lower_bound(root_chunks.begin(), root_chunks.end(), cit->second);
+              md.global_piece.push_back(first_piece + static_cast<int>(at - root_chunks.begin()));
             }
           }
         }

@@ -237,7 +237,7 @@ std::optional<Sketch> replicate_sketch(const Sketch& sketch, const topo::Topolog
 SketchCombination balance_across_groups(const Sketch& sketch, const topo::TopologyGroups& groups,
                                         int max_replicas) {
   SketchCombination combo;
-  combo.sketches.push_back(WeightedSketch{sketch, 1.0});
+  combo.sketches.push_back(WeightedSketch{std::make_shared<const Sketch>(sketch), 1.0});
   WorkloadState acc(groups);
   acc.add_sketch(sketch, groups);
 
@@ -253,7 +253,7 @@ SketchCombination balance_across_groups(const Sketch& sketch, const topo::Topolo
     // sketch whose root pins a dimension's load can never balance fully.
     if (next >= current - 1e-9) break;
     acc.add_sketch(*rep, groups);
-    combo.sketches.push_back(WeightedSketch{*rep, 1.0});
+    combo.sketches.push_back(WeightedSketch{std::make_shared<const Sketch>(std::move(*rep)), 1.0});
     current = next;
   }
   const double frac = 1.0 / static_cast<double>(combo.sketches.size());
@@ -473,11 +473,11 @@ SketchCombination replicate_for_all_roots(const SketchCombination& proto,
                                           const topo::TopologyGroups& groups) {
   if (proto.sketches.empty()) throw std::invalid_argument("empty prototype combination");
   const int num_ranks = static_cast<int>(groups.group_of.front().size());
-  const int r0 = proto.sketches.front().sketch.root;
+  const int r0 = proto.sketches.front().sketch->root;
 
   SketchCombination out = proto;
   WorkloadState acc(groups);
-  for (const auto& ws : proto.sketches) acc.add_sketch(ws.sketch, groups);
+  for (const auto& ws : proto.sketches) acc.add_sketch(*ws.sketch, groups);
   const RotationFrame frame(groups);
 
   for (int r = 0; r < num_ranks; ++r) {
@@ -486,14 +486,15 @@ SketchCombination replicate_for_all_roots(const SketchCombination& proto,
       // The exact automorphism first (uniform by construction); load-steered
       // replication handles irregular topologies; canonical mapping is the
       // last resort.
-      auto rep = rotate_in_frame(frame, ws.sketch, groups, r);
-      if (!rep.has_value()) rep = replicate_sketch(ws.sketch, groups, acc, r);
-      if (!rep.has_value()) rep = replicate_sketch(ws.sketch, groups, acc, r, false);
+      auto rep = rotate_in_frame(frame, *ws.sketch, groups, r);
+      if (!rep.has_value()) rep = replicate_sketch(*ws.sketch, groups, acc, r);
+      if (!rep.has_value()) rep = replicate_sketch(*ws.sketch, groups, acc, r, false);
       if (!rep.has_value()) {
         throw std::runtime_error("all-to-all replication failed for a root");
       }
       acc.add_sketch(*rep, groups);
-      out.sketches.push_back(WeightedSketch{std::move(*rep), ws.fraction});
+      out.sketches.push_back(
+          WeightedSketch{std::make_shared<const Sketch>(std::move(*rep)), ws.fraction});
     }
   }
   return out;

@@ -131,22 +131,32 @@ struct Searcher {
       const int want = (c == kAll || c == kUnits) ? num_ranks : c;
       // Candidate destinations, cheapest-common-dim == d first: a slow-tier
       // sub-demand should serve the ranks only that tier can reach, not
-      // ranks a faster tier covers anyway.
+      // ranks a faster tier covers anyway. Sources and candidates share
+      // group g, so a candidate needs d unless a faster dimension groups it
+      // with some source: mark the sources' groups there once.
       std::vector<int> cands;
       for (int r : g.ranks) {
         if (s.covered[static_cast<std::size_t>(r)] || claimed[static_cast<std::size_t>(r)]) continue;
         cands.push_back(r);
       }
-      std::stable_sort(cands.begin(), cands.end(), [&](int a, int b) {
-        auto need = [&](int r) {
-          int cheapest = groups.num_dims();
-          for (int src : spec.srcs) {
-            const int bd = groups.best_common_dim(src, r);
-            if (bd >= 0) cheapest = std::min(cheapest, bd);
+      std::vector<std::vector<bool>> src_group(static_cast<std::size_t>(d));
+      for (int d2 = 0; d2 < d; ++d2) {
+        const auto& gd = groups.group_of[static_cast<std::size_t>(d2)];
+        auto& marks = src_group[static_cast<std::size_t>(d2)];
+        marks.assign(groups.dims[static_cast<std::size_t>(d2)].groups.size(), false);
+        for (int src : spec.srcs) {
+          const int g2 = gd[static_cast<std::size_t>(src)];
+          if (g2 >= 0) marks[static_cast<std::size_t>(g2)] = true;
+        }
+      }
+      std::stable_partition(cands.begin(), cands.end(), [&](int r) {
+        for (int d2 = 0; d2 < d; ++d2) {
+          const int g2 = groups.group_of[static_cast<std::size_t>(d2)][static_cast<std::size_t>(r)];
+          if (g2 >= 0 && src_group[static_cast<std::size_t>(d2)][static_cast<std::size_t>(g2)]) {
+            return false;
           }
-          return cheapest == d ? 0 : 1;
-        };
-        return need(a) < need(b);
+        }
+        return true;
       });
       for (int r : cands) {
         if (static_cast<int>(spec.dsts.size()) >= want) break;

@@ -182,7 +182,7 @@ double SketchCombination::total_fraction() const {
 std::vector<double> SketchCombination::dim_workload(const topo::TopologyGroups& groups) const {
   std::vector<double> out(static_cast<std::size_t>(groups.num_dims()), 0.0);
   for (const auto& ws : sketches) {
-    const auto w = ws.sketch.dim_workload(groups);
+    const auto w = ws.sketch->dim_workload(groups);
     for (std::size_t d = 0; d < w.size(); ++d) out[d] += ws.fraction * w[d];
   }
   return out;

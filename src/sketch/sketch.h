@@ -8,6 +8,7 @@
 // v its data.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,12 +81,19 @@ class Sketch {
 };
 
 /// A sketch plus the fraction of each chunk it transmits (⟨S_i, t_i⟩ pairs,
-/// §4.2). Fractions of a combination sum to 1.
+/// §4.2). Fractions of a combination sum to 1. The sketch is immutable and
+/// shared: every combination built from one replicated family points at
+/// that family's sketches instead of copying them.
 struct WeightedSketch {
-  Sketch sketch;
+  std::shared_ptr<const Sketch> sketch;
   double fraction = 1.0;
 
-  bool operator==(const WeightedSketch&) const = default;
+  /// Exact: equal fractions and equal sketches, compared by pointer first
+  /// and by content only when the pointers differ.
+  bool operator==(const WeightedSketch& o) const {
+    return fraction == o.fraction &&
+           (sketch == o.sketch || (sketch && o.sketch && *sketch == *o.sketch));
+  }
 };
 
 struct SketchCombination {

@@ -2,8 +2,10 @@
 // parsing, mode semantics, hit accounting, and the cheap disarmed path.
 //
 // The registry is process-global state; every test clears it on entry and
-// exit (RAII guard) so order never matters. ctest runs each test in its own
-// process anyway — the guards matter for running the whole binary at once.
+// exit (RAII guard), and a test that counts hits counts from a baseline taken
+// at its start, because clear() disarms but keeps hit counts. So order and
+// repetition never matter. ctest runs each test in its own process anyway —
+// this matters for running the whole binary at once.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -27,15 +29,17 @@ TEST(FailpointRegistry, DisarmedSiteReturnsNulloptAndCountsNothing) {
 
 TEST(FailpointRegistry, ErrorModeThrowsFailpointErrorAtTheSite) {
   RegistryGuard guard;
+  // clear() keeps hit counts, so count from what earlier tests left.
+  const auto before = Failpoints::instance().hits("test.err");
   Failpoints::instance().enable("test.err", "error");
   EXPECT_TRUE(Failpoints::instance().any_enabled());
   EXPECT_THROW(failpoint("test.err"), FailpointError);
-  EXPECT_EQ(Failpoints::instance().hits("test.err"), 1u);
+  EXPECT_EQ(Failpoints::instance().hits("test.err"), before + 1);
   // Persistent: fires on every evaluation until disarmed.
   EXPECT_THROW(failpoint("test.err"), FailpointError);
   Failpoints::instance().disable("test.err");
   EXPECT_EQ(failpoint("test.err"), std::nullopt);
-  EXPECT_EQ(Failpoints::instance().hits("test.err"), 2u);
+  EXPECT_EQ(Failpoints::instance().hits("test.err"), before + 2);
 }
 
 TEST(FailpointRegistry, TornWriteReturnsByteBudgetToTheSite) {
@@ -49,6 +53,7 @@ TEST(FailpointRegistry, TornWriteReturnsByteBudgetToTheSite) {
 
 TEST(FailpointRegistry, EintrBudgetDecaysToDisarmed) {
   RegistryGuard guard;
+  const auto before = Failpoints::instance().hits("test.eintr");
   Failpoints::instance().enable("test.eintr", "eintr:3");
   for (int i = 0; i < 3; ++i) {
     const auto action = failpoint("test.eintr");
@@ -57,7 +62,7 @@ TEST(FailpointRegistry, EintrBudgetDecaysToDisarmed) {
   }
   // Budget exhausted: the site proceeds normally.
   EXPECT_EQ(failpoint("test.eintr"), std::nullopt);
-  EXPECT_EQ(Failpoints::instance().hits("test.eintr"), 3u);
+  EXPECT_EQ(Failpoints::instance().hits("test.eintr"), before + 3);
 }
 
 TEST(FailpointRegistry, DelayModeSleepsInline) {

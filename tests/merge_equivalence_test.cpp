@@ -294,9 +294,9 @@ TEST(RotationFrame, ReplicateForAllRootsMatchesPerRootRotation) {
         std::size_t k = per_root;  // the prototype's own sketches come first
         for (int r = 1; r < n; ++r) {
           for (const auto& ws : proto.sketches) {
-            const auto rotated = sketch::rotate_sketch(ws.sketch, groups, r);
+            const auto rotated = sketch::rotate_sketch(*ws.sketch, groups, r);
             ASSERT_TRUE(rotated.has_value()) << label << " root " << r;
-            expect_same_sketch(all.sketches[k].sketch, *rotated,
+            expect_same_sketch(*all.sketches[k].sketch, *rotated,
                                label + " root " + std::to_string(r));
             EXPECT_EQ(all.sketches[k].fraction, ws.fraction) << label;
             ++k;

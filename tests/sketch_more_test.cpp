@@ -177,11 +177,11 @@ TEST(Replicate, SteeringSpreadsCrossingsAcrossNics) {
   MultiRail f;
   const Sketch proto = simple_hier_sketch(f.groups, 0);
   SketchCombination combo;
-  combo.sketches.push_back(WeightedSketch{proto, 1.0});
+  combo.sketches.push_back(WeightedSketch{std::make_shared<const Sketch>(proto), 1.0});
   const auto all = replicate_for_all_roots(combo, f.groups);
   std::vector<int> rail_recv(16, 0);
   for (const auto& ws : all.sketches) {
-    for (const auto& st : ws.sketch.stages) {
+    for (const auto& st : ws.sketch->stages) {
       for (const auto& r : st.demands) {
         if (r.dim == 1) {
           for (int d : r.dsts) rail_recv[static_cast<std::size_t>(d)]++;

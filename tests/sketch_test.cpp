@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include "sketch/alltoall.h"
@@ -108,6 +109,32 @@ TEST(Sketch, DescendantsCount) {
   EXPECT_EQ(s.descendants(4), 3);   // 5,6,7
   EXPECT_EQ(s.descendants(0), 15);  // everyone
   EXPECT_EQ(s.descendants(5), 0);
+}
+
+TEST(Sketch, CombinationEqualityComparesContent) {
+  // Members share sketches by pointer, but equality stays exact: equal
+  // sketches allocated apart compare equal, and any difference in a
+  // fraction or a relay parent compares unequal.
+  const auto single = [](const Sketch& s, double fraction) {
+    SketchCombination c;
+    c.sketches.push_back(WeightedSketch{std::make_shared<const Sketch>(s), fraction});
+    return c;
+  };
+  const Sketch s = paper_sketch_1();
+  const SketchCombination a = single(s, 0.5);
+  const SketchCombination b = single(s, 0.5);
+  ASSERT_NE(a.sketches.front().sketch, b.sketches.front().sketch);
+  EXPECT_TRUE(a == b);
+  const SketchCombination shared = a;
+  EXPECT_EQ(shared.sketches.front().sketch, a.sketches.front().sketch);
+  EXPECT_TRUE(shared == a);
+  EXPECT_FALSE(a == single(s, 0.25));
+  Sketch reparented = s;
+  reparented.parent[5] = 6;
+  EXPECT_FALSE(a == single(reparented, 0.5));
+  SketchCombination longer = a;
+  longer.sketches.push_back(b.sketches.front());
+  EXPECT_FALSE(a == longer);
 }
 
 TEST(Search, FindsHierarchicalSketches) {
@@ -233,7 +260,7 @@ TEST(Replicate, BalanceAcrossGroupsEvensRailLoad) {
     };
     WorkloadMatrix single = s.workload(groups);
     WorkloadMatrix merged = zero_workload(groups);
-    for (const auto& ws : combo.sketches) add_workload(merged, ws.sketch.workload(groups));
+    for (const auto& ws : combo.sketches) add_workload(merged, ws.sketch->workload(groups));
     // Normalise per sketch count for a fair comparison.
     for (auto& dim : merged) {
       for (auto& g : dim) g /= static_cast<double>(combo.sketches.size());
@@ -248,13 +275,13 @@ TEST(Replicate, AllRootsCoversEveryRoot) {
   const SketchCombination proto = balance_across_groups(sketches.front(), f.groups);
   const SketchCombination all = replicate_for_all_roots(proto, f.groups);
   std::set<int> roots;
-  for (const auto& ws : all.sketches) roots.insert(ws.sketch.root);
+  for (const auto& ws : all.sketches) roots.insert(ws.sketch->root);
   EXPECT_EQ(roots.size(), 16u);
   // Per-root fractions each sum to 1.
   for (int r = 0; r < 16; ++r) {
     double frac = 0;
     for (const auto& ws : all.sketches) {
-      if (ws.sketch.root == r) frac += ws.fraction;
+      if (ws.sketch->root == r) frac += ws.fraction;
     }
     EXPECT_NEAR(frac, 1.0, 1e-9);
   }
@@ -301,6 +328,31 @@ TEST(Combine, PaperExampleTwoSketchAllocation) {
   EXPECT_TRUE(found_integrated);
 }
 
+TEST(Combine, MembersShareTheirFamilysSketches) {
+  // Combinations copy pointers, not sketches: every member of every output,
+  // integrated subsets included, is a sketch one input family owns.
+  Fig3Fixture f;
+  const AllToAllConfig config;
+  const auto sketches = search_sketches(f.groups, 0, RootedPattern::Broadcast, config.search);
+  std::vector<SketchCombination> families;
+  std::set<const Sketch*> owned;
+  for (const auto& proto : select_prototypes(sketches, f.groups, config.max_prototypes)) {
+    families.push_back(replicate_for_all_roots(balance_across_groups(proto, f.groups), f.groups));
+    for (const auto& ws : families.back().sketches) owned.insert(ws.sketch.get());
+  }
+  ASSERT_GE(families.size(), 2u);
+  const auto combos = generate_combinations(families, f.groups, config.combine);
+  ASSERT_GT(combos.size(), families.size());
+  std::size_t members = 0;
+  for (const auto& c : combos) {
+    for (const auto& ws : c.sketches) {
+      EXPECT_EQ(owned.count(ws.sketch.get()), 1u) << c.describe();
+      ++members;
+    }
+  }
+  EXPECT_GT(members, owned.size());
+}
+
 TEST(AllToAll, GeneratesValidCombinations) {
   const auto topo = topo::build_multi_rail({2, 4, topo::params::nvlink_h800(),
                                             topo::params::nic_400g(),
@@ -311,8 +363,8 @@ TEST(AllToAll, GeneratesValidCombinations) {
   for (const auto& c : combos) {
     std::set<int> roots;
     for (const auto& ws : c.sketches) {
-      EXPECT_NO_THROW(ws.sketch.validate(groups));
-      roots.insert(ws.sketch.root);
+      EXPECT_NO_THROW(ws.sketch->validate(groups));
+      roots.insert(ws.sketch->root);
     }
     EXPECT_EQ(roots.size(), 8u) << c.describe();
   }
