@@ -6,7 +6,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "coll/collective.h"
 #include "core/merge.h"
@@ -193,31 +195,40 @@ void BM_DemandPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_DemandPlan)->Unit(benchmark::kMillisecond);
 
-/// One candidate of the 512-GPU AllGather point: the first sketch
-/// combination's demand plan, every demand solved greedily at E₁.
+/// One candidate of the 512-GPU AllGather point: a sketch combination's
+/// demand plan, every demand solved greedily at epoch step E.
 struct MergeShape {
   const topo::TopologyGroups& groups = prefix_shape().groups;
   const coll::Collective& coll = prefix_shape().coll;
-  core::DemandPlan plan = core::build_demand_plan(prefix_shape().combos.front(), coll, groups);
+  core::DemandPlan plan;
   std::vector<solver::SubSchedule> solved;
 
-  MergeShape() {
+  MergeShape(std::size_t candidate, double E)
+      : plan(core::build_demand_plan(prefix_shape().combos.at(candidate), coll, groups)) {
     solver::SubScheduleCache cache;
-    const solver::SolveOptions options{3.0};
+    const solver::SolveOptions options{E};
     for (const auto& md : plan.demands) {
       solved.push_back(cache.get_or_solve(md.demand, md.demand.canonical(), options));
     }
   }
 };
 
-/// Built once: the solves take seconds.
-const MergeShape& merge_shape() {
-  static const MergeShape shape;
-  return shape;
+/// Built once per (candidate, E × 10): the solves take seconds.
+const MergeShape& merge_shape(std::int64_t candidate = 0, std::int64_t e10 = 30) {
+  static std::map<std::pair<std::int64_t, std::int64_t>, MergeShape> shapes;
+  return shapes
+      .try_emplace({candidate, e10}, static_cast<std::size_t>(candidate),
+                   static_cast<double>(e10) / 10.0)
+      .first->second;
 }
 
+/// merge_schedule of one candidate. Arguments: the combination's index and
+/// E × 10. Combination 0 at E₁ is the first candidate the coarse pass
+/// merges (261,632 ops); combination 12 at E₂ is the largest survivor the
+/// fine pass merges (523,264 ops), whose merge and three simulations set
+/// that pass's wall.
 void BM_MergeSchedule(benchmark::State& state) {
-  const MergeShape& shape = merge_shape();
+  const MergeShape& shape = merge_shape(state.range(0), state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::merge_schedule(shape.plan, shape.solved, shape.groups, "m").ops.size());
@@ -226,9 +237,12 @@ void BM_MergeSchedule(benchmark::State& state) {
   for (const auto& s : shape.solved) ops += s.ops.size();
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ops));
 }
-BENCHMARK(BM_MergeSchedule)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MergeSchedule)
+    ->Args({0, 30})  // E₁
+    ->Args({12, 5})  // E₂
+    ->Unit(benchmark::kMillisecond);
 
-/// Candidate ranking on its own: time_collective of the merged MergeShape
+/// Candidate ranking on its own: time_collective of the first merged
 /// candidate (items = simulated events).
 void BM_SimulateCandidate(benchmark::State& state) {
   const MergeShape& shape = merge_shape();

@@ -2,142 +2,96 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace syccl::core {
 
-namespace {
+void reorder_by_estimated_start(sim::Schedule& s, const topo::TopologyGroups& groups) {
+  const std::size_t num_dims = groups.dims.size();
+  const std::size_t num_ranks = groups.group_of.empty() ? 0 : groups.group_of.front().size();
+  const std::size_t num_pieces = s.pieces.size();
 
-/// Estimated availability time per (piece, rank): a flat open-addressing
-/// table with linear probing (DESIGN.md §4k). It is sized once from the
-/// number of entries it can ever hold — the seeds plus one per op — so it
-/// never rehashes and stays at most half full.
-class AvailabilityTable {
- public:
-  explicit AvailabilityTable(std::size_t max_entries) {
-    std::size_t capacity = 16;
-    int bits = 4;
-    while (capacity < 2 * max_entries) {
-      capacity <<= 1;
-      ++bits;
-    }
-    shift_ = 64 - bits;
-    slots_.assign(capacity, Slot{});
-  }
-
-  /// Hints the cache to load the slot where (piece, rank) would start its
-  /// probe; the reorder issues it a few ops ahead of each lookup.
-  void prefetch(int piece, int rank) const {
-    __builtin_prefetch(&slots_[home(pack(piece, rank))]);
-  }
-
-  /// The value stored for (piece, rank), or nullptr.
-  const double* find(int piece, int rank) const {
-    const std::uint64_t key = pack(piece, rank);
-    for (std::size_t i = home(key);; i = (i + 1) & (slots_.size() - 1)) {
-      const Slot& slot = slots_[i];
-      if (slot.key == key) return &slot.value;
-      if (slot.key == kEmpty) return nullptr;
+  // The group and local index of every (dimension, rank), resolved once.
+  struct Member {
+    const topo::GroupTopology* group = nullptr;
+    int local = -1;
+  };
+  std::vector<Member> members(num_dims * num_ranks);
+  for (std::size_t d = 0; d < num_dims; ++d) {
+    for (std::size_t r = 0; r < num_ranks; ++r) {
+      const int g = groups.group_of[d][r];
+      if (g < 0) continue;
+      const topo::GroupTopology& gt = groups.group(static_cast<int>(d), g);
+      members[d * num_ranks + r] = Member{&gt, gt.local_of(static_cast<int>(r))};
     }
   }
 
-  /// Inserts `value` for (piece, rank) if absent. Returns the stored value's
-  /// slot and whether the insertion happened (std::map::try_emplace).
-  std::pair<double*, bool> try_emplace(int piece, int rank, double value) {
-    const std::uint64_t key = pack(piece, rank);
-    for (std::size_t i = home(key);; i = (i + 1) & (slots_.size() - 1)) {
-      Slot& slot = slots_[i];
-      if (slot.key == key) return {&slot.value, false};
-      if (slot.key == kEmpty) {
-        slot = Slot{key, value};
-        return {&slot.value, true};
+  // An op's estimate reads (piece, src) and writes (piece, dst), so pieces
+  // are independent: a stable counting sort groups the op indices by piece,
+  // in issue order. Ops naming no piece of `s` go to a last bucket that is
+  // never walked.
+  const auto bucket = [&](int piece) {
+    return static_cast<std::size_t>(piece) < num_pieces ? static_cast<std::size_t>(piece)
+                                                        : num_pieces;
+  };
+  std::vector<std::size_t> next(num_pieces + 2, 0);
+  for (const sim::TransferOp& op : s.ops) ++next[bucket(op.piece) + 1];
+  std::partial_sum(next.begin(), next.end(), next.begin());
+  std::vector<std::uint32_t> by_piece(s.ops.size());
+  for (std::size_t i = 0; i < s.ops.size(); ++i) {
+    by_piece[next[bucket(s.ops[i].piece)]++] = static_cast<std::uint32_t>(i);
+  }
+
+  // Each piece walks its ops against one rank-indexed row of availability
+  // times; holder[r] == piece + 1 marks avail[r] as the current piece's.
+  std::vector<double> start(s.ops.size(), 0.0);
+  std::vector<double> avail(num_ranks, 0.0);
+  std::vector<std::size_t> holder(num_ranks, 0);
+  std::size_t begin = 0;
+  for (std::size_t pi = 0; pi < num_pieces; ++pi) {
+    const sim::Piece& piece = s.pieces[pi];
+    const std::size_t stamp = pi + 1;
+    const auto seed = [&](int rank) {
+      if (static_cast<std::size_t>(rank) >= num_ranks) return;
+      holder[static_cast<std::size_t>(rank)] = stamp;
+      avail[static_cast<std::size_t>(rank)] = 0.0;
+    };
+    if (piece.reduce) {
+      for (int c : piece.contributors) seed(c);
+    } else if (piece.origin >= 0) {
+      seed(piece.origin);
+    }
+    const std::size_t end = next[pi];
+    for (; begin < end; ++begin) {
+      const std::uint32_t i = by_piece[begin];
+      const sim::TransferOp& op = s.ops[i];
+      const auto src = static_cast<std::size_t>(op.src);
+      const auto dst = static_cast<std::size_t>(op.dst);
+      if (src >= num_ranks || dst >= num_ranks) continue;
+      const int dim = op.dim >= 0 ? op.dim : groups.best_common_dim(op.src, op.dst);
+      // No estimate (start 0) without a group holding both endpoints; the
+      // simulator rejects such ops later.
+      if (dim < 0 || static_cast<std::size_t>(dim) >= num_dims) continue;
+      const Member& from = members[static_cast<std::size_t>(dim) * num_ranks + src];
+      const Member& to = members[static_cast<std::size_t>(dim) * num_ranks + dst];
+      if (from.group == nullptr || to.group != from.group) continue;
+      const topo::GroupTopology& gt = *from.group;
+      const int ls = from.local;
+      const int ld = to.local;
+      const double t0 = holder[src] == stamp ? avail[src] : 0.0;
+      const double arrival = t0 + gt.pair_alpha(ls, ld) + gt.pair_beta(ls, ld) * piece.bytes;
+      start[i] = t0;
+      if (holder[dst] != stamp) {
+        holder[dst] = stamp;
+        avail[dst] = arrival;
+      } else {
+        avail[dst] = piece.reduce ? std::max(avail[dst], arrival) : std::min(avail[dst], arrival);
       }
     }
   }
-
- private:
-  /// Piece indices are non-negative (they index Schedule::pieces), so no
-  /// packed key has all bits set.
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-  struct Slot {
-    std::uint64_t key = kEmpty;
-    double value = 0.0;
-  };
-
-  static std::uint64_t pack(int piece, int rank) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(piece)) << 32) |
-           static_cast<std::uint32_t>(rank);
-  }
-  /// Fibonacci hashing: the top bits of key × 2^64/φ.
-  std::size_t home(std::uint64_t key) const {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-
-  std::vector<Slot> slots_;
-  int shift_ = 60;
-};
-
-}  // namespace
-
-void reorder_by_estimated_start(sim::Schedule& s, const topo::TopologyGroups& groups) {
-  std::size_t seeds = 0;
-  for (const sim::Piece& p : s.pieces) {
-    seeds += p.reduce ? p.contributors.size() : (p.origin >= 0 ? 1 : 0);
-  }
-  AvailabilityTable avail(seeds + s.ops.size());
-  for (std::size_t pi = 0; pi < s.pieces.size(); ++pi) {
-    const sim::Piece& p = s.pieces[pi];
-    if (p.reduce) {
-      for (int c : p.contributors) avail.try_emplace(static_cast<int>(pi), c, 0.0);
-    } else if (p.origin >= 0) {
-      avail.try_emplace(static_cast<int>(pi), p.origin, 0.0);
-    }
-  }
-
-  // (phase, estimated start, index) sorts into the order a stable sort on
-  // (phase, estimated start) gives: the index breaks every tie.
-  struct Record {
-    int phase;
-    std::uint32_t index;
-    double start;
-  };
-  std::vector<Record> order(s.ops.size());
-  // At paper scale the table is larger than a core's cache, so each op's
-  // two probes are prefetched this many ops ahead.
-  constexpr std::size_t kPrefetchAhead = 16;
-  for (std::size_t i = 0; i < s.ops.size(); ++i) {
-    if (i + kPrefetchAhead < s.ops.size()) {
-      const sim::TransferOp& ahead = s.ops[i + kPrefetchAhead];
-      avail.prefetch(ahead.piece, ahead.src);
-      avail.prefetch(ahead.piece, ahead.dst);
-    }
-    const sim::TransferOp& op = s.ops[i];
-    order[i] = Record{op.phase, static_cast<std::uint32_t>(i), 0.0};
-    const int dim = op.dim >= 0 ? op.dim : groups.best_common_dim(op.src, op.dst);
-    if (dim < 0) continue;  // leave key 0; the simulator will reject later
-    const auto& gt =
-        groups.group(dim, groups.group_of[static_cast<std::size_t>(dim)]
-                                         [static_cast<std::size_t>(op.src)]);
-    const int ls = gt.local_of(op.src);
-    const int ld = gt.local_of(op.dst);
-    const double* t0p = avail.find(op.piece, op.src);
-    const double t0 = t0p != nullptr ? *t0p : 0.0;
-    const sim::Piece& piece = s.pieces[static_cast<std::size_t>(op.piece)];
-    const double arrival = t0 + gt.pair_alpha(ls, ld) + gt.pair_beta(ls, ld) * piece.bytes;
-    order[i].start = t0;
-    auto [slot, inserted] = avail.try_emplace(op.piece, op.dst, arrival);
-    if (!inserted) *slot = piece.reduce ? std::max(*slot, arrival) : std::min(*slot, arrival);
-  }
-  std::sort(order.begin(), order.end(), [](const Record& a, const Record& b) {
-    if (a.phase != b.phase) return a.phase < b.phase;
-    if (a.start != b.start) return a.start < b.start;
-    return a.index < b.index;
-  });
-  std::vector<sim::TransferOp> reordered;
-  reordered.reserve(s.ops.size());
-  for (const Record& r : order) reordered.push_back(s.ops[r.index]);
-  s.ops = std::move(reordered);
+  s.ops = sim::ordered_by_start(s.ops, start);
 }
 
 sim::Schedule merge_schedule(const DemandPlan& plan,
@@ -147,52 +101,59 @@ sim::Schedule merge_schedule(const DemandPlan& plan,
     throw std::invalid_argument("solved sub-schedule count mismatch");
   }
 
-  // One compact record per sub-op, generated in (demand, op) order: the
-  // generation index breaks (stage, epoch) ties exactly as a stable sort
-  // over that order would.
-  struct Record {
-    int stage;
-    int epoch;
-    std::uint32_t index;
-  };
-  std::vector<Record> order;
-  std::vector<sim::TransferOp> generated;
+  // Issue order is ascending (stage, start epoch), ties in (demand, op)
+  // order: a counting sort over that key. The first pass checks every
+  // demand's group and sub-op and finds the key's range.
   std::size_t total = 0;
-  for (const solver::SubSchedule& ss : solved) total += ss.ops.size();
-  order.reserve(total);
-  generated.reserve(total);
-
+  int min_stage = std::numeric_limits<int>::max();
+  int max_stage = std::numeric_limits<int>::min();
+  int min_epoch = std::numeric_limits<int>::max();
+  int max_epoch = std::numeric_limits<int>::min();
   for (std::size_t di = 0; di < plan.demands.size(); ++di) {
     const MergedSubDemand& md = plan.demands[di];
-    const topo::GroupTopology& gt = groups.group(md.dim, md.group);
+    groups.group(md.dim, md.group);  // throws std::out_of_range for an unknown group
+    min_stage = std::min(min_stage, md.stage);
+    max_stage = std::max(max_stage, md.stage);
+    total += solved[di].ops.size();
     for (const solver::SubOp& so : solved[di].ops) {
       if (so.piece < 0 || static_cast<std::size_t>(so.piece) >= md.global_piece.size()) {
         throw std::invalid_argument("sub-op references unknown demand piece");
       }
-      sim::TransferOp top;
-      top.piece = md.global_piece[static_cast<std::size_t>(so.piece)];
-      top.src = gt.ranks[static_cast<std::size_t>(so.src)];
-      top.dst = gt.ranks[static_cast<std::size_t>(so.dst)];
-      top.dim = md.dim;
-      top.phase = 0;
-      order.push_back(
-          Record{md.stage, so.start_epoch, static_cast<std::uint32_t>(generated.size())});
-      generated.push_back(top);
+      min_epoch = std::min(min_epoch, so.start_epoch);
+      max_epoch = std::max(max_epoch, so.start_epoch);
     }
   }
 
-  std::sort(order.begin(), order.end(), [](const Record& a, const Record& b) {
-    if (a.stage != b.stage) return a.stage < b.stage;
-    if (a.epoch != b.epoch) return a.epoch < b.epoch;
-    return a.index < b.index;
-  });
-
   sim::Schedule out;
   out.name = std::move(name);
-  out.ops.reserve(order.size());
-  for (const Record& r : order) out.ops.push_back(generated[r.index]);
-  generated = {};
   out.pieces = plan.pieces;
+  out.ops.resize(total);
+  if (total > 0) {
+    const auto epochs = static_cast<std::size_t>(std::int64_t{max_epoch} - min_epoch + 1);
+    const auto stages = static_cast<std::size_t>(std::int64_t{max_stage} - min_stage + 1);
+    const auto key = [&](int stage, int epoch) {
+      return static_cast<std::size_t>(std::int64_t{stage} - min_stage) * epochs +
+             static_cast<std::size_t>(std::int64_t{epoch} - min_epoch);
+    };
+    std::vector<std::size_t> next(stages * epochs + 1, 0);
+    for (std::size_t di = 0; di < plan.demands.size(); ++di) {
+      for (const solver::SubOp& so : solved[di].ops) {
+        ++next[key(plan.demands[di].stage, so.start_epoch) + 1];
+      }
+    }
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (std::size_t di = 0; di < plan.demands.size(); ++di) {
+      const MergedSubDemand& md = plan.demands[di];
+      const topo::GroupTopology& gt = groups.group(md.dim, md.group);
+      for (const solver::SubOp& so : solved[di].ops) {
+        sim::TransferOp& top = out.ops[next[key(md.stage, so.start_epoch)]++];
+        top.piece = md.global_piece[static_cast<std::size_t>(so.piece)];
+        top.src = gt.ranks[static_cast<std::size_t>(so.src)];
+        top.dst = gt.ranks[static_cast<std::size_t>(so.dst)];
+        top.dim = md.dim;
+      }
+    }
+  }
   reorder_by_estimated_start(out, groups);
   return out;
 }

@@ -29,7 +29,9 @@ sim::Schedule merge_schedule(const DemandPlan& plan,
 
 /// Reorders `s.ops` by contention-free estimated start time within each
 /// phase, ties kept in issue order (used by merge_schedule; exposed for
-/// tests). Ops with dim = -1 are priced on the fastest common dimension.
+/// tests). Ops with dim = -1 are priced on the fastest common dimension. An
+/// op whose endpoints share no group of its dimension, or whose piece or
+/// ranks are out of range, gets estimated start 0 and delivers nothing.
 void reorder_by_estimated_start(sim::Schedule& s, const topo::TopologyGroups& groups);
 
 /// Reverses a complete forward schedule into its inverse collective's

@@ -79,6 +79,29 @@ DemandIndex build_demand_index(const Schedule& schedule, const coll::Collective&
   return index;
 }
 
+std::vector<TransferOp> ordered_by_start(std::span<const TransferOp> ops,
+                                         std::span<const double> start) {
+  // Compact records: estimated starts mostly ascend in issue order already,
+  // which a merging stable sort exploits.
+  struct Record {
+    int phase;
+    std::uint32_t index;
+    double start;
+  };
+  std::vector<Record> order(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    order[i] = Record{ops[i].phase, static_cast<std::uint32_t>(i), start[i]};
+  }
+  std::stable_sort(order.begin(), order.end(), [](const Record& a, const Record& b) {
+    if (a.phase != b.phase) return a.phase < b.phase;
+    return a.start < b.start;
+  });
+  std::vector<TransferOp> out;
+  out.reserve(ops.size());
+  for (const Record& r : order) out.push_back(ops[r.index]);
+  return out;
+}
+
 std::vector<Piece> pieces_for(const coll::Collective& coll) {
   std::vector<Piece> out;
   if (!coll.reduce()) {

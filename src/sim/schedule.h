@@ -101,4 +101,10 @@ struct DemandIndex {
 /// collectives and 0 .. num_ranks - 1 for reduce collectives.
 DemandIndex build_demand_index(const Schedule& schedule, const coll::Collective& coll);
 
+/// The issue-order rule shared by the merge's estimated-start reorder and
+/// issue-order tuning: `ops` stably ordered by (phase, start[i]), so ties
+/// keep their current order. `start` is parallel to `ops`.
+std::vector<TransferOp> ordered_by_start(std::span<const TransferOp> ops,
+                                         std::span<const double> start);
+
 }  // namespace syccl::sim

@@ -528,19 +528,9 @@ double tune_on(Engine& engine, Schedule& schedule, const coll::Collective& coll,
 
   // Each pass swaps the reordered ops into `schedule` and swaps them back
   // out if they do not help, so no pass copies the schedule.
-  std::vector<std::size_t> idx;
   std::vector<TransferOp> reordered;
   for (int p = 0; p < passes; ++p) {
-    idx.resize(schedule.ops.size());
-    std::iota(idx.begin(), idx.end(), std::size_t{0});
-    std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-      if (schedule.ops[a].phase != schedule.ops[b].phase) {
-        return schedule.ops[a].phase < schedule.ops[b].phase;
-      }
-      return op_start[a] < op_start[b];
-    });
-    reordered.clear();
-    for (std::size_t i : idx) reordered.push_back(schedule.ops[i]);
+    reordered = ordered_by_start(schedule.ops, op_start);
     schedule.ops.swap(reordered);
     double t;
     try {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
 
 #include "util/log.h"
@@ -175,7 +176,7 @@ std::optional<Sketch> replicate_sketch(const Sketch& sketch, const topo::Topolog
         const int d2 = send_dim[static_cast<std::size_t>(v)];
         double best_group = 1e300;
         double best_rank = 1e300;
-        for (int u : steer_by_load ? avail : std::vector<int>{}) {
+        for (int u : steer_by_load ? std::span<const int>(avail) : std::span<const int>()) {
           double group_load = 0.0;
           if (d2 >= 0) {
             const int g2 =

@@ -8,8 +8,12 @@ namespace syccl::topo {
 namespace {
 
 std::string idx_name(const std::string& prefix, int a, int b = -1) {
-  std::string s = prefix + std::to_string(a);
-  if (b >= 0) s += "." + std::to_string(b);
+  std::string s = prefix;
+  s += std::to_string(a);
+  if (b >= 0) {
+    s += '.';
+    s += std::to_string(b);
+  }
   return s;
 }
 

@@ -181,6 +181,31 @@ TEST(Merge, ReverseMovesGatherOriginsToScatterDestinations) {
   EXPECT_GT(relayed, 0) << "no combination relays a piece";
 }
 
+TEST(Merge, ReorderLeavesUnpricedOpsAtStartZero) {
+  // An op whose endpoints share no group of its dimension, or whose piece
+  // or ranks are out of range, has no estimate: it starts at 0 and delivers
+  // nothing, so a later op from its destination starts at 0 too.
+  Fixture f;  // dimension 0 groups each server's 8 GPUs
+  sim::Schedule s;
+  s.add_piece(sim::Piece{0, 1 << 20, 0, false, {}});
+  s.add_op(0, 0, 1, 0);                              // 0: priced, starts at 0
+  s.add_op(0, 1, 2, 0);                              // 1: starts when op 0 delivers
+  s.add_op(0, 1, 9, 0);                              // 2: ranks 1 and 9 are on two servers
+  s.ops.push_back(sim::TransferOp{5, 0, 1, 0, 0});   // 3: unknown piece
+  s.add_op(0, 9, 10, 0);                             // 4: rank 9 never received the piece
+  s.ops.push_back(sim::TransferOp{0, 0, 99, 0, 0});  // 5: unknown rank
+  const std::vector<sim::TransferOp> issued = s.ops;
+  reorder_by_estimated_start(s, f.groups);
+  ASSERT_EQ(s.ops.size(), issued.size());
+  const std::size_t want[] = {0, 2, 3, 4, 5, 1};
+  for (std::size_t k = 0; k < s.ops.size(); ++k) {
+    const sim::TransferOp& got = s.ops[k];
+    const sim::TransferOp& op = issued[want[k]];
+    EXPECT_TRUE(got.piece == op.piece && got.src == op.src && got.dst == op.dst)
+        << "position " << k;
+  }
+}
+
 TEST(Merge, SizeMismatchThrows) {
   Fixture f;
   const auto combo = first_combo(f, sketch::RootedPattern::Broadcast);

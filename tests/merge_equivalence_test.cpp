@@ -1,14 +1,17 @@
-// Pins the flat merge layer (core/merge.cpp: open-addressing availability
-// table, compact sort records) to the pre-rewrite std::map version kept in
-// tests/merge_reference.h: merge_schedule and reorder_by_estimated_start
+// Pins the merge layer (core/merge.cpp: counting-sort issue order,
+// piece-by-piece start estimates) to the pre-rewrite std::map version kept
+// in tests/merge_reference.h: merge_schedule and reorder_by_estimated_start
 // must emit the same pieces and the same ops in the same order. The merged
 // order is the issue order the simulator ranks and the runtime executes, so
-// any difference is a behaviour change.
+// any difference is a behaviour change. MergeEquivalenceSweep.* repeats the
+// candidate comparison at the 512-GPU point under `ctest -C fuzz`.
 //
 // Also pins the once-per-call rotation frame of replicate_for_all_roots to
 // per-root rotate_sketch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <typeinfo>
@@ -17,6 +20,7 @@
 #include "coll/collective.h"
 #include "core/merge.h"
 #include "core/subdemand.h"
+#include "core/synthesizer.h"
 #include "merge_reference.h"
 #include "obs/scenario.h"
 #include "sketch/alltoall.h"
@@ -88,9 +92,12 @@ void expect_same_merge(const DemandPlan& plan, const std::vector<solver::SubSche
 
 /// A random plan over `groups`: pieces with few distinct sizes and sub-ops
 /// in few epochs and stages, so estimated starts and (stage, epoch) keys
-/// tie often and the tie-breaks are exercised.
+/// tie often and the tie-breaks are exercised. Demands come in random stage
+/// order. A `wide` plan also has negative stages, sparse start epochs from
+/// -40 to 5,000 (which move the counting sort's offsets) and trailing pieces
+/// that no op touches.
 std::pair<DemandPlan, std::vector<solver::SubSchedule>> random_plan(
-    const topo::TopologyGroups& groups, util::Rng& rng) {
+    const topo::TopologyGroups& groups, util::Rng& rng, bool wide = false) {
   const int num_ranks = static_cast<int>(groups.group_of.front().size());
   DemandPlan plan;
   const int num_pieces = 1 + static_cast<int>(rng.next_below(40));
@@ -105,7 +112,7 @@ std::pair<DemandPlan, std::vector<solver::SubSchedule>> random_plan(
   const int num_demands = 1 + static_cast<int>(rng.next_below(12));
   for (int d = 0; d < num_demands; ++d) {
     MergedSubDemand md;
-    md.stage = static_cast<int>(rng.next_below(3));
+    md.stage = static_cast<int>(rng.next_below(3)) - (wide ? 2 : 0);
     md.dim = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(groups.num_dims())));
     const auto& dim_groups = groups.dims[static_cast<std::size_t>(md.dim)].groups;
     md.group = static_cast<int>(rng.next_below(dim_groups.size()));
@@ -124,10 +131,25 @@ std::pair<DemandPlan, std::vector<solver::SubSchedule>> random_plan(
       op.src = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(gt.size())));
       op.dst = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(gt.size())));
       op.start_epoch = static_cast<int>(rng.next_below(6));
+      if (wide) {
+        static constexpr int kSparse[] = {-40, -7, 0, 13, 900, 5000};
+        op.start_epoch = kSparse[rng.next_below(6)];
+        if (rng.next_below(4) == 0) op.start_epoch = -40 + static_cast<int>(rng.next_below(5041));
+      }
       ss.ops.push_back(op);
     }
     plan.demands.push_back(std::move(md));
     solved.push_back(std::move(ss));
+  }
+  if (wide) {
+    const int untouched = 1 + static_cast<int>(rng.next_below(8));
+    for (int i = 0; i < untouched; ++i) {
+      sim::Piece p;
+      p.chunk = num_pieces + i;
+      p.bytes = 4096.0;
+      p.origin = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(num_ranks)));
+      plan.pieces.push_back(p);
+    }
   }
   return {std::move(plan), std::move(solved)};
 }
@@ -137,10 +159,13 @@ TEST(MergeEquivalence, GeneratedPlans) {
     const topo::Topology topo = obs::build_scenario_topology(fabric);
     const topo::TopologyGroups groups = topo::extract_groups(topo);
     util::Rng rng(0x5eed0 + std::string(fabric).size());
-    for (int seed = 0; seed < 150; ++seed) {
-      const auto [plan, solved] = random_plan(groups, rng);
-      expect_same_merge(plan, solved, groups,
-                        std::string(fabric) + " seed " + std::to_string(seed));
+    for (const bool wide : {false, true}) {
+      for (int seed = 0; seed < 150; ++seed) {
+        const auto [plan, solved] = random_plan(groups, rng, wide);
+        expect_same_merge(plan, solved, groups,
+                          std::string(fabric) + (wide ? " wide" : "") + " seed " +
+                              std::to_string(seed));
+      }
     }
   }
 }
@@ -208,47 +233,65 @@ TEST(MergeEquivalence, ReorderWithUnsetDimensions) {
   }
 }
 
-TEST(MergeEquivalence, SynthesisCandidates) {
-  // Real plans: every candidate combination of a few paper shapes, each
-  // demand solved greedily.
-  struct Shape {
-    const char* fabric;
-    coll::CollKind kind;
-  };
-  for (const Shape& shape : {Shape{"dgx16", coll::CollKind::AllGather},
-                             Shape{"a100x16", coll::CollKind::AllToAll},
-                             Shape{"h800x4", coll::CollKind::Broadcast},
-                             Shape{"flat8@degraded", coll::CollKind::AllGather}}) {
-    const topo::Topology topo = obs::build_scenario_topology(shape.fabric);
-    const topo::TopologyGroups groups = topo::extract_groups(topo);
-    const int n = static_cast<int>(groups.group_of.front().size());
-    const bool all_roots = shape.kind != coll::CollKind::Broadcast;
-    const coll::Collective coll = shape.kind == coll::CollKind::AllGather
-                                      ? coll::make_allgather(n, 1 << 20)
-                                  : shape.kind == coll::CollKind::AllToAll
-                                      ? coll::make_alltoall(n, 1 << 20)
-                                      : coll::make_broadcast(n, 1 << 20, 3);
-    const auto pattern = shape.kind == coll::CollKind::AllToAll
-                             ? sketch::RootedPattern::Scatter
-                             : sketch::RootedPattern::Broadcast;
-    const sketch::AllToAllConfig config;
-    const int root = all_roots ? 0 : 3;
-    const auto sketches = sketch::search_sketches(groups, root, pattern, config.search);
-    const auto combos = sketch::combine_prototypes(
-        sketch::select_prototypes(sketches, groups, config.max_prototypes), sketches, groups,
-        all_roots, config.combine);
-    solver::SubScheduleCache cache;
-    const solver::SolveOptions options{3.0};
-    for (std::size_t c = 0; c < combos.size(); ++c) {
-      const DemandPlan plan = build_demand_plan(combos[c], coll, groups);
+/// Real plans: every distinct candidate combination of one paper shape,
+/// each demand solved greedily at each of `options`. At the synthesizer's
+/// coarse and fine options that covers every candidate the coarse pass
+/// merges and every survivor the fine pass merges.
+void expect_same_candidate_merges(const char* fabric, coll::CollKind kind,
+                                  std::initializer_list<solver::SolveOptions> options) {
+  const topo::Topology topo = obs::build_scenario_topology(fabric);
+  const topo::TopologyGroups groups = topo::extract_groups(topo);
+  const int n = static_cast<int>(groups.group_of.front().size());
+  const bool all_roots = kind != coll::CollKind::Broadcast;
+  const coll::Collective coll = kind == coll::CollKind::AllGather ? coll::make_allgather(n, 1 << 20)
+                                : kind == coll::CollKind::AllToAll
+                                    ? coll::make_alltoall(n, 1 << 20)
+                                    : coll::make_broadcast(n, 1 << 20, 3);
+  const auto pattern =
+      kind == coll::CollKind::AllToAll ? sketch::RootedPattern::Scatter
+                                       : sketch::RootedPattern::Broadcast;
+  const sketch::AllToAllConfig config;
+  const int root = all_roots ? 0 : 3;
+  const auto sketches = sketch::search_sketches(groups, root, pattern, config.search);
+  const auto combos = sketch::combine_prototypes(
+      sketch::select_prototypes(sketches, groups, config.max_prototypes), sketches, groups,
+      all_roots, config.combine);
+  ASSERT_FALSE(combos.empty()) << fabric;
+  solver::SubScheduleCache cache;
+  for (std::size_t c = 0; c < combos.size(); ++c) {
+    const auto seen = combos.begin() + static_cast<std::ptrdiff_t>(c);
+    if (std::find(combos.begin(), seen, combos[c]) != seen) continue;  // evaluated once
+    const DemandPlan plan = build_demand_plan(combos[c], coll, groups);
+    for (const solver::SolveOptions& opts : options) {
       std::vector<solver::SubSchedule> solved;
       for (const auto& md : plan.demands) {
-        solved.push_back(cache.get_or_solve(md.demand, md.demand.canonical(), options));
+        solved.push_back(cache.get_or_solve(md.demand, md.demand.canonical(), opts));
       }
       expect_same_merge(plan, solved, groups,
-                        std::string(shape.fabric) + " candidate " + std::to_string(c));
+                        std::string(fabric) + " candidate " + std::to_string(c) + " E " +
+                            std::to_string(opts.E));
     }
   }
+}
+
+TEST(MergeEquivalence, SynthesisCandidates) {
+  const SynthesisConfig config;
+  expect_same_candidate_merges("dgx16", coll::CollKind::AllGather, {config.coarse_solver});
+  expect_same_candidate_merges("a100x16", coll::CollKind::AllToAll, {config.coarse_solver});
+  expect_same_candidate_merges("h800x4", coll::CollKind::Broadcast, {config.coarse_solver});
+  expect_same_candidate_merges("flat8@degraded", coll::CollKind::AllGather,
+                               {config.coarse_solver});
+  expect_same_candidate_merges("h800x8", coll::CollKind::AllGather,
+                               {config.coarse_solver, config.fine_solver});
+}
+
+// The 512-GPU AllGather point (h800x64, 1 MiB): every coarse candidate and
+// every fine survivor, 261,632 to 523,264 ops each. Runs only under
+// `ctest -C fuzz` (merge_equivalence_sweep).
+TEST(MergeEquivalenceSweep, PaperScaleCandidates) {
+  const SynthesisConfig config;
+  expect_same_candidate_merges("h800x64", coll::CollKind::AllGather,
+                               {config.coarse_solver, config.fine_solver});
 }
 
 // ------------------------------------------------------------ rotation frame
