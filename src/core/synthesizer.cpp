@@ -29,7 +29,7 @@ namespace {
 struct Candidate {
   /// Index of the first earlier candidate with an equal combination, or -1.
   /// A copy has no plan of its own: it is never planned, merged or
-  /// simulated, and takes its original's predicted time and validity.
+  /// simulated, and takes its original's predicted times.
   int copy_of = -1;
   std::string description;
   DemandPlan plan;
@@ -38,8 +38,23 @@ struct Candidate {
   /// this demand's piece ids (empty, the identity, for the representative
   /// itself and for demands listing their pieces in the same order).
   std::vector<std::vector<int>> demand_remap;
-  double predicted = std::numeric_limits<double>::infinity();
-  bool valid = true;
+};
+
+/// One target's ranking of the shared candidates.
+struct TargetState {
+  /// Predicted time per candidate; ∞ until timed, and once rejected.
+  std::vector<double> predicted;
+  /// The surviving originals the fine pass evaluates, fastest coarse first.
+  std::vector<std::size_t> fine;
+  /// Why the target produced no schedule (empty while it still can).
+  std::string error;
+};
+
+/// A pass's schedules by candidate index: the merged forward ones, and each
+/// reversed target's flips of them.
+struct Evaluated {
+  std::vector<sim::Schedule> forward;
+  std::vector<std::vector<sim::Schedule>> flipped;
 };
 
 /// Isomorphism-class registry shared by all candidates of one synthesis.
@@ -96,11 +111,11 @@ SynthesisResult Synthesizer::synthesize(const coll::Collective& coll) {
     case CollKind::SendRecv:
       return synthesize_sendrecv(coll);
     case CollKind::Broadcast:
-      return synthesize_pattern(coll, coll, false, coll.chunks().front().src,
-                                sketch::RootedPattern::Broadcast, false);
+      return synthesize_pattern(coll, false, coll.chunks().front().src,
+                                sketch::RootedPattern::Broadcast, {{&coll, false}});
     case CollKind::Scatter:
-      return synthesize_pattern(coll, coll, false, coll.chunks().front().src,
-                                sketch::RootedPattern::Scatter, false);
+      return synthesize_pattern(coll, false, coll.chunks().front().src,
+                                sketch::RootedPattern::Scatter, {{&coll, false}});
     case CollKind::Reduce: {
       // Reverse of Broadcast rooted at the reduce root: synthesize the
       // forward twin, then flip (§4.1). The twin carries the reduce's exact
@@ -111,59 +126,35 @@ SynthesisResult Synthesizer::synthesize(const coll::Collective& coll) {
           coll::make_broadcast(coll.num_ranks(), coll.total_bytes() / coll.num_ranks(), root);
       const coll::Collective twin(fwd.kind(), fwd.num_ranks(), fwd.total_bytes(),
                                   coll.chunk_bytes(), fwd.reduce(), fwd.chunks());
-      return synthesize_pattern(twin, coll, false, root, sketch::RootedPattern::Broadcast,
-                                true);
+      return synthesize_pattern(twin, false, root, sketch::RootedPattern::Broadcast,
+                                {{&coll, true}});
     }
     case CollKind::Gather: {
       const int root = coll.chunks().front().dsts.front();
       const coll::Collective twin =
           coll::make_scatter(coll.num_ranks(), coll.total_bytes(), root);
-      return synthesize_pattern(twin, coll, false, root, sketch::RootedPattern::Scatter, true);
+      return synthesize_pattern(twin, false, root, sketch::RootedPattern::Scatter,
+                                {{&coll, true}});
     }
     case CollKind::AllGather:
-      return synthesize_pattern(coll, coll, true, 0, sketch::RootedPattern::Broadcast, false);
+      return synthesize_pattern(coll, true, 0, sketch::RootedPattern::Broadcast,
+                                {{&coll, false}});
     case CollKind::AllToAll:
-      return synthesize_pattern(coll, coll, true, 0, sketch::RootedPattern::Scatter, false);
+      return synthesize_pattern(coll, true, 0, sketch::RootedPattern::Scatter,
+                                {{&coll, false}});
     case CollKind::ReduceScatter: {
       // Reverse of AllGather with the same per-chunk size.
       const coll::Collective twin = coll::make_allgather(coll.num_ranks(), coll.total_bytes());
-      return synthesize_pattern(twin, coll, true, 0, sketch::RootedPattern::Broadcast, true);
+      return synthesize_pattern(twin, true, 0, sketch::RootedPattern::Broadcast,
+                                {{&coll, true}});
     }
     case CollKind::AllReduce: {
+      // ReduceScatter is the flipped AllGather, so both phases rank one
+      // AllGather prefix and share its sub-demand classes (§4.3, §5.3).
       const auto [rs, ag] = coll::allreduce_phases(coll);
-      // The phases are independent syntheses, so they run concurrently on
-      // the pool (parallel_for is re-entrant). The RS phase is the reversed
-      // twin of the AG phase, so their sub-demand classes coincide — the
-      // solve cache's in-flight dedup makes whichever phase gets there
-      // second reuse the first phase's solves instead of duplicating them.
-      SynthesisResult first, second;
-      pool_.parallel_for(2, [&](std::size_t i) {
-        if (i == 0) {
-          first = synthesize(rs);
-        } else {
-          second = synthesize(ag);
-        }
-      });
-      SynthesisResult out;
-      out.schedule = std::move(first.schedule);
-      out.schedule.append_sequential(second.schedule);
+      SynthesisResult out = synthesize_pattern(ag, true, 0, sketch::RootedPattern::Broadcast,
+                                               {{&rs, true}, {&ag, false}});
       out.schedule.name = "syccl-allreduce";
-      out.predicted_time = first.predicted_time + second.predicted_time;
-      out.breakdown = first.breakdown;
-      out.breakdown.search_s += second.breakdown.search_s;
-      out.breakdown.combine_s += second.breakdown.combine_s;
-      out.breakdown.solve1_s += second.breakdown.solve1_s;
-      out.breakdown.solve2_s += second.breakdown.solve2_s;
-      out.breakdown.total_s += second.breakdown.total_s;
-      out.breakdown.num_combinations += second.breakdown.num_combinations;
-      out.breakdown.num_subdemands += second.breakdown.num_subdemands;
-      out.breakdown.num_solver_calls += second.breakdown.num_solver_calls;
-      out.breakdown.max_solve_s =
-          std::max(out.breakdown.max_solve_s, second.breakdown.max_solve_s);
-      out.breakdown.cache_hits += second.breakdown.cache_hits;
-      out.breakdown.cache_bytes =
-          std::max(out.breakdown.cache_bytes, second.breakdown.cache_bytes);
-      out.chosen = first.chosen + " ++ " + second.chosen;
       return out;
     }
   }
@@ -182,10 +173,9 @@ SynthesisResult Synthesizer::synthesize_sendrecv(const coll::Collective& coll) {
   return out;
 }
 
-SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
-                                                const coll::Collective& eval_coll,
-                                                bool all_to_all, int root,
-                                                sketch::RootedPattern pattern, bool reverse) {
+SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll, bool all_to_all,
+                                                int root, sketch::RootedPattern pattern,
+                                                const std::vector<Target>& targets) {
   SYCCL_TRACE_SPAN(synth_span, "synthesize_pattern", "core");
   util::Stopwatch total_clock;
   SynthesisBreakdown breakdown;
@@ -313,29 +303,39 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
   }
 
   const sim::Simulator simulator(groups_, config_.sim);
+  const int num_ranks = static_cast<int>(groups_.group_of.front().size());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<TargetState> state(targets.size());
+  for (TargetState& s : state) s.predicted.assign(candidates.size(), kInf);
+  const bool forward_target = std::any_of(targets.begin(), targets.end(),
+                                          [](const Target& t) { return !t.reverse; });
 
-  // Batched candidate evaluation: merge every candidate on the pool, then
-  // rank the merged schedules through the simulator's batch API (one shared
-  // topology/path cache, candidates fanned across the pool). Per-candidate
-  // failures surface as BatchTiming errors, never mask other candidates, and
-  // every output is written by candidate index — so the selection below is
-  // deterministic regardless of pool size.
-  auto evaluate_all = [&](const std::vector<Candidate*>& cands,
-                          const std::vector<solver::SubSchedule>& solutions,
-                          const char* pass) -> std::vector<sim::Schedule> {
+  // Batched candidate evaluation of `ranked[t]`, the candidates target t
+  // ranks: each candidate is merged once on the pool, then priced for every
+  // target through the simulator's batch API (one shared topology/path
+  // cache, candidates fanned across the pool). A failure rejects one
+  // candidate, and every output is written by candidate index — so the
+  // selection below is deterministic regardless of pool size.
+  auto evaluate = [&](const std::vector<std::vector<std::size_t>>& ranked,
+                      const std::vector<solver::SubSchedule>& solutions, const char* pass) {
     // Issue-order tuning triples simulation cost; the coarse pass only needs
     // a ranking, so it simulates once and leaves tuning to the fine pass.
     const bool tune = pass[0] == 'f';
     SYCCL_TRACE_SPAN(span, "evaluate_candidates", "core");
-    span.annotate("candidates", static_cast<double>(cands.size()));
+    std::vector<std::size_t> ids;  // every candidate some target ranks
+    for (const auto& list : ranked) ids.insert(ids.end(), list.begin(), list.end());
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    span.annotate("candidates", static_cast<double>(ids.size()));
     span.annotate("fine", tune ? 1.0 : 0.0);
-    const std::size_t n = cands.size();
-    std::vector<sim::Schedule> schedules(n);
-    std::vector<std::string> error(n);
+    Evaluated ev;
+    ev.forward.resize(candidates.size());
+    ev.flipped.resize(targets.size());
+    std::vector<std::string> error(candidates.size());
 
-    pool_.parallel_for(n, [&](std::size_t i) {
+    pool_.parallel_for(ids.size(), [&](std::size_t j) {
       SYCCL_TRACE_SPAN(merge_span, "merge_schedule", "core");
-      const Candidate& cand = *cands[i];
+      const Candidate& cand = candidates[ids[j]];
       std::vector<solver::SubSchedule> per_demand;
       per_demand.reserve(cand.plan.demands.size());
       for (std::size_t k = 0; k < cand.demand_class.size(); ++k) {
@@ -343,162 +343,192 @@ SynthesisResult Synthesizer::synthesize_pattern(const coll::Collective& coll,
         per_demand.push_back(solver::remap_sub_schedule(sol, cand.demand_remap[k]));
       }
       try {
-        schedules[i] = merge_schedule(cand.plan, per_demand, groups_, "syccl-candidate");
+        ev.forward[ids[j]] = merge_schedule(cand.plan, per_demand, groups_, "syccl-candidate");
       } catch (const std::exception& e) {
-        error[i] = e.what();
+        error[ids[j]] = e.what();
       }
     });
 
-    // Collect the candidates that survived so far; batch calls skip the rest.
-    const auto live_schedules = [&]() {
-      std::pair<std::vector<sim::Schedule*>, std::vector<std::size_t>> live;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (error[i].empty()) {
-          live.first.push_back(&schedules[i]);
-          live.second.push_back(i);
-        }
+    // Times or tunes `schedules[i]` against `against` for every i in `list`
+    // that has not failed yet; a failure lands in `failed[i]`. Returns the
+    // times by candidate index.
+    const auto price = [&](std::vector<sim::Schedule>& schedules,
+                           const std::vector<std::size_t>& list,
+                           std::vector<std::string>& failed, const coll::Collective& against) {
+      std::vector<sim::Schedule*> live;
+      std::vector<std::size_t> live_ids;
+      for (const std::size_t i : list) {
+        if (!failed[i].empty()) continue;
+        live.push_back(&schedules[i]);
+        live_ids.push_back(i);
       }
-      return live;
+      const std::vector<sim::BatchTiming> timings =
+          tune ? simulator.tune_issue_orders(live, against, 2, &pool_)
+               : simulator.time_collectives(live, against, &pool_);
+      std::vector<double> seconds(candidates.size(), kInf);
+      for (std::size_t j = 0; j < timings.size(); ++j) {
+        failed[live_ids[j]] = timings[j].error;
+        seconds[live_ids[j]] = timings[j].time;
+      }
+      return seconds;
     };
 
-    if (reverse) {
-      // Always tune the forward schedule before flipping it (§4.1): reversing
-      // an already well-ordered schedule preserves its pipelining, reversing
-      // a raw one does not. The coarse pass skips tuning entirely.
-      if (tune) {
-        const auto [fwd, fwd_idx] = live_schedules();
-        const auto tuned = simulator.tune_issue_orders(fwd, coll, 2, &pool_);
-        for (std::size_t j = 0; j < tuned.size(); ++j) {
-          if (!tuned[j].ok()) error[fwd_idx[j]] = tuned[j].error;
-        }
-      }
-      pool_.parallel_for(n, [&](std::size_t i) {
-        if (!error[i].empty()) return;
-        try {
-          schedules[i] = reverse_schedule(schedules[i], eval_coll.reduce(),
-                                          static_cast<int>(groups_.group_of.front().size()),
-                                          "syccl-candidate");
-        } catch (const std::exception& e) {
-          error[i] = e.what();
-        }
-      });
-    }
-
     // Issue-order tuning removes head-of-line blocking under the per-port
-    // FIFO execution model (§5.2 simulator ranking).
-    const auto [live, live_idx] = live_schedules();
-    const std::vector<sim::BatchTiming> timings =
-        tune ? simulator.tune_issue_orders(live, eval_coll, 2, &pool_)
-             : simulator.time_collectives(live, eval_coll, &pool_);
-    for (std::size_t j = 0; j < timings.size(); ++j) {
-      if (timings[j].ok()) {
-        Candidate& cand = *cands[live_idx[j]];
-        cand.predicted = timings[j].time;
-        SYCCL_DEBUG << pass << " candidate " << cand.description << " -> "
-                    << cand.predicted * 1e6 << " us";
-      } else {
-        error[live_idx[j]] = timings[j].error;
+    // FIFO execution model (§5.2 simulator ranking). The fine pass tunes
+    // every forward schedule, whichever target ranks it: reversing a
+    // well-ordered schedule preserves its pipelining, reversing a raw one
+    // does not (§4.1). So a tuning failure rejects the candidate for every
+    // target. The coarse pass times forward schedules only for a forward
+    // target.
+    std::vector<std::string> forward_error = error;
+    std::vector<double> forward_seconds;
+    if (tune || forward_target) forward_seconds = price(ev.forward, ids, forward_error, coll);
+    if (tune) error = forward_error;
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      std::vector<std::string> failed = targets[t].reverse ? error : forward_error;
+      if (targets[t].reverse) {
+        std::vector<sim::Schedule>& flipped = ev.flipped[t];
+        flipped.resize(candidates.size());
+        pool_.parallel_for(ranked[t].size(), [&](std::size_t k) {
+          const std::size_t i = ranked[t][k];
+          if (!failed[i].empty()) return;
+          try {
+            flipped[i] = reverse_schedule(ev.forward[i], targets[t].coll->reduce(), num_ranks,
+                                          "syccl-candidate");
+          } catch (const std::exception& e) {
+            failed[i] = e.what();
+          }
+          // A lone target is the forward schedule's last reader.
+          if (targets.size() == 1) ev.forward[i] = {};
+        });
+      }
+      const std::vector<double> seconds =
+          targets[t].reverse ? price(ev.flipped[t], ranked[t], failed, *targets[t].coll)
+                             : forward_seconds;
+      for (const std::size_t i : ranked[t]) {
+        if (failed[i].empty()) {
+          state[t].predicted[i] = seconds[i];
+          SYCCL_DEBUG << pass << " candidate " << candidates[i].description << " -> "
+                      << seconds[i] * 1e6 << " us";
+        } else {
+          SYCCL_WARN << "candidate rejected in " << pass << " pass: " << failed[i];
+          state[t].predicted[i] = kInf;
+        }
       }
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (error[i].empty()) continue;
-      SYCCL_WARN << "candidate rejected in " << pass << " pass: " << error[i];
-      cands[i]->valid = false;
-      cands[i]->predicted = std::numeric_limits<double>::infinity();
-      schedules[i] = sim::Schedule{};
-    }
-    return schedules;
+    return ev;
   };
 
   {
     SYCCL_TRACE_SPAN(span, "coarse_eval", "core");
     span.annotate("candidates", static_cast<double>(candidates.size()));
-    std::vector<Candidate*> originals;
-    for (auto& cand : candidates) {
-      if (cand.copy_of < 0) originals.push_back(&cand);
+    std::vector<std::size_t> originals;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      if (candidates[i].copy_of < 0) originals.push_back(i);
     }
-    evaluate_all(originals, coarse_solutions, "coarse");
+    evaluate(std::vector<std::vector<std::size_t>>(targets.size(), originals), coarse_solutions,
+             "coarse");
     // An original precedes its copies and has its coarse results now.
-    for (auto& cand : candidates) {
-      if (cand.copy_of < 0) continue;
-      const Candidate& original = candidates[static_cast<std::size_t>(cand.copy_of)];
-      cand.predicted = original.predicted;
-      cand.valid = original.valid;
+    for (TargetState& s : state) {
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const int original = candidates[i].copy_of;
+        if (original >= 0) s.predicted[i] = s.predicted[static_cast<std::size_t>(original)];
+      }
     }
   }
   breakdown.solve1_s = phase_clock.elapsed_seconds();
 
-  // ---- Candidate filter: within R1 of the best, at most R2 (§5.3).
+  // ---- Candidate filter per target: within R1 of the best, at most R2
+  // (§5.3).
   phase_clock.reset();
-  double best_coarse = std::numeric_limits<double>::infinity();
-  for (const auto& cand : candidates) best_coarse = std::min(best_coarse, cand.predicted);
-  if (!std::isfinite(best_coarse)) {
-    throw std::runtime_error("every sketch combination failed to produce a valid schedule");
-  }
-  std::vector<Candidate*> survivors;
-  for (auto& cand : candidates) {
-    if (cand.valid && cand.predicted <= best_coarse * (1.0 + config_.R1)) {
-      survivors.push_back(&cand);
+  std::size_t num_survivors = 0;
+  for (TargetState& s : state) {
+    double best_coarse = kInf;
+    for (const double p : s.predicted) best_coarse = std::min(best_coarse, p);
+    if (!std::isfinite(best_coarse)) {
+      s.error = "every sketch combination failed to produce a valid schedule";
+      continue;
+    }
+    std::vector<std::size_t> survivors;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      if (s.predicted[i] <= best_coarse * (1.0 + config_.R1)) survivors.push_back(i);
+    }
+    std::stable_sort(survivors.begin(), survivors.end(), [&](std::size_t a, std::size_t b) {
+      return s.predicted[a] < s.predicted[b];
+    });
+    if (static_cast<int>(survivors.size()) > config_.R2) {
+      survivors.resize(static_cast<std::size_t>(config_.R2));
+    }
+    num_survivors += survivors.size();
+    // A copy ties its original and sorts after it, so its original survives
+    // too and the copy can never win the strict `<` scan below: the fine pass
+    // evaluates and scans the survivors that are originals.
+    for (const std::size_t i : survivors) {
+      if (candidates[i].copy_of < 0) s.fine.push_back(i);
     }
   }
-  std::stable_sort(survivors.begin(), survivors.end(),
-                   [](const Candidate* a, const Candidate* b) {
-                     return a->predicted < b->predicted;
-                   });
-  if (static_cast<int>(survivors.size()) > config_.R2) {
-    survivors.resize(static_cast<std::size_t>(config_.R2));
-  }
-  // A copy ties its original and sorts after it, so its original survives
-  // too and the copy can never win the strict `<` scan below: the fine pass
-  // evaluates and scans the survivors that are originals.
-  std::vector<Candidate*> fine;
-  for (Candidate* cand : survivors) {
-    if (cand->copy_of < 0) fine.push_back(cand);
-  }
+  // The lowest-index target's error wins, so the first target's ends the
+  // synthesis at once; a later target's waits until the earlier ones finish.
+  if (!state.front().error.empty()) throw std::runtime_error(state.front().error);
 
-  // ---- Phase 2b: fine solve of the survivors (E₂) and final selection.
+  // ---- Phase 2b: fine solve of every target's survivors (E₂) and final
+  // selection.
   const std::vector<solver::SubSchedule>* final_solutions = &coarse_solutions;
   std::vector<solver::SubSchedule> fine_solutions;
   if (config_.two_step) {
     SYCCL_TRACE_SPAN(span, "fine_solve", "core");
     std::vector<bool> needed(registry.representative.size(), false);
-    for (const Candidate* cand : fine) {
-      for (int c : cand->demand_class) needed[static_cast<std::size_t>(c)] = true;
+    for (const TargetState& s : state) {
+      for (const std::size_t i : s.fine) {
+        for (int c : candidates[i].demand_class) needed[static_cast<std::size_t>(c)] = true;
+      }
     }
     solve_classes(config_.fine_solver, needed, fine_solutions);
     final_solutions = &fine_solutions;
   }
 
-  // Fine evaluation (merge + batched simulate + issue-order tuning); the
-  // winner is then picked sequentially by predicted time with a stable index
-  // tie-break, so the choice is independent of completion order.
-  std::vector<sim::Schedule> fine_schedules;
+  // Fine evaluation (merge + batched simulate + issue-order tuning) of every
+  // target's survivors in one pass. Each target's winner is then picked
+  // sequentially by predicted time with a stable index tie-break, so the
+  // choice is independent of completion order, and the winners run in
+  // sequence (AllReduce: ReduceScatter, then AllGather).
+  SynthesisResult result;
   {
     SYCCL_TRACE_SPAN(span, "fine_eval", "core");
-    span.annotate("survivors", static_cast<double>(survivors.size()));
-    fine_schedules = evaluate_all(fine, *final_solutions, "fine");
-  }
-
-  SynthesisResult result;
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < fine.size(); ++i) {
-    Candidate* cand = fine[i];
-    if (cand->valid && cand->predicted < best) {
-      best = cand->predicted;
-      result.schedule = std::move(fine_schedules[i]);
-      result.predicted_time = cand->predicted;
-      result.chosen = cand->description;
+    span.annotate("survivors", static_cast<double>(num_survivors));
+    std::vector<std::vector<std::size_t>> ranked;
+    for (const TargetState& s : state) ranked.push_back(s.fine);
+    Evaluated ev = evaluate(ranked, *final_solutions, "fine");
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      TargetState& s = state[t];
+      double best = kInf;
+      std::size_t winner = 0;
+      for (const std::size_t i : s.fine) {
+        if (s.predicted[i] < best) {
+          best = s.predicted[i];
+          winner = i;
+        }
+      }
+      if (s.error.empty() && !std::isfinite(best)) {
+        s.error = "fine pass invalidated every surviving candidate";
+      }
+      if (!s.error.empty()) throw std::runtime_error(s.error);
+      sim::Schedule& schedule = targets[t].reverse ? ev.flipped[t][winner] : ev.forward[winner];
+      if (t == 0) {
+        result.schedule = std::move(schedule);
+      } else {
+        result.schedule.append_sequential(schedule);
+        result.chosen += " ++ ";
+      }
+      result.predicted_time += best;
+      result.chosen += candidates[winner].description;
     }
-  }
-  if (!std::isfinite(best)) {
-    throw std::runtime_error("fine pass invalidated every surviving candidate");
   }
   // Plans are as deep as the combinations they came from: free them on the
   // pool as well instead of serially on return.
   pool_.parallel_for(candidates.size(), [&](std::size_t i) { candidates[i] = Candidate{}; });
   breakdown.solve2_s = phase_clock.elapsed_seconds();
   breakdown.total_s = total_clock.elapsed_seconds();
-  breakdown.cache_bytes = solver::SubScheduleCache::instance().stats().bytes;
   result.schedule.name = "syccl";
   result.breakdown = breakdown;
 

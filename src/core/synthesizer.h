@@ -6,17 +6,22 @@
 // (coarse E₁ pass over all combinations, then fine E₂ pass over the top
 // candidates within R₁ of the best, at most R₂ of them), merge the
 // sub-schedules, rank the complete schedules with the α–β simulator, and
-// return the best (§5). Equal sketch combinations are evaluated once.
-// Sub-demand solves are deduplicated by isomorphism class, memoised
-// process-wide (solver::SubScheduleCache) and run on a thread pool alongside
-// parallel candidate evaluation (§5.3); selection stays deterministic —
+// return the best (§5). Equal sketch combinations are evaluated once, and
+// sub-demand solves are deduplicated by isomorphism class (§5.3).
+//
+// Reduce kinds reuse their forward twin's synthesis and flip the winner
+// (§4.1). One prefix — search, combine, demand plan, class registry and
+// coarse solve — serves every target of a pattern: AllReduce ranks the
+// AllGather prefix twice, once flipped into ReduceScatter and once forward
+// as AllGather (§4.3), and concatenates the two winners. Solving, merging
+// and simulation run on a thread pool; selection stays deterministic —
 // candidates are ranked by predicted time with a stable index tie-break,
 // independent of task completion order.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "coll/collective.h"
 #include "sim/schedule.h"
@@ -69,8 +74,6 @@ struct SynthesisBreakdown {
   /// Deduplicated classes the SubScheduleCache already held. cache_hits +
   /// num_solver_calls = deduplicated classes that were needed.
   int cache_hits = 0;
-  /// Resident bytes of the process-wide solve cache after this synthesis.
-  std::size_t cache_bytes = 0;
 };
 
 struct SynthesisResult {
@@ -89,19 +92,27 @@ class Synthesizer {
   explicit Synthesizer(const topo::Topology& topo, SynthesisConfig config = {});
 
   /// Synthesizes a schedule for `coll`. Supports every collective of §2.1;
-  /// AllReduce is synthesised as ReduceScatter + AllGather (§4.3).
+  /// AllReduce is synthesised as ReduceScatter + AllGather (§4.3) from one
+  /// prefix.
   SynthesisResult synthesize(const coll::Collective& coll);
 
   const topo::TopologyGroups& groups() const { return groups_; }
   const SynthesisConfig& config() const { return config_; }
 
  private:
-  /// `coll` is the forward collective that drives the demand plan; for
-  /// reversed (reduce) synthesis, `eval_coll` is the real collective the
-  /// merged schedule must satisfy.
-  SynthesisResult synthesize_pattern(const coll::Collective& coll,
-                                     const coll::Collective& eval_coll, bool all_to_all,
-                                     int root, sketch::RootedPattern pattern, bool reverse);
+  /// What a pattern's candidates are ranked for: the pattern's forward
+  /// collective itself, or (`reverse`) a reduce collective that the flipped
+  /// forward schedule must satisfy (§4.1).
+  struct Target {
+    const coll::Collective* coll;
+    bool reverse;
+  };
+  /// Runs the prefix for the forward collective `coll` once and ranks its
+  /// candidates for every target. Returns the targets' winners in sequence.
+  /// If targets fail, the lowest-index one's error is thrown.
+  SynthesisResult synthesize_pattern(const coll::Collective& coll, bool all_to_all, int root,
+                                     sketch::RootedPattern pattern,
+                                     const std::vector<Target>& targets);
   SynthesisResult synthesize_sendrecv(const coll::Collective& coll);
 
   const topo::Topology& topo_;

@@ -10,18 +10,17 @@
 //          on a *degraded* entry (deadline fallback, below) additionally
 //          re-queues the full-budget synthesis in the background.
 //   join   another request for the same key is already synthesizing;
-//          block on its shared future instead of synthesizing again
-//          (the same miss-coalescing pattern as solver::SubScheduleCache,
-//          one level up the stack).
+//          block on its shared future instead of synthesizing again.
 //   miss   admit (bounded by max_in_flight), synthesize at the bucket size
 //          on the worker pool, store canonically, serve.
 //
 // Deadlines (DESIGN.md §4i): a request may carry a synthesis deadline. A
 // miss whose full synthesis has not landed by the deadline is answered
 // anyway — the broker synthesizes a minimal-budget fallback schedule
-// (greedy-only, tiny sketch budgets: see fallback_synthesis_config) on the
-// connection thread, marks it `degraded`, and stores it so the next
-// requester hits it instead of paying the fallback again. The full
+// (coarse pass only, tiny sketch budgets, one thread: see
+// fallback_synthesis_config) on the connection thread, marks it `degraded`,
+// and stores it so the next requester hits it instead of paying the
+// fallback again. The full
 // synthesis keeps running on the pool; when it completes it *upgrades* the
 // library entry (the library refuses the reverse transition), so the
 // degraded window closes on its own. Every request is answered — full or

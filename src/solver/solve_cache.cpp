@@ -1,7 +1,5 @@
 #include "solver/solve_cache.h"
 
-#include <functional>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -29,7 +27,12 @@ obs::Counter& evictions_counter() {
 
 }  // namespace
 
-SubScheduleCache::SubScheduleCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}
+SubScheduleCache::SubScheduleCache(std::size_t max_bytes) : max_bytes_(max_bytes) {
+  // Registered up front, so a snapshot lists a count that is still 0.
+  hits_counter();
+  misses_counter();
+  evictions_counter();
+}
 
 SubScheduleCache& SubScheduleCache::instance() {
   static SubScheduleCache cache;
@@ -43,24 +46,14 @@ std::string SubScheduleCache::options_fingerprint(const SolveOptions& options) {
   return os.str();
 }
 
-SubScheduleCache::Shard& SubScheduleCache::shard_for(const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % kNumShards];
-}
-
-void SubScheduleCache::evict_locked(Shard& shard) {
-  const std::size_t budget = max_bytes_ / kNumShards;
-  while (shard.bytes > budget) {
-    auto victim = shard.map.end();
-    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
-      if (it->second.ready && it->second.last_used < oldest) {
-        oldest = it->second.last_used;
-        victim = it;
-      }
+void SubScheduleCache::evict_locked() {
+  while (bytes_ > max_bytes_) {
+    auto victim = map_.begin();
+    for (auto it = map_.begin(); it != map_.end(); ++it) {
+      if (it->second.last_used < victim->second.last_used) victim = it;
     }
-    if (victim == shard.map.end()) return;  // only in-flight entries left
-    shard.bytes -= victim->second.bytes;
-    shard.map.erase(victim);
+    bytes_ -= victim->second.bytes;
+    map_.erase(victim);
     evictions_counter().add(1);
   }
 }
@@ -70,99 +63,67 @@ SubSchedule SubScheduleCache::get_or_solve(const SubDemand& demand, const Canoni
   SYCCL_TRACE_SPAN(span, "solve_cache.lookup", "cache");
   // Entries are stored with canonical piece ids (CanonicalDemand): the key
   // is invariant under piece relabelling, and hits get this demand's piece
-  // ids back. A miss solves locally and publishes the canonicalised result,
-  // so any later demand with the same key — e.g. another group of the same
-  // dimension listing its pieces in rotated order — receives ops on the
-  // right pieces.
-  const std::string key = canon.key + '\n' + options_fingerprint(options);
-  Shard& shard = shard_for(key);
-
-  std::promise<SubSchedule> promise;
+  // ids back. A miss stores the canonicalised result, so any later demand
+  // with the same key — e.g. another group of the same dimension listing
+  // its pieces in rotated order — receives ops on the right pieces.
+  std::string key = canon.key + '\n' + options_fingerprint(options);
+  std::shared_ptr<const SubSchedule> stored;
   {
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      it->second.last_used = ++shard.tick;
-      std::shared_future<SubSchedule> future = it->second.future;
-      // get() outside the lock: an in-flight entry blocks until the solving
-      // thread publishes, which never takes this shard's mutex first.
-      lock.unlock();
-      hits_counter().add(1);
-      span.annotate("hit", 1.0);
-      if (stats != nullptr) {
-        *stats = SolveStats{};
-        stats->cache_hit = true;
-      }
-      return remap_sub_schedule(future.get(), canon.from_canonical());
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = map_.find(key);
+    if (it != map_.end()) {
+      it->second.last_used = ++tick_;
+      stored = it->second.schedule;
     }
-    misses_counter().add(1);
-    span.annotate("hit", 0.0);
-    Entry entry;
-    entry.future = promise.get_future().share();
-    entry.last_used = ++shard.tick;
-    shard.map.emplace(key, std::move(entry));
   }
-
-  SubSchedule result;
-  try {
-    result = solve_sub_demand(demand, options, stats);
-  } catch (...) {
-    // Drop the placeholder so later calls retry, then fail every waiter.
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.map.erase(key);
+  if (stored) {
+    hits_counter().add(1);
+    span.annotate("hit", 1.0);
+    if (stats != nullptr) {
+      *stats = SolveStats{};
+      stats->cache_hit = true;
     }
-    promise.set_exception(std::current_exception());
-    throw;
+    return remap_sub_schedule(*stored, canon.from_canonical());
   }
-  promise.set_value(remap_sub_schedule(result, canon.to_canonical()));
+  misses_counter().add(1);
+  span.annotate("hit", 0.0);
 
+  SubSchedule result = solve_sub_demand(demand, options, stats);
+  Entry entry;
+  entry.schedule =
+      std::make_shared<const SubSchedule>(remap_sub_schedule(result, canon.to_canonical()));
+  entry.bytes = key.size() + sizeof(Entry) + sizeof(SubSchedule) +
+                result.ops.size() * sizeof(SubOp) + 64;
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {  // absent if clear() raced the solve
-      it->second.ready = true;
-      it->second.bytes = key.size() + sizeof(Entry) + sizeof(SubSchedule) +
-                         result.ops.size() * sizeof(SubOp) + 64;
-      shard.bytes += it->second.bytes;
-      evict_locked(shard);
+    std::lock_guard<std::mutex> lock(mutex_);
+    entry.last_used = ++tick_;
+    const std::size_t bytes = entry.bytes;
+    if (map_.try_emplace(std::move(key), std::move(entry)).second) {
+      bytes_ += bytes;
+      evict_locked();
     }
   }
 
-  // Resident-footprint gauges. Only on the miss path, where the preceding
-  // solve dwarfs the 16-shard stats() walk.
-  {
-    const Stats s = this->stats();  // `stats` names the out-param here
-    auto& reg = obs::MetricsRegistry::instance();
-    static obs::Gauge& bytes_gauge = reg.gauge("solve_cache.bytes");
-    static obs::Gauge& entries_gauge = reg.gauge("solve_cache.entries");
-    bytes_gauge.set(static_cast<double>(s.bytes));
-    entries_gauge.set(static_cast<double>(s.entries));
-  }
+  // Resident-footprint gauges, on the miss path only.
+  const Stats resident = this->stats();  // `stats` names the out-param here
+  auto& reg = obs::MetricsRegistry::instance();
+  static obs::Gauge& bytes_gauge = reg.gauge("solve_cache.bytes");
+  static obs::Gauge& entries_gauge = reg.gauge("solve_cache.entries");
+  bytes_gauge.set(static_cast<double>(resident.bytes));
+  entries_gauge.set(static_cast<double>(resident.entries));
   return result;
 }
 
 void SubScheduleCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // Keep in-flight entries: their solving threads still expect to find and
-    // finalise them; dropping ready ones is enough to release the bytes.
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      it = it->second.ready ? shard.map.erase(it) : std::next(it);
-    }
-    shard.bytes = 0;
-    shard.tick = 0;
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  map_.clear();
+  bytes_ = 0;
+  tick_ = 0;
 }
 
 SubScheduleCache::Stats SubScheduleCache::stats() const {
-  Stats out;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    out.entries += shard.map.size();
-    out.bytes += shard.bytes;
-  }
-  return out;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return {map_.size(), bytes_};
 }
 
 }  // namespace syccl::solver

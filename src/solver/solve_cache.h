@@ -1,9 +1,10 @@
 // Process-wide sub-demand solve cache (paper §5.3, extended across calls).
 //
-// The synthesizer already deduplicates isomorphic sub-demands *within* one
-// synthesis, but size sweeps, the RS/AG phases of AllReduce and repeated
-// `synthesize()` calls re-solve the same isomorphism classes from scratch.
-// This cache memoises `solve_sub_demand` results process-wide, keyed on
+// The synthesizer deduplicates isomorphic sub-demands *within* one
+// synthesis (AllReduce's two phases included: they rank one prefix), but
+// size sweeps, faulty variants of a fabric and repeated `synthesize()`
+// calls re-solve the same isomorphism classes from scratch. This cache
+// memoises `solve_sub_demand` results process-wide, keyed on
 // (SubDemand::canonical().key, SolveOptions fingerprint) — the fingerprint
 // is E, so coarse and fine passes occupy distinct entries.
 //
@@ -14,16 +15,15 @@
 // order, so a group with its slow link at another position keys apart
 // instead of receiving a schedule with the slow link in the wrong place.
 //
-// Concurrency: the map is sharded by key hash, each shard behind its own
-// mutex. In-flight solves are published as shared futures, so two threads
-// (e.g. the concurrently synthesized RS and AG phases of an AllReduce)
-// racing on the same class perform one solve — the loser blocks on the
-// winner's future instead of duplicating work. Entries are LRU-evicted per
-// shard once the shard exceeds its share of the byte budget.
+// A plain memo: one map under one mutex, evicted least-recently-used against
+// one byte budget. A miss solves outside the lock and stores its result only
+// if the key is still absent, so concurrent misses on one key each solve and
+// return the same schedule. clear() drops the stored entries; a solve
+// running across it still stores its result when it finishes.
 #pragma once
 
 #include <cstdint>
-#include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -39,10 +39,10 @@ class SubScheduleCache {
   /// every cache instance).
   struct Stats {
     std::size_t entries = 0;
-    std::size_t bytes = 0;  ///< estimated resident bytes of ready entries
+    std::size_t bytes = 0;  ///< estimated resident bytes
   };
 
-  /// `max_bytes` bounds the estimated footprint (LRU eviction per shard).
+  /// `max_bytes` bounds the estimated footprint (LRU eviction).
   explicit SubScheduleCache(std::size_t max_bytes = kDefaultMaxBytes);
 
   SubScheduleCache(const SubScheduleCache&) = delete;
@@ -56,15 +56,13 @@ class SubScheduleCache {
 
   /// Returns the cached schedule for (demand, options), solving on a miss.
   /// `canon` is `demand.canonical()`, which the caller usually holds already
-  /// (the synthesizer's class registry does). Concurrent misses on the same
-  /// key solve once. `stats` (optional) reports the underlying solve; on a
-  /// hit it is zeroed with `cache_hit = true`. If the solve throws, the entry
-  /// is dropped and the exception propagates to every waiter.
+  /// (the synthesizer's class registry does). `stats` (optional) reports the
+  /// underlying solve; on a hit it is zeroed with `cache_hit = true`. A solve
+  /// that throws stores nothing.
   SubSchedule get_or_solve(const SubDemand& demand, const CanonicalDemand& canon,
                            const SolveOptions& options, SolveStats* stats = nullptr);
 
-  /// Drops every ready entry (tests, topology changes). In-flight solves
-  /// complete normally but are not re-inserted.
+  /// Drops every stored entry (tests, cold benchmarks).
   void clear();
 
   Stats stats() const;
@@ -72,29 +70,22 @@ class SubScheduleCache {
 
  private:
   static constexpr std::size_t kDefaultMaxBytes = 64ull << 20;
-  static constexpr std::size_t kNumShards = 16;
 
   struct Entry {
-    std::shared_future<SubSchedule> future;
-    std::size_t bytes = 0;        ///< 0 while the solve is in flight
-    std::uint64_t last_used = 0;  ///< shard tick for LRU
-    bool ready = false;
-  };
-
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::string, Entry> map;
+    std::shared_ptr<const SubSchedule> schedule;  ///< canonical piece ids
     std::size_t bytes = 0;
-    std::uint64_t tick = 0;
+    std::uint64_t last_used = 0;  ///< tick for LRU
   };
 
-  Shard& shard_for(const std::string& key);
-  /// Evicts least-recently-used ready entries until the shard fits its
-  /// budget. Caller holds the shard mutex.
-  void evict_locked(Shard& shard);
+  /// Evicts least-recently-used entries until the cache fits its budget.
+  /// Caller holds the mutex.
+  void evict_locked();
 
-  std::size_t max_bytes_;
-  Shard shards_[kNumShards];
+  const std::size_t max_bytes_;
+  mutable std::mutex mutex_;
+  std::unordered_map<std::string, Entry> map_;
+  std::size_t bytes_ = 0;
+  std::uint64_t tick_ = 0;
 };
 
 }  // namespace syccl::solver

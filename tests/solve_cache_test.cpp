@@ -1,11 +1,11 @@
 // Tests for the process-wide sub-demand solve cache and the parallel
 // candidate-evaluation path: synthesis from a warm cache must be
 // byte-identical to synthesis from a cleared one, repeated synthesis must hit
-// the cache, the LRU byte bound must hold, and parallel evaluation must pick
-// the same candidate as a single-threaded run.
+// the cache, the LRU byte bound must hold over the whole budget, and
+// parallel evaluation must pick the same candidate as a single-threaded run.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -13,6 +13,7 @@
 
 #include "core/synthesizer.h"
 #include "counting_test.h"
+#include "obs/scenario.h"
 #include "runtime/validate.h"
 #include "runtime/xml.h"
 #include "solver/solve_cache.h"
@@ -49,6 +50,18 @@ solver::SubDemand make_broadcast_demand(const topo::GroupTopology& gt, double pi
   return demand;
 }
 
+/// True iff the two sub-schedules list the same ops in the same order.
+bool same_ops(const solver::SubSchedule& a, const solver::SubSchedule& b) {
+  if (a.num_epochs != b.num_epochs || a.ops.size() != b.ops.size()) return false;
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    if (a.ops[i].piece != b.ops[i].piece || a.ops[i].src != b.ops[i].src ||
+        a.ops[i].dst != b.ops[i].dst || a.ops[i].start_epoch != b.ops[i].start_epoch) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST_F(SolveCache, OptionsFingerprintSeparatesKnobs) {
   solver::SolveOptions a;
   solver::SolveOptions b = a;
@@ -71,14 +84,7 @@ TEST_F(SolveCache, HitReturnsIdenticalScheduleWithoutSolving) {
   const auto second = cache.get_or_solve(demand, demand.canonical(), opts, &s2);
   EXPECT_FALSE(s1.cache_hit);
   EXPECT_TRUE(s2.cache_hit);
-  EXPECT_EQ(first.num_epochs, second.num_epochs);
-  ASSERT_EQ(first.ops.size(), second.ops.size());
-  for (std::size_t i = 0; i < first.ops.size(); ++i) {
-    EXPECT_EQ(first.ops[i].piece, second.ops[i].piece);
-    EXPECT_EQ(first.ops[i].src, second.ops[i].src);
-    EXPECT_EQ(first.ops[i].dst, second.ops[i].dst);
-    EXPECT_EQ(first.ops[i].start_epoch, second.ops[i].start_epoch);
-  }
+  EXPECT_TRUE(same_ops(first, second));
   EXPECT_EQ(count("solve_cache.hits"), 1);
   EXPECT_EQ(count("solve_cache.misses"), 1);
   const auto st = cache.stats();
@@ -106,28 +112,94 @@ TEST_F(SolveCache, LruBoundEvicts) {
   EXPECT_LE(cache.stats().bytes, cache.max_bytes());
 }
 
-TEST_F(SolveCache, ConcurrentMissesSolveOnce) {
+TEST_F(SolveCache, ConcurrentMissesReturnIdenticalSchedules) {
   const auto topo = topo::build_single_server(8);
   const auto groups = topo::extract_groups(topo);
   solver::SubScheduleCache cache;
   const auto demand = make_broadcast_demand(groups.dims[0].groups[0], 1 << 20);
   solver::SolveOptions opts;
 
-  std::atomic<int> solved{0};
+  std::vector<solver::SubSchedule> got(8);
   std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      solver::SolveStats stats;
-      cache.get_or_solve(demand, demand.canonical(), opts, &stats);
-      if (!stats.cache_hit) solved.fetch_add(1);
-    });
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] { got[t] = cache.get_or_solve(demand, demand.canonical(), opts); });
   }
   for (auto& t : threads) t.join();
-  // In-flight dedup: exactly one thread solves, everyone else hits (possibly
-  // blocking on the in-flight future).
-  EXPECT_EQ(solved.load(), 1);
-  EXPECT_EQ(count("solve_cache.misses"), 1);
-  EXPECT_EQ(count("solve_cache.hits"), 7);
+  // Misses that race on one key each solve; the solver is deterministic,
+  // so every caller gets the same schedule and the cache keeps one entry.
+  for (std::size_t t = 1; t < got.size(); ++t) EXPECT_TRUE(same_ops(got[0], got[t])) << t;
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_GE(count("solve_cache.misses"), 1);
+  EXPECT_EQ(count("solve_cache.hits") + count("solve_cache.misses"), 8);
+  EXPECT_EQ(count("solver.solves"), count("solve_cache.misses"));
+}
+
+// The budget is one pool: an entry larger than a sixteenth of it stays
+// until others push it out.
+TEST_F(SolveCache, EntryWithinTheBudgetStays) {
+  const auto topo = topo::build_single_server(8);
+  const auto groups = topo::extract_groups(topo);
+  const auto demand = make_broadcast_demand(groups.dims[0].groups[0], 1 << 20);
+  solver::SolveOptions opts;
+  std::size_t entry_bytes = 0;
+  {
+    solver::SubScheduleCache sizing;
+    sizing.get_or_solve(demand, demand.canonical(), opts);
+    entry_bytes = sizing.stats().bytes;
+  }
+  solver::SubScheduleCache cache(2 * entry_bytes);
+  ASSERT_GT(entry_bytes, cache.max_bytes() / 16);
+  cache.get_or_solve(demand, demand.canonical(), opts);
+  solver::SolveStats stats;
+  cache.get_or_solve(demand, demand.canonical(), opts, &stats);
+  EXPECT_TRUE(stats.cache_hit);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(count("solve_cache.evictions"), 0);
+}
+
+// clear() drops what is stored. A solve that is running when clear() is
+// called still stores its result when it finishes.
+TEST_F(SolveCache, SolveRunningAcrossClearStoresItsResult) {
+  // Every member of a 128-member group broadcasts its own piece: the solve
+  // takes milliseconds, long enough for clear() to land inside it.
+  const auto topo = topo::build_single_server(128);
+  const auto groups = topo::extract_groups(topo);
+  const topo::GroupTopology& group = groups.dims[0].groups[0];
+  solver::SubDemand demand;
+  demand.group = &group;
+  demand.piece_bytes = 1 << 20;
+  for (int p = 0; p < group.size(); ++p) {
+    solver::DemandPiece piece;
+    piece.id = p;
+    piece.srcs = {p};
+    for (int d = 0; d < group.size(); ++d) {
+      if (d != p) piece.dsts.push_back(d);
+    }
+    demand.pieces.push_back(std::move(piece));
+  }
+  solver::SolveOptions opts;
+  solver::SubScheduleCache cache;
+  // clear() runs after the miss is counted, so an entry left after the join
+  // was stored by a solve that clear() ran across. A solve that finished
+  // before clear() leaves nothing; try again.
+  bool stored_across_clear = false;
+  for (int attempt = 0; attempt < 50 && !stored_across_clear; ++attempt) {
+    cache.clear();
+    obs::MetricsRegistry::instance().reset();
+    std::thread solver_thread([&] { cache.get_or_solve(demand, demand.canonical(), opts); });
+    // Sleeping (not yielding) lets this thread preempt the solver when both
+    // share a core.
+    while (count("solve_cache.misses") == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    cache.clear();
+    solver_thread.join();
+    stored_across_clear = cache.stats().entries == 1;
+  }
+  ASSERT_TRUE(stored_across_clear) << "no solve outlasted clear() in 50 attempts";
+  solver::SolveStats stats;
+  cache.get_or_solve(demand, demand.canonical(), opts, &stats);
+  EXPECT_TRUE(stats.cache_hit);
 }
 
 TEST_F(SolveCache, SweepByteIdenticalFromClearedAndWarmCache) {
@@ -200,7 +272,7 @@ TEST_F(SolveCache, SecondIdenticalSynthesisHitsCache) {
   // Every class the second run needed was already solved by the first.
   EXPECT_LT(second.breakdown.num_solver_calls, first.breakdown.num_solver_calls);
   EXPECT_EQ(second.breakdown.num_solver_calls, 0);
-  EXPECT_GT(second.breakdown.cache_bytes, 0u);
+  EXPECT_GT(solver::SubScheduleCache::instance().stats().bytes, 0u);
   // And the reused solves produce the exact same schedule.
   EXPECT_EQ(first.chosen, second.chosen);
   EXPECT_EQ(first.predicted_time, second.predicted_time);
@@ -208,15 +280,24 @@ TEST_F(SolveCache, SecondIdenticalSynthesisHitsCache) {
 }
 
 TEST_F(SolveCache, AllReducePhasesShareSolves) {
-  // RS is synthesized through the reversed AG twin, so the two concurrent
-  // phases request identical classes — the second requester must reuse the
-  // first's solves (ready or in-flight) rather than duplicate them.
-  const auto topo = topo::build_h800_cluster(2);
-  solver::SubScheduleCache::instance().clear();
-  core::Synthesizer synth(topo, test_config());
-  const auto r = synth.synthesize(coll::make_allreduce(16, 4 << 20));
-  EXPECT_GE(r.breakdown.cache_hits, 1);
-  EXPECT_GT(r.predicted_time, 0.0);
+  // ReduceScatter is the flipped AllGather, so both phases rank one prefix
+  // and solve its classes once, from a cold cache without a single hit. On
+  // h800x4 the two phases' survivors need different fine classes: 67 solves
+  // for ReduceScatter alone, 52 for AllGather alone, 68 for both.
+  const topo::Topology topo = obs::build_scenario_topology("h800x4");
+  core::Synthesizer synth(topo, core::SynthesisConfig{});
+  const auto cold_solves = [&](const coll::Collective& coll) {
+    solver::SubScheduleCache::instance().clear();
+    obs::MetricsRegistry::instance().reset();
+    const core::SynthesisResult r = synth.synthesize(coll);
+    EXPECT_EQ(r.breakdown.cache_hits, 0) << coll::kind_name(coll.kind());
+    EXPECT_EQ(count("solve_cache.hits"), 0) << coll::kind_name(coll.kind());
+    EXPECT_EQ(count("solver.solves"), r.breakdown.num_solver_calls);
+    return r.breakdown.num_solver_calls;
+  };
+  EXPECT_EQ(cold_solves(coll::make_reduce_scatter(32, 1 << 20)), 67);
+  EXPECT_EQ(cold_solves(coll::make_allgather(32, 1 << 20)), 52);
+  EXPECT_EQ(cold_solves(coll::make_allreduce(32, 1 << 20)), 68);
 }
 
 TEST_F(SolveCache, ParallelEvaluationMatchesSingleThread) {

@@ -282,6 +282,19 @@ TEST(Synthesizer, GoldenDigestH800x4Reduce) {
                 41.55965333e-6);
 }
 
+// AllReduce ranks one AllGather prefix twice: flipped into ReduceScatter
+// and forward. On h800x4 the two phases' survivors need different fine
+// classes, so the fine pass solves their union.
+TEST(Synthesizer, GoldenDigestDgx16AllReduce) {
+  expect_golden("dgx16", coll::make_allreduce(16, 1 << 20), {}, 0x68cf91db947c998cull,
+                19.75938306e-6);
+}
+
+TEST(Synthesizer, GoldenDigestH800x4AllReduce) {
+  expect_golden("h800x4", coll::make_allreduce(32, 1 << 20), {}, 0x076d58cc65dabd9dull,
+                23.07802667e-6);
+}
+
 TEST(Synthesizer, GoldenDigestA100x32CopiesCompeteForSurvivorSlots) {
   // 18 of a100x32's 24 combinations are copies. With every candidate inside
   // R1, the R2 cut keeps the three fastest, copies included.

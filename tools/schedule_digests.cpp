@@ -8,8 +8,9 @@
 // `<topo> <coll> <bytes> 0x<digest> <predicted_us>`, or
 // `<topo> <coll> <bytes> error: <message>` when synthesis throws. The
 // process-wide solve cache is cleared before every point, so each line is a
-// cold synthesis regardless of what ran before it. A last line on stderr,
-// `solves N`, counts the sub-demand solves of the whole run.
+// cold synthesis regardless of what ran before it. Two last lines on
+// stderr, `solves N` and `cache_hits N`, count the sub-demand solves of the
+// whole run and the solves the solve cache served instead.
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -128,6 +129,7 @@ int main(int argc, char** argv) {
     }
   }
   auto& reg = syccl::obs::MetricsRegistry::instance();
-  std::cerr << "solves " << reg.counter("solver.solves").value() << "\n";
+  std::cerr << "solves " << reg.counter("solver.solves").value() << "\n"
+            << "cache_hits " << reg.counter("solve_cache.hits").value() << "\n";
   return 0;
 }
